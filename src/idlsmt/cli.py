@@ -45,8 +45,6 @@ def _build_parser():
                    help="disable exhaustive theory propagation")
     p.add_argument("--minimize-core", action="store_true",
                    help="shrink reported cores with a deletion loop")
-    p.add_argument("--seed", type=int, default=0, metavar="N",
-                   help="random seed recorded in the session config")
     p.add_argument("--tlimit", type=int, default=None, metavar="MS",
                    help="wall-clock budget per check-sat, in milliseconds")
     p.add_argument("--stats", action="store_true",
@@ -99,12 +97,10 @@ def parse_portfolio(spec):
 
 def _make_config(opts, theory_prop=None):
     return SessionConfig(
-        mode="interactive" if opts.incremental else "batch",
         produce_unsat_cores=opts.produce_unsat_cores,
         theory_propagation=(not opts.no_theory_prop
                             if theory_prop is None else theory_prop),
         minimize_core=opts.minimize_core,
-        seed=opts.seed,
         time_budget_ms=opts.tlimit,
     )
 

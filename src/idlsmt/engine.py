@@ -10,7 +10,7 @@ with explanations reconstructed only if conflict analysis asks.
 
 from __future__ import annotations
 
-import threading
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -41,19 +41,11 @@ def format_int(v):
 
 @dataclass
 class SessionConfig:
-    mode: str = "batch"  # "batch" | "interactive" | "unsat-core"
     produce_unsat_cores: bool = False
-    produce_models: bool = True
     theory_propagation: bool = True
     minimize_core: bool = False
-    core_placeholders: bool = False
-    seed: int = 0
     conflict_budget: Optional[int] = None
     time_budget_ms: Optional[int] = None
-
-    def __post_init__(self):
-        if self.mode == "unsat-core":
-            self.produce_unsat_cores = True
 
 
 @dataclass
@@ -146,7 +138,7 @@ class _TheoryBridge:
 
     def on_solution(self):
         self.s._idl_model = self.s.apsp.extract_model()
-        self.s._apsp_tsv = self.s.apsp.dump_tsv()
+        self.s._solved_apsp = self.s.apsp.clone()
 
 
 class Session:
@@ -174,7 +166,7 @@ class Session:
         self._core_minimized = None
         self._bool_model = {}
         self._idl_model = {}
-        self._apsp_tsv = ""
+        self._solved_apsp = None
 
     # -- wiring ---------------------------------------------------------------
 
@@ -216,8 +208,6 @@ class Session:
     def _cmd_set_option(self, key, value):
         if key == ":produce-unsat-cores":
             self.cfg.produce_unsat_cores = value == "true"
-        elif key == ":produce-models":
-            self.cfg.produce_models = value == "true"
         return Response()
 
     def _cmd_set_info(self, key, value):
@@ -245,14 +235,13 @@ class Session:
         rec = _Record(self._next_index, term, name, self.solver.new_var())
         self._next_index += 1
         for cl in clauses:
-            self.solver.add_clause(cl, (sat.ORIGIN_TSEITIN,))
+            self.solver.add_clause(cl)
         if root is True:
             pass
         elif root is False:
-            self.solver.add_clause([-rec.selector], (sat.ORIGIN_INPUT, rec.index))
+            self.solver.add_clause([-rec.selector])
         else:
-            self.solver.add_clause([-rec.selector, root],
-                                   (sat.ORIGIN_INPUT, rec.index))
+            self.solver.add_clause([-rec.selector, root])
         self.frames[-1].records.append(rec)
         self._sel2rec[rec.selector] = rec
         if name is not None:
@@ -272,7 +261,7 @@ class Session:
         for _ in range(n):
             frame = self.frames.pop()
             for rec in frame.records:
-                self.solver.add_clause([-rec.selector], (sat.ORIGIN_INPUT, rec.index))
+                self.solver.add_clause([-rec.selector])
                 self._sel2rec.pop(rec.selector, None)
                 if rec.name is not None:
                     self._names.pop(rec.name, None)
@@ -306,22 +295,15 @@ class Session:
 
     def check_sat(self):
         assumptions = [rec.selector for rec in self.active_records()]
-        timer = None
         cancel = self.cancel_callback
         if self.cfg.time_budget_ms is not None:
-            flag = threading.Event()
-            timer = threading.Timer(self.cfg.time_budget_ms / 1000.0, flag.set)
-            timer.daemon = True
-            timer.start()
+            deadline = time.monotonic() + self.cfg.time_budget_ms / 1000.0
             outer = cancel
-            cancel = (lambda: flag.is_set() or (outer is not None and outer()))
-        try:
-            res = self.solver.solve(assumptions,
-                                    conflict_budget=self.cfg.conflict_budget,
-                                    cancel=cancel)
-        finally:
-            if timer is not None:
-                timer.cancel()
+            cancel = (lambda: time.monotonic() > deadline
+                      or (outer is not None and outer()))
+        res = self.solver.solve(assumptions,
+                                conflict_budget=self.cfg.conflict_budget,
+                                cancel=cancel)
         self._core_records = None
         self._core_minimized = None
         if res.status == "sat":
@@ -399,13 +381,8 @@ class Session:
         return sorted(recs, key=lambda r: r.index)
 
     def unsat_core_names(self):
-        names = []
-        for rec in self.core_records():
-            if rec.name is not None:
-                names.append(rec.name)
-            elif self.cfg.core_placeholders:
-                names.append(f"_a{rec.index}")
-        return names
+        return [rec.name for rec in self.core_records()
+                if rec.name is not None]
 
     # -- diagnostics ---------------------------------------------------------------------
 
@@ -427,4 +404,7 @@ class Session:
         return "\n".join(lines) + "\n"
 
     def apsp_tsv(self):
-        return self._apsp_tsv
+        """Distance matrix of the last sat answer (empty before any)."""
+        if self._solved_apsp is None:
+            return ""
+        return self._solved_apsp.dump_tsv()

@@ -30,12 +30,6 @@ class ConstantOverflow(NonDifferenceTerm):
     """A folded constant outside the supported 62-bit range."""
 
 
-def negate(lit):
-    """Literal negation; an involution. For an atom literal this is the
-    integer complement bound ``y - x <= -c-1``."""
-    return -lit
-
-
 class AtomTable:
     """Interns difference atoms onto SAT variables.
 
@@ -70,13 +64,6 @@ class AtomTable:
     def atom_of(self, var):
         """Positive-polarity bound of a variable, or None for plain Booleans."""
         return self._meta.get(var)
-
-    def lit_bound(self, lit):
-        """The bound asserted by a signed atom literal."""
-        x, y, c = self._meta[abs(lit)]
-        if lit > 0:
-            return x, y, c
-        return y, x, -c - 1
 
     def __len__(self):
         return len(self._meta)

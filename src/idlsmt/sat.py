@@ -48,10 +48,6 @@ class SolveResult:
     reason: str = ""  # for unknown answers
 
 
-ORIGIN_INPUT = "input"
-ORIGIN_TSEITIN = "tseitin"
-ORIGIN_LEARNED = "learned"
-
 _RESCALE = 1e100
 
 
@@ -78,9 +74,7 @@ class Solver:
         self.activity = [0.0]
         self.watches = [[], []]  # literal-indexed (2v / 2v+1)
         self.clauses = []
-        self.origins = []
-        self.learned = set()
-        self.cla_activity = {}
+        self.cla_activity = {}  # learned clause index -> activity
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
@@ -90,7 +84,6 @@ class Solver:
         self.var_decay = 0.95
         self.cla_inc = 1.0
         self.learned_limit = 50000
-        self.learned_log = []
         self.stats = {
             "decisions": 0, "conflicts": 0, "propagations": 0,
             "restarts": 0, "theory_conflicts": 0, "theory_propagations": 0,
@@ -116,7 +109,7 @@ class Solver:
         v = self.values[abs(lit)]
         return v if lit > 0 else -v
 
-    def add_clause(self, lits, origin=(ORIGIN_INPUT, -1)):
+    def add_clause(self, lits):
         """Store and watch a clause; False signals level-0 unsatisfiability.
 
         Tautologies are dropped, duplicate and level-0-false literals are
@@ -152,7 +145,6 @@ class Solver:
             return True
         ci = len(self.clauses)
         self.clauses.append(out)
-        self.origins.append(origin)
         self._watch(out[0], ci)
         self._watch(out[1], ci)
         return True
@@ -280,14 +272,14 @@ class Solver:
             self.var_inc *= inv
 
     def _bump_clause(self, ci):
-        if ci in self.learned:
-            act = self.cla_activity.get(ci, 0.0) + self.cla_inc
+        if ci in self.cla_activity:
+            act = self.cla_activity[ci] + self.cla_inc
             if act > _RESCALE:
                 inv = 1.0 / _RESCALE
                 for k in list(self.cla_activity):
                     self.cla_activity[k] *= inv
                 self.cla_inc *= inv
-                act = self.cla_activity.get(ci, 0.0) + self.cla_inc
+                act = self.cla_activity[ci] + self.cla_inc
             self.cla_activity[ci] = act
 
     def _reason_lits(self, p):
@@ -372,8 +364,6 @@ class Solver:
     def _store_learned(self, lits):
         ci = len(self.clauses)
         self.clauses.append(lits)
-        self.origins.append((ORIGIN_LEARNED,))
-        self.learned.add(ci)
         self.cla_activity[ci] = self.cla_inc
         self._watch(lits[0], ci)
         self._watch(lits[1], ci)
@@ -384,19 +374,18 @@ class Solver:
         locked = set()
         for v in range(1, len(self.values)):
             r = self.reasons[v]
-            if isinstance(r, int) and r in self.learned:
+            if isinstance(r, int) and r in self.cla_activity:
                 locked.add(r)
         victims = sorted(
-            (ci for ci in self.learned if ci not in locked and
+            (ci for ci in self.cla_activity if ci not in locked and
              len(self.clauses[ci]) > 2),
-            key=lambda ci: (self.cla_activity.get(ci, 0.0), -ci))
+            key=lambda ci: (self.cla_activity[ci], -ci))
         drop = set(victims[: len(victims) // 2])
         if not drop:
             return
         for ci in drop:
             self.clauses[ci] = None
-            self.learned.discard(ci)
-            self.cla_activity.pop(ci, None)
+            del self.cla_activity[ci]
         for enc in range(2, len(self.watches)):
             self.watches[enc] = []
         for ci, c in enumerate(self.clauses):
@@ -421,8 +410,10 @@ class Solver:
         """Search under assumptions.
 
         Returns sat with a total model, unsat with a failed-assumption
-        subset, or unknown when the conflict budget runs out or the cancel
-        callback trips (both polled at conflict boundaries).
+        subset, or unknown when the conflict budget runs out (checked at
+        each conflict) or the cancel callback trips (polled once per search
+        step: before the propagation that follows each assumption,
+        decision, restart or conflict).
         """
         if not self.ok:
             return SolveResult("unsat")
@@ -433,6 +424,9 @@ class Solver:
         restarts = 0
         pending = None
         while True:
+            if cancel is not None and cancel():
+                self._cancel_until(0)
+                return SolveResult("unknown", reason="cancelled")
             confl = pending if pending is not None else self._propagate_full()
             pending = None
             if confl is not None:
@@ -442,14 +436,10 @@ class Solver:
                 if conflict_budget is not None and conflicts_here >= conflict_budget:
                     self._cancel_until(0)
                     return SolveResult("unknown", reason="conflict budget")
-                if cancel is not None and cancel():
-                    self._cancel_until(0)
-                    return SolveResult("unknown", reason="cancelled")
                 self.stats["conflicts"] += 1
                 conflicts_here += 1
                 since_restart += 1
                 learned, bj = self._analyze(confl)
-                self.learned_log.append(tuple(learned))
                 self.var_inc /= self.var_decay
                 self.cla_inc /= 0.999
                 self._cancel_until(bj)
@@ -465,7 +455,7 @@ class Solver:
                 since_restart = 0
                 self._cancel_until(0)
                 continue
-            if len(self.learned) > self.learned_limit:
+            if len(self.cla_activity) > self.learned_limit:
                 self._reduce_learned()
             level = len(self.trail_lim)
             if level < len(assumptions):

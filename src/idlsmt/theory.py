@@ -8,9 +8,11 @@ bounds is consistent exactly when the edge graph has no negative cycle.
 Inserting a bound first tests for a conflict against the existing closure,
 then relaxes every pair through the new edge in O(n^2); every overwritten
 cell and replaced edge is logged per decision level so retraction replays
-to a bit-identical state. Conflicts and propagations are explained on
-demand by reconstructing a shortest path over the committed edges with
-Bellman-Ford, so the hot loop carries no witness bookkeeping.
+to a bit-identical state. Models are read off the closure: a variable's
+value is its column minimum, the shortest distance from a virtual source.
+Bellman-Ford over the committed edges only builds the explanations of
+conflicts and propagations, on demand, so the hot loop carries no witness
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -198,36 +200,40 @@ class DifferenceEngine:
     def extract_model(self):
         """Integer values satisfying every committed bound.
 
-        One Bellman-Ford pass from a virtual source with zero-weight edges
-        to every vertex; values are shifted so the zero variable gets 0.
+        A vertex's shortest distance from a virtual source with zero-weight
+        edges to every vertex is the minimum of its closure column over the
+        reachable cells (the diagonal supplies the 0); values are shifted so
+        the zero variable gets 0.
         """
-        dist = [0] * self.n
-        edges = self._edge_view(None)
-        for _ in range(self.n):
-            changed = False
-            for u, v, w, _ in edges:
-                if dist[u] + w < dist[v]:
-                    dist[v] = dist[u] + w
-                    changed = True
-            if not changed:
-                break
-        for u, v, w, _ in edges:
-            if dist[u] + w < dist[v]:
-                raise RuntimeError(
-                    "negative cycle in a supposedly consistent state")
-        base = dist[ZERO_VAR] if self.n > 0 else 0
-        return {v: dist[v] - base for v in range(self.n)}
+        n = self.n
+        if n == 0:
+            return {}
+        dist = np.where(self._r[:n, :n], self._d[:n, :n], 0).min(axis=0)
+        dist = dist.tolist()
+        for (u, v), hist in self.edges.items():
+            if dist[u] + hist[-1][0] < dist[v]:
+                raise RuntimeError("closure model violates a committed bound")
+        base = dist[ZERO_VAR]
+        return {v: dv - base for v, dv in enumerate(dist)}
 
     # -- debugging -------------------------------------------------------------
 
     def clone(self):
-        """Independent deep copy (used by refutation-style checks)."""
+        """Independent copy of the closure and its edges (used by
+        refutation-style checks and to keep the closure of the last sat
+        answer for ``--dump-apsp``).
+
+        The copy is sized to the live vertices and starts with an empty
+        undo log: it can take and retract new assertions, but it does not
+        hold the undo data of the original, which may be large.
+        """
         other = DifferenceEngine.__new__(DifferenceEngine)
         other.n = self.n
-        other._d = self._d.copy()
-        other._r = self._r.copy()
+        cap = max(self.n, 2)  # ensure_vertex grows by doubling from here
+        other._d = self._d[:cap, :cap].copy()
+        other._r = self._r[:cap, :cap].copy()
         other.edges = {k: list(v) for k, v in self.edges.items()}
-        other._trail = list(self._trail)
+        other._trail = []
         other.stamp = self.stamp
         other.cell_updates = self.cell_updates
         other.commits = self.commits

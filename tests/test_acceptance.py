@@ -239,8 +239,7 @@ def test_criterion_6_transcript_determinism(tmp_path):
         chunks = []
         for path in paths:
             out = io.StringIO()
-            code = cli_run(["--seed", "7", "--produce-unsat-cores", path],
-                           stdout=out)
+            code = cli_run(["--produce-unsat-cores", path], stdout=out)
             chunks.append(f"== {path} rc={code}\n" + out.getvalue())
         transcripts.append("".join(chunks).encode())
     ok = transcripts[0] == transcripts[1] == transcripts[2]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from idlsmt.sat import ORIGIN_LEARNED, Solver, _luby
+from idlsmt.sat import Solver, _luby
 from idlsmt.testkit import naive_unit_fixpoint, truth_table_sat
 
 
@@ -12,6 +12,20 @@ def fresh(n):
     for _ in range(n):
         s.new_var()
     return s
+
+
+def record_learned(s):
+    """Every clause ``s`` learns from now on, units included."""
+    log = []
+    analyze = s._analyze
+
+    def recording(confl_lits):
+        learned, bj = analyze(confl_lits)
+        log.append(tuple(learned))
+        return learned, bj
+
+    s._analyze = recording
+    return log
 
 
 def random_cnf(rng, n_vars, n_clauses, width=3):
@@ -157,8 +171,9 @@ class TestAnalyze:
         clauses = random_cnf(rng, 6, 16)
         for cl in clauses:
             s.add_clause(cl)
+        log = record_learned(s)
         res = s.solve()
-        for learned in s.learned_log:
+        for learned in log:
             assert len(set(abs(l) for l in learned)) == len(learned)
 
     def test_whole_instance_is_satisfiable_after_learning(self):
@@ -244,8 +259,9 @@ class TestSolve:
             ok = all(s.add_clause(cl) for cl in clauses)
             if not ok:
                 continue
+            log = record_learned(s)
             s.solve()
-            for learned in s.learned_log:
+            for learned in log:
                 for bits in range(1 << n):
                     assign = {v: bool((bits >> (v - 1)) & 1)
                               for v in range(1, n + 1)}
@@ -299,8 +315,9 @@ class TestSolve:
             for cl in clauses:
                 if not s.add_clause(cl):
                     return "unsat0", ()
+            log = record_learned(s)
             r = s.solve()
-            return r.status, tuple(s.learned_log)
+            return r.status, tuple(log)
 
         assert run() == run()
 

@@ -342,6 +342,8 @@ class TestImplications:
         c.assert_atom(1, 0, -3, lit=6, level=1)
         assert e.dist(0, 1) is None
         assert c.dist(0, 1) == -3
+        c.backtrack_to(0)  # retracts the clone's own assertion only
+        assert c.snapshot() == e.snapshot()
 
 
 class TestModel:
@@ -355,6 +357,13 @@ class TestModel:
         m = e.extract_model()
         assert m[0] - m[1] <= 3
         assert m[0] == 0  # the zero variable is pinned
+
+    def test_model_check_catches_a_corrupted_closure(self):
+        e = engine(2)
+        e.assert_atom(1, 0, -3, lit=5, level=1)  # edge 0 -> 1 weight -3
+        e._r[0, 1] = False  # the closure loses the path the edge gives
+        with pytest.raises(RuntimeError):
+            e.extract_model()
 
     def test_random_consistent_sets_are_satisfied(self):
         rng = random.Random(19)
@@ -373,6 +382,8 @@ class TestModel:
             assert m[0] == 0
             for x, y, c in asserted:
                 assert m[x] - m[y] <= c
+            ref = bellman_ford_consistent(asserted)
+            assert {v: m[v] for v in ref} == ref
 
 
 class TestDump:
