@@ -5,7 +5,8 @@ mode (``--incremental``) reads, executes, and flushes one command at a
 time. A portfolio spec runs option stages sequentially on fresh engines,
 keeping the first transcript whose answers are all definitive.
 
-Exit codes: 0 clean (sat and unsat both count), 1 usage/parse/sort errors,
+Exit codes: 0 clean (sat and unsat both count), 1 usage/parse/sort errors
+(input nested too deep for the recursive parser or normalizer included),
 2 internal invariant violations. Responses go to standard output only;
 statistics and diagnostics go to the error stream.
 """
@@ -249,6 +250,10 @@ def run(argv=None, stdin=None, stdout=None):
         return _run_batch(opts, text, out)
     except _UsageError as e:
         print(f"idl-smt: error: {e}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # input nested too deep for a recursive pass, not a broken invariant
+        print('(error "input nesting too deep")', file=out)
         return 1
     except (InternalError, RuntimeError, AssertionError):
         traceback.print_exc()

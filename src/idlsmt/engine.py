@@ -63,17 +63,31 @@ class _Frame:
 
 
 class _TheoryBridge:
-    """Adapter between the SAT core's hook seams and the shortest-path engine."""
+    """Adapter between the SAT core's hook seams and the shortest-path engine.
 
-    def __init__(self, session):
-        self.s = session
+    It holds only what the hooks read: the solver's value and trail lists
+    (not the solver, which holds the bridge), the engine, the atom bounds
+    and the config. Nothing here refers back to the session, so a dropped
+    session is freed at once, undo trail included, without waiting for
+    the cyclic garbage collector.
+    """
+
+    def __init__(self, solver, apsp, bounds, cfg):
+        self.values = solver.values
+        self.trail = solver.trail
+        self.apsp = apsp
+        self.bounds = bounds
+        self.cfg = cfg
         self.atom_vars = []
         self.ax = []
         self.ay = []
         self.ac = []
         self._arrays = None
+        self.model = {}  # integer model of the last sat answer
+        self.solved = None  # copy of the closure at the last sat answer
 
     def register_atom(self, var, x, y, c):
+        self.apsp.ensure_vertex(max(x, y))
         self.atom_vars.append(var)
         self.ax.append(x)
         self.ay.append(y)
@@ -81,30 +95,30 @@ class _TheoryBridge:
         self._arrays = None
 
     def on_assert(self, lit, level):
-        bound = self.s.atoms.atom_of(abs(lit))
+        bound = self.bounds.get(abs(lit))
         if bound is None:
             return None
         x, y, c = bound
         if lit < 0:
             x, y, c = y, x, -c - 1
-        return self.s.apsp.assert_atom(x, y, c, lit, level)
+        return self.apsp.assert_atom(x, y, c, lit, level)
 
     def propagate(self):
-        if not self.s.cfg.theory_propagation or not self.atom_vars:
+        if not self.cfg.theory_propagation or not self.atom_vars:
             return ()
         if self._arrays is None:
             self._arrays = (np.array(self.ax, dtype=np.int64),
                             np.array(self.ay, dtype=np.int64),
                             np.array(self.ac, dtype=np.int64))
-        values = self.s.solver.values
+        values = self.values
         free = [k for k, v in enumerate(self.atom_vars) if values[v] == 0]
         if not free:
             return ()
         idx = np.array(free, dtype=np.int64)
         ax, ay, ac = self._arrays
         xs, ys, cs = ax[idx], ay[idx], ac[idx]
-        pos, neg = self.s.apsp.scan_implications(xs, ys, cs)
-        stamp = self.s.apsp.stamp
+        pos, neg = self.apsp.scan_implications(xs, ys, cs)
+        stamp = self.apsp.stamp
         out = []
         for t in np.nonzero(pos)[0]:
             k = free[t]
@@ -118,27 +132,27 @@ class _TheoryBridge:
 
     def explain(self, handle):
         src, dst, bound, stamp = handle
-        return self.s.apsp.explain_path(src, dst, bound, stamp)
+        return self.apsp.explain_path(src, dst, bound, stamp)
 
     def on_backtrack(self, level):
-        self.s.apsp.backtrack_to(level)
+        self.apsp.backtrack_to(level)
 
     def final_check(self):
         # eager assertion makes this a re-scan of what is already committed
-        for lit in self.s.solver.trail:
-            bound = self.s.atoms.atom_of(abs(lit))
+        for lit in self.trail:
+            bound = self.bounds.get(abs(lit))
             if bound is None:
                 continue
             x, y, c = bound
             if lit < 0:
                 x, y, c = y, x, -c - 1
-            if not self.s.apsp.holds(x, y, c):
+            if not self.apsp.holds(x, y, c):
                 raise InternalError("asserted bound missing from the closure")
         return None
 
     def on_solution(self):
-        self.s._idl_model = self.s.apsp.extract_model()
-        self.s._solved_apsp = self.s.apsp.clone()
+        self.model = self.apsp.extract_model()
+        self.solved = self.apsp.clone()
 
 
 class Session:
@@ -146,11 +160,13 @@ class Session:
 
     def __init__(self, config=None):
         self.cfg = config if config is not None else SessionConfig()
-        self.bridge = _TheoryBridge(self)
-        self.solver = sat.Solver(theory=self.bridge)
+        self.solver = sat.Solver()
         self.apsp = theory.DifferenceEngine()
-        self.atoms = normalize.AtomTable(self.solver.new_var,
-                                         on_new_atom=self._on_new_atom)
+        self.atoms = normalize.AtomTable(self.solver.new_var)
+        self.bridge = _TheoryBridge(self.solver, self.apsp,
+                                    self.atoms.bounds, self.cfg)
+        self.solver.theory = self.bridge
+        self.atoms.on_new_atom = self.bridge.register_atom
         self.frames = [_Frame()]
         self.logic = None
         self.finished = False
@@ -165,14 +181,8 @@ class Session:
         self._core_records = None
         self._core_minimized = None
         self._bool_model = {}
-        self._idl_model = {}
-        self._solved_apsp = None
 
     # -- wiring ---------------------------------------------------------------
-
-    def _on_new_atom(self, var, x, y, c):
-        self.apsp.ensure_vertex(max(x, y))
-        self.bridge.register_atom(var, x, y, c)
 
     def _resolve_int(self, name):
         vid = self._int_ids.get(name)
@@ -225,13 +235,16 @@ class Session:
         try:
             node = normalize.skeleton(term, self._resolve_int,
                                       self._resolve_bool, self.atoms)
+            clauses, root = normalize.to_cnf(node, self.solver.new_var)
         except normalize.ConstantOverflow as e:
             return _error(f"constant overflow: {e}")
         except normalize.NonDifferenceTerm as e:
             return _error(str(e))
         except theory.TooManyVertices as e:
             return _error(str(e))
-        clauses, root = normalize.to_cnf(node, self.solver.new_var)
+        except RecursionError:
+            # normalization recurses on the term; the session stays usable
+            return _error("term nesting too deep")
         rec = _Record(self._next_index, term, name, self.solver.new_var())
         self._next_index += 1
         for cl in clauses:
@@ -325,7 +338,7 @@ class Session:
         vid = self._int_ids.get(name)
         if vid is None:
             return 0
-        return self._idl_model.get(vid, 0)
+        return self.bridge.model.get(vid, 0)
 
     def bool_value(self, name):
         var = self._bool_ids.get(name)
@@ -405,6 +418,6 @@ class Session:
 
     def apsp_tsv(self):
         """Distance matrix of the last sat answer (empty before any)."""
-        if self._solved_apsp is None:
+        if self.bridge.solved is None:
             return ""
-        return self._solved_apsp.dump_tsv()
+        return self.bridge.solved.dump_tsv()

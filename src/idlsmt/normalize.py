@@ -36,13 +36,16 @@ class AtomTable:
     Structurally equal atoms share one variable, and the two members of a
     complementary pair map to the same variable with opposite signs (the
     orientation with the smaller left-hand variable is the positive one).
+    ``bounds`` maps each atom variable to its positive-polarity bound
+    ``(x, y, c)``; ``on_new_atom``, when set, is called with
+    ``(var, x, y, c)`` for each new atom.
     """
 
-    def __init__(self, new_var, on_new_atom=None):
+    def __init__(self, new_var):
         self._new_var = new_var
-        self._on_new_atom = on_new_atom
+        self.on_new_atom = None
         self._ids = {}
-        self._meta = {}
+        self.bounds = {}
 
     def literal(self, x, y, c):
         """SAT literal asserting ``x - y <= c``; x and y must differ."""
@@ -56,20 +59,20 @@ class AtomTable:
         if var is None:
             var = self._new_var()
             self._ids[key] = var
-            self._meta[var] = key
-            if self._on_new_atom is not None:
-                self._on_new_atom(var, *key)
+            self.bounds[var] = key
+            if self.on_new_atom is not None:
+                self.on_new_atom(var, *key)
         return sign * var
 
     def atom_of(self, var):
         """Positive-polarity bound of a variable, or None for plain Booleans."""
-        return self._meta.get(var)
+        return self.bounds.get(var)
 
     def __len__(self):
-        return len(self._meta)
+        return len(self.bounds)
 
     def atoms(self):
-        return [(v, x, y, c) for v, (x, y, c) in self._meta.items()]
+        return [(v, x, y, c) for v, (x, y, c) in self.bounds.items()]
 
 
 def _linear(t):
@@ -204,18 +207,19 @@ def skeleton(term, resolve_int, resolve_bool, atoms):
     return _Normalizer(resolve_int, resolve_bool, atoms).walk(term)
 
 
-def to_cnf(node, new_var):
-    """Gate-encode a skeleton; returns ``(clauses, root)``.
+def _neg(v):
+    return (not v) if isinstance(v, bool) else -v
 
-    ``root`` is a literal to assert (or True/False when the formula folded
-    to a constant). Clause count is linear in the skeleton size.
-    """
-    clauses = []
 
-    def neg(v):
-        return (not v) if isinstance(v, bool) else -v
+class _Encoder:
+    # a class rather than nested functions: a self-recursive closure is a
+    # reference cycle, which would keep ``new_var`` (and so the solver
+    # behind it) alive until the cyclic garbage collector runs
+    def __init__(self, new_var):
+        self.new_var = new_var
+        self.clauses = []
 
-    def gate_and(vals):
+    def gate_and(self, vals):
         if any(v is False for v in vals):
             return False
         lits = []
@@ -231,61 +235,62 @@ def to_cnf(node, new_var):
             return True
         if len(lits) == 1:
             return lits[0]
-        g = new_var()
+        g = self.new_var()
         for l in lits:
-            clauses.append([-g, l])
-        clauses.append([g] + [-l for l in lits])
+            self.clauses.append([-g, l])
+        self.clauses.append([g] + [-l for l in lits])
         return g
 
-    def gate_or(vals):
-        return neg(gate_and([neg(v) for v in vals]))
+    def gate_or(self, vals):
+        return _neg(self.gate_and([_neg(v) for v in vals]))
 
-    def enc(nd):
+    def enc(self, nd):
         tag = nd[0]
         if tag == "lit":
             return nd[1]
         if tag == "const":
             return nd[1]
         if tag == "not":
-            return neg(enc(nd[1]))
+            return _neg(self.enc(nd[1]))
         if tag == "and":
-            return gate_and([enc(k) for k in nd[1]])
+            return self.gate_and([self.enc(k) for k in nd[1]])
         if tag == "or":
-            return gate_or([enc(k) for k in nd[1]])
+            return self.gate_or([self.enc(k) for k in nd[1]])
+        clauses = self.clauses
         if tag == "xor":
-            a, b = enc(nd[1]), enc(nd[2])
+            a, b = self.enc(nd[1]), self.enc(nd[2])
             if isinstance(a, bool):
-                return neg(b) if a else b
+                return _neg(b) if a else b
             if isinstance(b, bool):
-                return neg(a) if b else a
+                return _neg(a) if b else a
             if a == b:
                 return False
             if a == -b:
                 return True
-            g = new_var()
+            g = self.new_var()
             clauses.append([-g, a, b])
             clauses.append([-g, -a, -b])
             clauses.append([g, -a, b])
             clauses.append([g, a, -b])
             return g
         if tag == "ite":
-            c = enc(nd[1])
+            c = self.enc(nd[1])
             if c is True:
-                return enc(nd[2])
+                return self.enc(nd[2])
             if c is False:
-                return enc(nd[3])
-            t, e = enc(nd[2]), enc(nd[3])
+                return self.enc(nd[3])
+            t, e = self.enc(nd[2]), self.enc(nd[3])
             if t is True:
-                return gate_or([c, e])
+                return self.gate_or([c, e])
             if t is False:
-                return gate_and([-c, e])
+                return self.gate_and([-c, e])
             if e is True:
-                return gate_or([-c, t])
+                return self.gate_or([-c, t])
             if e is False:
-                return gate_and([c, t])
+                return self.gate_and([c, t])
             if t == e:
                 return t
-            g = new_var()
+            g = self.new_var()
             clauses.append([-g, -c, t])
             clauses.append([-g, c, e])
             clauses.append([g, -c, -t])
@@ -293,5 +298,13 @@ def to_cnf(node, new_var):
             return g
         raise ValueError(f"unknown skeleton tag {tag!r}")
 
-    root = enc(node)
-    return clauses, root
+
+def to_cnf(node, new_var):
+    """Gate-encode a skeleton; returns ``(clauses, root)``.
+
+    ``root`` is a literal to assert (or True/False when the formula folded
+    to a constant). Clause count is linear in the skeleton size.
+    """
+    encoder = _Encoder(new_var)
+    root = encoder.enc(node)
+    return encoder.clauses, root

@@ -447,8 +447,19 @@ def _parse_assert_body(cur, env):
 
 
 def parse_command(cur, env):
-    """Consume exactly one command from the cursor; None at end of input."""
+    """Consume exactly one command from the cursor; None at end of input.
+
+    Terms and attribute values are parsed recursively, so nesting deeper
+    than the interpreter's recursion limit is a ParseError at the command.
+    """
     t0 = cur.peek()
+    try:
+        return _parse_command(cur, env, t0)
+    except RecursionError:
+        raise ParseError("term nesting too deep", t0.line, t0.col) from None
+
+
+def _parse_command(cur, env, t0):
     if t0.kind == "eof":
         return None
     if t0.kind != "lparen":

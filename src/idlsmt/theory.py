@@ -6,9 +6,12 @@ so a path u to v of weight w witnesses ``v - u <= w``, and a conjunction of
 bounds is consistent exactly when the edge graph has no negative cycle.
 
 Inserting a bound first tests for a conflict against the existing closure,
-then relaxes every pair through the new edge in O(n^2); every overwritten
-cell and replaced edge is logged per decision level so retraction replays
-to a bit-identical state. Models are read off the closure: a variable's
+then relaxes the pairs through the new edge: all n x n of them on small
+closures, and from `kernels.BLOCK_MIN_N` vertices on only the rows whose
+path to the edge's head gets cheaper times the columns its tail reaches
+more cheaply, the one block that can change. Every overwritten cell and
+replaced edge is logged per decision level so retraction replays to a
+bit-identical state. Models are read off the closure: a variable's
 value is its column minimum, the shortest distance from a virtual source.
 Bellman-Ford over the committed edges only builds the explanations of
 conflicts and propagations, on demand, so the hot loop carries no witness

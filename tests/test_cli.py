@@ -98,6 +98,32 @@ class TestIncremental:
         assert lines[-1] == "sat"
 
 
+def nested_and(depth):
+    return ("(set-logic QF_IDL)\n(declare-fun x () Int)\n"
+            "(declare-fun y () Int)\n(assert "
+            + "(and (< x y) " * depth + "(< x 5)" + ")" * depth + ")\n"
+            "(check-sat)\n")
+
+
+class TestDeepNesting:
+    # 600 levels overflowed the recursive normalizer, 2000 the parser; both
+    # must answer an error response rather than exit as an internal fault
+    @pytest.mark.parametrize("depth", [600, 2000])
+    def test_batch_answers_an_error(self, tmp_path, depth):
+        code, out = cli([write(tmp_path, "deep.smt2", nested_and(depth))])
+        assert code != 2
+        assert out.startswith("(error ") and "too deep" in out
+
+    @pytest.mark.parametrize("depth", [600, 2000])
+    def test_incremental_session_survives(self, depth):
+        text = nested_and(depth) + "(assert (< y 0))\n(check-sat)\n"
+        code, out = cli(["--incremental", "-"], text=text)
+        assert code != 2
+        lines = out.splitlines()
+        assert lines[0].startswith("(error ") and "too deep" in lines[0]
+        assert lines[1:] == ["sat", "sat"]
+
+
 class TestFlags:
     def test_stats_on_stderr(self, tmp_path, capsys):
         path = write(tmp_path, "s.smt2", SAT_TEXT)

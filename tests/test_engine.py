@@ -1,9 +1,11 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from idlsmt.engine import Session, SessionConfig
-from idlsmt.smtlib import parse_script
+from idlsmt.smtlib import Command, parse_script
 from idlsmt.testkit import (
     bellman_ford_consistent, enumerate_verdict, eval_term, random_script,
     RandomInstanceSpec,
@@ -324,6 +326,33 @@ class TestAgainstEnumeration:
             _, rs = run(text)
             got = answers(rs)[-1]
             assert got == self.oracle(text), f"seed {seed} diverged"
+
+
+class TestLifetime:
+    def test_dropped_session_is_freed_without_the_cycle_collector(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            session, rs = run(DECLS + "(assert (<= (- x y) 3))"
+                              "(assert (or (< x 0) (> y 5)))(check-sat)")
+            assert answers(rs) == ["sat"]
+            refs = [weakref.ref(o) for o in
+                    (session, session.solver, session.apsp, session.atoms)]
+            del session
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_deep_term_is_an_error_response(self):
+        session, _ = run(DECLS)
+        term = ("cmp", "<", ("ivar", "x"), ("int", 5))
+        for _ in range(5000):
+            term = ("and", (("cmp", "<", ("ivar", "x"), ("ivar", "y")), term))
+        r = session.execute(Command("assert", (term, None), 1, 1))
+        assert r.is_error and "too deep" in r.text
+        session.execute(Command("assert", (term[1][0], None), 1, 1))
+        assert session.check_sat() == "sat"
 
 
 class TestDeterminism:

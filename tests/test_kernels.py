@@ -94,6 +94,66 @@ class TestNumpyKernel:
         assert np.array_equal(D, before[0]) and np.array_equal(R, before[1])
 
 
+def reference_relax(D, R, n, x, y, c):
+    """Plain full-block relaxation, the contract of relax_edge_numpy."""
+    Dv, Rv = D[:n, :n], R[:n, :n]
+    cand = (Dv[:, y] + c)[:, None] + Dv[x, :][None, :]
+    valid = Rv[:, y][:, None] & Rv[x, :][None, :]
+    ii, jj = np.nonzero(valid & (~Rv | (cand < Dv)))
+    old_d, old_r = Dv[ii, jj].copy(), Rv[ii, jj].copy()
+    Dv[ii, jj] = cand[ii, jj]
+    Rv[ii, jj] = True
+    return ii, jj, old_d, old_r
+
+
+def tightening_stream(seed, n, count):
+    """Sparse random edges (so many cells stay unreachable), a third of
+    them re-asserting an earlier edge with a smaller weight."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        if out and rng.random() < 0.3:
+            x, y, c = rng.choice(out)
+            out.append((x, y, c - rng.randint(1, 5)))
+        else:
+            x, y = rng.sample(range(n), 2)
+            out.append((x, y, rng.randint(-4, 3 * n)))
+    return out
+
+
+class TestBlockSwitch:
+    """relax_edge_numpy against the full-block reference on both sides of
+    the size from which it computes only the rows and columns that
+    improve."""
+
+    @pytest.mark.parametrize("n", [kernels.BLOCK_MIN_N - 1,
+                                   kernels.BLOCK_MIN_N,
+                                   kernels.BLOCK_MIN_N + 1, 150])
+    def test_same_closure_and_undo_log_as_full_block(self, n):
+        cap = n + 7  # matrices wider than n, as the engine grows them
+        for seed in range(3):
+            D1, R1 = fresh_state(cap)
+            D2, R2 = fresh_state(cap)
+            logs = []
+            for x, y, c in tightening_stream(seed, n, 2 * n):
+                if R1[x, y] and D1[x, y] + c < 0:
+                    continue
+                got = kernels.relax_edge_numpy(D1, R1, n, x, y, c)
+                want = reference_relax(D2, R2, n, x, y, c)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                logs.append(got)
+            assert np.array_equal(D1, D2) and np.array_equal(R1, R2)
+            # the stream exercised unreachable cells and tightenings
+            assert not R1[:n, :n].all()
+            assert any(old_r.any() for *_, old_r in logs)
+            for ii, jj, od, orr in reversed(logs):
+                D1[ii, jj] = od
+                R1[ii, jj] = orr
+            D0, R0 = fresh_state(cap)
+            assert np.array_equal(D1, D0) and np.array_equal(R1, R0)
+
+
 class TestBackendSelection:
     def test_env_flag_forces_numpy(self, monkeypatch):
         monkeypatch.setenv("IDLSMT_KERNEL", "numpy")

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from idlsmt.kernels import BLOCK_MIN_N
 from idlsmt.theory import MAX_VERTICES, DifferenceEngine, TooManyVertices
 from idlsmt.testkit import bellman_ford_consistent, scratch_floyd_warshall
 
@@ -197,8 +198,9 @@ class TestBacktrack:
 
     def test_hundred_step_fuzz_matches_scratch(self):
         rng = random.Random(15)
-        for round_ in range(25):
-            n = rng.randint(3, 8)
+        # the last round is big enough for the kernel's I x J block form
+        for round_ in range(26):
+            n = rng.randint(3, 8) if round_ < 25 else BLOCK_MIN_N + 12
             e = engine(n)
             level = 0
             lit = 0
