@@ -2,12 +2,11 @@
 """Time the relaxation kernel's forms per matrix size.
 
 Feeds identical random edge streams through each form on fresh distance
-matrices and reports per-commit timings: the numpy kernel's full n x n
-block, its I x J block (only the rows and columns the new edge improves),
-and the numba loop when numba imports (warmed first, as it compiles on its
-first call). A `*` marks the numpy form `relax_edge_numpy` runs at that
-size, which is `full` below `kernels.BLOCK_MIN_N` vertices and `block`
-from there on; the table is how that constant is chosen and re-checked.
+matrices and reports per-commit timings: the kernel's full n x n block
+and its I x J block (only the rows and columns the new edge improves).
+A `*` marks the form `kernels.relax_edge` runs at that size, which is
+`full` below `kernels.BLOCK_MIN_N` vertices and `block` from there on;
+the table is how that constant is chosen and re-checked.
 Each form's time is the best of `--repeats` runs, taken in turn, so a slow
 spell of the host does not land on one form only.
 
@@ -37,18 +36,14 @@ def stream(seed, n, count):
     return out
 
 
-def numpy_form(relax):
-    return lambda D, R, n, x, y, c, scratch: relax(D, R, n, x, y, c)
-
-
-def drive(relax, n, edges, scratch):
+def drive(relax, n, edges):
     D, R = fresh(n)
     t0 = time.perf_counter()
     updates = 0
     for x, y, c in edges:
         if R[x, y] and D[x, y] + c < 0:
             continue
-        updates += len(relax(D, R, n, x, y, c, scratch)[0])
+        updates += len(relax(D, R, n, x, y, c)[0])
     return time.perf_counter() - t0, updates, D, R
 
 
@@ -61,28 +56,18 @@ def main():
     args = ap.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    forms = [("full", numpy_form(kernels._relax_full)),
-             ("block", numpy_form(kernels._relax_block))]
-    if kernels.HAVE_NUMBA:
-        forms.append(("numba", kernels.relax_edge_numba))
-        warm = fresh(8)
-        kernels.relax_edge_numba(warm[0], warm[1], 8, 1, 0, 1)
-    else:
-        print("numba unavailable; timing the numpy forms only")
-    print(f"numpy kernel: block form from n = {kernels.BLOCK_MIN_N}")
+    forms = [("full", kernels._relax_full), ("block", kernels._relax_block)]
+    print(f"block form from n = {kernels.BLOCK_MIN_N}")
 
     print(f"{'n':>6} {'edges':>6} {'updates':>10} "
           + "".join(f"{name + ' us/commit':>18}" for name, _ in forms))
     for n in sizes:
         edges = stream(args.seed, n, args.edges)
-        m = n * n
-        scratch = (np.empty(m, np.int64), np.empty(m, np.int64),
-                   np.empty(m, np.int64), np.empty(m, np.bool_))
         best = [float("inf")] * len(forms)
         results = [None] * len(forms)
         for _ in range(args.repeats):
             for k, (_, relax) in enumerate(forms):
-                dt, updates, D, R = drive(relax, n, edges, scratch)
+                dt, updates, D, R = drive(relax, n, edges)
                 best[k] = min(best[k], dt)
                 results[k] = (D, R)
         for D, R in results[1:]:

@@ -7,9 +7,11 @@ a CDCL core drives it lazily. The package speaks SMT-LIB v2 through
 """
 
 from .engine import Response, Session, SessionConfig
-from .kernels import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"
+
+# the relax kernel (idlsmt.kernels) is numpy code
+KERNEL_BACKEND = "numpy"
 
 __all__ = ["Session", "SessionConfig", "Response", "KERNEL_BACKEND",
            "__version__"]

@@ -94,14 +94,20 @@ class _TheoryBridge:
         self.ac.append(c)
         self._arrays = None
 
-    def on_assert(self, lit, level):
+    def _bound_of(self, lit):
+        """The bound ``x - y <= c`` that ``lit`` asserts, or None for a
+        literal that is not a difference atom."""
         bound = self.bounds.get(abs(lit))
+        if bound is None or lit > 0:
+            return bound
+        x, y, c = bound
+        return y, x, -c - 1
+
+    def on_assert(self, lit, level):
+        bound = self._bound_of(lit)
         if bound is None:
             return None
-        x, y, c = bound
-        if lit < 0:
-            x, y, c = y, x, -c - 1
-        return self.apsp.assert_atom(x, y, c, lit, level)
+        return self.apsp.assert_atom(*bound, lit, level)
 
     def propagate(self):
         if not self.cfg.theory_propagation or not self.atom_vars:
@@ -140,13 +146,8 @@ class _TheoryBridge:
     def final_check(self):
         # eager assertion makes this a re-scan of what is already committed
         for lit in self.trail:
-            bound = self.bounds.get(abs(lit))
-            if bound is None:
-                continue
-            x, y, c = bound
-            if lit < 0:
-                x, y, c = y, x, -c - 1
-            if not self.apsp.holds(x, y, c):
+            bound = self._bound_of(lit)
+            if bound is not None and not self.apsp.holds(*bound):
                 raise InternalError("asserted bound missing from the closure")
         return None
 

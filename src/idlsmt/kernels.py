@@ -1,19 +1,14 @@
-"""Hot numeric kernels for the incremental shortest-path closure.
+"""Hot numeric kernel for the incremental shortest-path closure.
 
 One operation lives here: the relaxation run when a weighted edge
 ``y -> x`` is committed, which tightens every pair (i, j) through the new
-edge and logs the overwritten cells for undo. Two interchangeable
-implementations are provided, a numba-compiled loop over all n x n pairs
-and a vectorized numpy one. `IDLSMT_KERNEL=numpy` (or `numba`) in the
-environment forces a backend; the default is numba when it imports, numpy
-otherwise.
+edge and logs the overwritten cells for undo. It is vectorized with numpy.
 
-The numpy kernel computes all n x n pairs only below `BLOCK_MIN_N`
-vertices. From there on it computes the I x J block: the rows i whose
-path to x gets cheaper through the new edge, times the columns j that y
-reaches more cheaply through it. No other pair can improve, so the result
-and the undo log are the same, while a commit costs O(n + |I||J|) instead
-of O(n^2).
+Below `BLOCK_MIN_N` vertices the kernel computes all n x n pairs. From
+there on it computes the I x J block: the rows i whose path to x gets
+cheaper through the new edge, times the columns j that y reaches more
+cheaply through it. No other pair can improve, so the result and the undo
+log are the same, while a commit costs O(n + |I||J|) instead of O(n^2).
 
 Matrices come as a pair of C-contiguous arrays: `D` (int64 distances) and
 `R` (bool reachability). A cell with `R` false has no path; its `D` entry
@@ -24,23 +19,14 @@ part in arithmetic.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via IDLSMT_KERNEL=numpy
-    HAVE_NUMBA = False
-
-
-# Vertex count from which the numpy kernel works on the I x J block of
-# rows and columns the new edge can improve, rather than on all n x n
-# pairs. Picking the block costs about 15 numpy calls more, which the full
-# block undercuts on small matrices: benchmarks/bench_fw_kernel.py finds
-# the two forms even at n = 40-48 and the block form ahead from 56 on.
+# Vertex count from which the kernel works on the I x J block of rows and
+# columns the new edge can improve, rather than on all n x n pairs.
+# Picking the block costs about 15 numpy calls more, which the full block
+# undercuts on small matrices: benchmarks/bench_fw_kernel.py finds the two
+# forms even at n = 40-48 and the block form ahead from 56 on.
 BLOCK_MIN_N = 48
 
 
@@ -87,7 +73,7 @@ def _relax_block(D, R, n, x, y, c):
     return ii, jj, old_d[better], old_r[better]
 
 
-def relax_edge_numpy(D, R, n, x, y, c, scratch=None):
+def relax_edge(D, R, n, x, y, c):
     """Tighten all pairs through a new edge y -> x of weight c.
 
     Mutates ``D``/``R`` (C-contiguous) in place over the leading n x n
@@ -99,64 +85,3 @@ def relax_edge_numpy(D, R, n, x, y, c, scratch=None):
     """
     relax = _relax_block if n >= BLOCK_MIN_N else _relax_full
     return relax(D, R, n, x, y, c)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _relax_loop(D, R, n, x, y, c, ui, uj, ud, ur):
-        cnt = 0
-        for i in range(n):
-            if not R[i, y]:
-                continue
-            base = D[i, y] + c
-            for j in range(n):
-                if not R[x, j]:
-                    continue
-                cand = base + D[x, j]
-                if not R[i, j] or cand < D[i, j]:
-                    ui[cnt] = i
-                    uj[cnt] = j
-                    ud[cnt] = D[i, j]
-                    ur[cnt] = R[i, j]
-                    D[i, j] = cand
-                    R[i, j] = True
-                    cnt += 1
-        return cnt
-
-    def relax_edge_numba(D, R, n, x, y, c, scratch=None):
-        """Same contract as :func:`relax_edge_numpy`, compiled loop."""
-        if scratch is None:
-            m = n * n
-            scratch = (np.empty(m, np.int64), np.empty(m, np.int64),
-                       np.empty(m, np.int64), np.empty(m, np.bool_))
-        ui, uj, ud, ur = scratch
-        cnt = _relax_loop(D, R, n, x, y, c, ui, uj, ud, ur)
-        return ui[:cnt].copy(), uj[:cnt].copy(), ud[:cnt].copy(), ur[:cnt].copy()
-
-else:  # pragma: no cover
-    relax_edge_numba = None
-
-
-def _pick_backend():
-    req = os.environ.get("IDLSMT_KERNEL", "").strip().lower()
-    if req == "numpy":
-        return "numpy"
-    if req == "numba":
-        if not HAVE_NUMBA:
-            raise ImportError("IDLSMT_KERNEL=numba but numba is not installed")
-        return "numba"
-    if req:
-        raise ValueError(f"unknown IDLSMT_KERNEL value {req!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _pick_backend()
-relax_edge = relax_edge_numba if BACKEND == "numba" else relax_edge_numpy
-
-
-def available_backends():
-    out = ["numpy"]
-    if HAVE_NUMBA:
-        out.append("numba")
-    return out

@@ -13,12 +13,14 @@ more cheaply, the one block that can change. Every overwritten cell and
 replaced edge is logged per decision level so retraction replays to a
 bit-identical state. Models are read off the closure: a variable's
 value is its column minimum, the shortest distance from a virtual source.
-Bellman-Ford over the committed edges only builds the explanations of
-conflicts and propagations, on demand, so the hot loop carries no witness
-bookkeeping.
+The explanation of a conflict or propagation is searched on demand, goal
+directed by the closure's distances to the target, so the hot loop carries
+no witness bookkeeping.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -41,15 +43,15 @@ class DifferenceEngine:
         self.n = 0
         self._d = np.zeros((capacity, capacity), dtype=np.int64)
         self._r = np.zeros((capacity, capacity), dtype=np.bool_)
-        # (u, v) -> stack of (weight, supporting literal, stamp); the live
-        # weight is the last entry, older entries are the still-asserted
-        # weaker bounds needed for time-restricted explanations
-        self.edges = {}
+        # edges[u][v] is the stack of (weight, supporting literal, stamp) of
+        # the edge u -> v; the live weight is the last entry, older entries
+        # are the still-asserted weaker bounds needed for time-restricted
+        # explanations
+        self.edges = []
         self._trail = []  # (level, edge key or None, undo cells or None)
         self.stamp = 0
         self.cell_updates = 0
         self.commits = 0
-        self._scratch = None
 
     # -- vertices ----------------------------------------------------------
 
@@ -69,9 +71,9 @@ class DifferenceEngine:
             nd[: self.n, : self.n] = self._d[: self.n, : self.n]
             nr[: self.n, : self.n] = self._r[: self.n, : self.n]
             self._d, self._r = nd, nr
-            self._scratch = None
         for k in range(self.n, v + 1):
             self._r[k, k] = True
+            self.edges.append({})
         self.n = v + 1
 
     # -- queries -----------------------------------------------------------
@@ -98,24 +100,20 @@ class DifferenceEngine:
         if self._r[x, y] and self._d[x, y] + c < 0:
             path = self.explain_path(x, y, int(self._d[x, y]))
             return path + [lit]
-        key = (y, x)
-        hist = self.edges.get(key)
+        out = self.edges[y]
+        hist = out.get(x)
         if hist is not None and hist[-1][0] <= c:
             self._trail.append((level, None, None))
             return None
         self.stamp += 1
         if hist is None:
-            self.edges[key] = [(c, lit, self.stamp)]
+            out[x] = [(c, lit, self.stamp)]
         else:
             hist.append((c, lit, self.stamp))
-        if self._scratch is None or len(self._scratch[0]) < self.n * self.n:
-            m = self.n * self.n
-            self._scratch = (np.empty(m, np.int64), np.empty(m, np.int64),
-                             np.empty(m, np.int64), np.empty(m, np.bool_))
-        cells = relax_edge(self._d, self._r, self.n, x, y, c, self._scratch)
+        cells = relax_edge(self._d, self._r, self.n, x, y, c)
         self.cell_updates += len(cells[0])
         self.commits += 1
-        self._trail.append((level, key, cells))
+        self._trail.append((level, (y, x), cells))
         return None
 
     def backtrack_to(self, level):
@@ -128,50 +126,58 @@ class DifferenceEngine:
                 self._d[ui, uj] = ud
                 self._r[ui, uj] = ur
             if key is not None:
-                hist = self.edges[key]
+                u, v = key
+                hist = self.edges[u][v]
                 hist.pop()
                 if not hist:
-                    del self.edges[key]
+                    del self.edges[u][v]
 
     # -- explanations --------------------------------------------------------
-
-    def _edge_view(self, stamp):
-        """Edges as (u, v, w, lit), restricted to commits at or before
-        ``stamp`` when given (each key's tightest such bound)."""
-        out = []
-        for (u, v), hist in self.edges.items():
-            if stamp is None:
-                w, lit, _ = hist[-1]
-                out.append((u, v, w, lit))
-            else:
-                for w, lit, st in reversed(hist):
-                    if st <= stamp:
-                        out.append((u, v, w, lit))
-                        break
-        return out
 
     def explain_path(self, src, dst, bound, stamp=None):
         """Supporting literals of a shortest ``src`` to ``dst`` path.
 
         With ``stamp`` the search only uses edges committed at or before
-        that time, so the explanation never cites later assertions. The
-        found path weight is guaranteed to be at most ``bound``.
+        that time, each at its tightest such weight, so the explanation
+        never cites later assertions. The found path weight is guaranteed
+        to be at most ``bound``.
+
+        The search is A* with the closure's distance to ``dst`` as the
+        heuristic. The live edges only tighten an older edge set, so that
+        distance is a consistent lower bound for every stamp: reduced
+        costs ``w + D[v,dst] - D[u,dst]`` are never negative, vertices that
+        cannot reach ``dst`` are skipped, and on the live edges (a conflict)
+        every edge of a shortest path has reduced cost 0, so only vertices
+        on shortest paths are expanded.
         """
-        edges = self._edge_view(stamp)
+        n = self.n
+        h = self._d[:n, dst].tolist()
+        reaches = self._r[:n, dst].tolist()
         dist = {src: 0}
         pred = {}
-        for _ in range(self.n):
-            changed = False
-            for u, v, w, lit in edges:
-                du = dist.get(u)
-                if du is None:
-                    continue
-                if v not in dist or du + w < dist[v]:
-                    dist[v] = du + w
-                    pred[v] = (u, lit)
-                    changed = True
-            if not changed:
+        heap = [(h[src], src)]
+        while heap:
+            f, u = heappop(heap)
+            if u == dst:
                 break
+            du = dist[u]
+            if f > du + h[u]:
+                continue  # superseded by a shorter path to u
+            for v, hist in self.edges[u].items():
+                if not reaches[v]:
+                    continue
+                w, lit, st = hist[-1]
+                if stamp is not None and st > stamp:
+                    for w, lit, st in reversed(hist):
+                        if st <= stamp:
+                            break
+                    else:
+                        continue
+                dv = du + w
+                if v not in dist or dv < dist[v]:
+                    dist[v] = dv
+                    pred[v] = (u, lit)
+                    heappush(heap, (dv + h[v], v))
         if dst not in dist or dist[dst] > bound:
             raise RuntimeError("shortest-path witness lost; engine state is "
                                "inconsistent")
@@ -213,18 +219,19 @@ class DifferenceEngine:
             return {}
         dist = np.where(self._r[:n, :n], self._d[:n, :n], 0).min(axis=0)
         dist = dist.tolist()
-        for (u, v), hist in self.edges.items():
-            if dist[u] + hist[-1][0] < dist[v]:
-                raise RuntimeError("closure model violates a committed bound")
+        for u, out in enumerate(self.edges):
+            for v, hist in out.items():
+                if dist[u] + hist[-1][0] < dist[v]:
+                    raise RuntimeError(
+                        "closure model violates a committed bound")
         base = dist[ZERO_VAR]
         return {v: dv - base for v, dv in enumerate(dist)}
 
     # -- debugging -------------------------------------------------------------
 
     def clone(self):
-        """Independent copy of the closure and its edges (used by
-        refutation-style checks and to keep the closure of the last sat
-        answer for ``--dump-apsp``).
+        """Independent copy of the closure and its edges (keeps the
+        closure of the last sat answer for ``--dump-apsp``).
 
         The copy is sized to the live vertices and starts with an empty
         undo log: it can take and retract new assertions, but it does not
@@ -235,12 +242,12 @@ class DifferenceEngine:
         cap = max(self.n, 2)  # ensure_vertex grows by doubling from here
         other._d = self._d[:cap, :cap].copy()
         other._r = self._r[:cap, :cap].copy()
-        other.edges = {k: list(v) for k, v in self.edges.items()}
+        other.edges = [{v: list(hist) for v, hist in out.items()}
+                       for out in self.edges]
         other._trail = []
         other.stamp = self.stamp
         other.cell_updates = self.cell_updates
         other.commits = self.commits
-        other._scratch = None
         return other
 
     def dump_tsv(self):
@@ -272,4 +279,5 @@ class DifferenceEngine:
         """Comparable copy of the visible state (for undo-exactness tests)."""
         n = self.n
         return (self._d[:n, :n].tobytes(), self._r[:n, :n].tobytes(),
-                {k: tuple(v) for k, v in self.edges.items()})
+                {(u, v): tuple(hist) for u, out in enumerate(self.edges)
+                 for v, hist in out.items()})

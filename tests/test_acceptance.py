@@ -63,7 +63,8 @@ def run_commands(commands, config=None):
 
 
 def committed_edges(e):
-    return [(u, v, hist[-1][0]) for (u, v), hist in e.edges.items()]
+    return [(u, v, hist[-1][0]) for u, out in enumerate(e.edges)
+            for v, hist in out.items()]
 
 
 def matrices_match(e, ref):

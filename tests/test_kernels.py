@@ -1,5 +1,3 @@
-import importlib
-import os
 import random
 
 import numpy as np
@@ -23,44 +21,10 @@ def random_stream(seed, n, count):
     return out
 
 
-def apply_stream(relax, n, stream):
-    D, R = fresh_state(n)
-    logs = []
-    for x, y, c in stream:
-        if R[x, y] and D[x, y] + c < 0:
-            continue  # keep the state consistent, as the engine does
-        logs.append(relax(D, R, n, x, y, c))
-    return D, R, logs
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-class TestBackendEquivalence:
-    def test_identical_matrices_and_undo_logs(self):
-        for seed in range(8):
-            n = random.Random(seed).randint(2, 12)
-            stream = random_stream(seed, n, 40)
-            d1, r1, logs1 = apply_stream(kernels.relax_edge_numpy, n, stream)
-            d2, r2, logs2 = apply_stream(kernels.relax_edge_numba, n, stream)
-            assert np.array_equal(d1, d2) and np.array_equal(r1, r2)
-            assert len(logs1) == len(logs2)
-            for (a, b, c, d), (e, f, g, h) in zip(logs1, logs2):
-                # both scan row-major, so the logs match entry for entry
-                assert np.array_equal(a, e) and np.array_equal(b, f)
-                assert np.array_equal(c, g) and np.array_equal(d, h)
-
-    def test_scratch_buffers_are_optional(self):
-        D, R = fresh_state(4)
-        m = 16
-        scratch = (np.empty(m, np.int64), np.empty(m, np.int64),
-                   np.empty(m, np.int64), np.empty(m, np.bool_))
-        out = kernels.relax_edge_numba(D, R, 4, 1, 0, 3, scratch)
-        assert len(out[0]) == 1
-
-
 class TestNumpyKernel:
     def test_edge_itself_enters(self):
         D, R = fresh_state(3)
-        ii, jj, od, orr = kernels.relax_edge_numpy(D, R, 3, 1, 0, 5)
+        ii, jj, od, orr = kernels.relax_edge(D, R, 3, 1, 0, 5)
         assert list(zip(ii.tolist(), jj.tolist())) == [(0, 1)]
         assert D[0, 1] == 5 and R[0, 1]
         assert not orr[0]
@@ -68,14 +32,14 @@ class TestNumpyKernel:
     def test_no_path_is_absorbing(self):
         # unreachable intermediate cells contribute no candidates
         D, R = fresh_state(3)
-        kernels.relax_edge_numpy(D, R, 3, 1, 0, -7)
+        kernels.relax_edge(D, R, 3, 1, 0, -7)
         assert not R[1, 0] and not R[2, 0] and not R[0, 2]
         assert D[1, 0] == 0  # untouched storage under a no-path cell
 
     def test_tightening_updates_and_logs_previous(self):
         D, R = fresh_state(2)
-        kernels.relax_edge_numpy(D, R, 2, 1, 0, 9)
-        ii, jj, od, orr = kernels.relax_edge_numpy(D, R, 2, 1, 0, 4)
+        kernels.relax_edge(D, R, 2, 1, 0, 9)
+        ii, jj, od, orr = kernels.relax_edge(D, R, 2, 1, 0, 4)
         assert D[0, 1] == 4
         assert od.tolist() == [9] and orr.tolist() == [True]
 
@@ -87,7 +51,7 @@ class TestNumpyKernel:
         for x, y, c in stream:
             if R[x, y] and D[x, y] + c < 0:
                 continue
-            log.append(kernels.relax_edge_numpy(D, R, 5, x, y, c))
+            log.append(kernels.relax_edge(D, R, 5, x, y, c))
         for ii, jj, od, orr in reversed(log):
             D[ii, jj] = od
             R[ii, jj] = orr
@@ -95,7 +59,7 @@ class TestNumpyKernel:
 
 
 def reference_relax(D, R, n, x, y, c):
-    """Plain full-block relaxation, the contract of relax_edge_numpy."""
+    """Plain full-block relaxation, the contract of relax_edge."""
     Dv, Rv = D[:n, :n], R[:n, :n]
     cand = (Dv[:, y] + c)[:, None] + Dv[x, :][None, :]
     valid = Rv[:, y][:, None] & Rv[x, :][None, :]
@@ -122,7 +86,7 @@ def tightening_stream(seed, n, count):
 
 
 class TestBlockSwitch:
-    """relax_edge_numpy against the full-block reference on both sides of
+    """relax_edge against the full-block reference on both sides of
     the size from which it computes only the rows and columns that
     improve."""
 
@@ -138,7 +102,7 @@ class TestBlockSwitch:
             for x, y, c in tightening_stream(seed, n, 2 * n):
                 if R1[x, y] and D1[x, y] + c < 0:
                     continue
-                got = kernels.relax_edge_numpy(D1, R1, n, x, y, c)
+                got = kernels.relax_edge(D1, R1, n, x, y, c)
                 want = reference_relax(D2, R2, n, x, y, c)
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -152,27 +116,3 @@ class TestBlockSwitch:
                 R1[ii, jj] = orr
             D0, R0 = fresh_state(cap)
             assert np.array_equal(D1, D0) and np.array_equal(R1, R0)
-
-
-class TestBackendSelection:
-    def test_env_flag_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv("IDLSMT_KERNEL", "numpy")
-        mod = importlib.reload(kernels)
-        try:
-            assert mod.BACKEND == "numpy"
-            assert mod.relax_edge is mod.relax_edge_numpy
-        finally:
-            monkeypatch.delenv("IDLSMT_KERNEL")
-            importlib.reload(kernels)
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv("IDLSMT_KERNEL", "fortran")
-        with pytest.raises(ValueError):
-            importlib.reload(kernels)
-        monkeypatch.delenv("IDLSMT_KERNEL")
-        importlib.reload(kernels)
-
-    def test_default_prefers_numba_when_available(self):
-        assert kernels.BACKEND in kernels.available_backends()
-        if kernels.HAVE_NUMBA and not os.environ.get("IDLSMT_KERNEL"):
-            assert kernels.BACKEND == "numba"

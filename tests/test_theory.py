@@ -16,7 +16,8 @@ def engine(n):
 
 
 def committed_edges(e):
-    return [(u, v, hist[-1][0]) for (u, v), hist in e.edges.items()]
+    return [(u, v, hist[-1][0]) for u, out in enumerate(e.edges)
+            for v, hist in out.items()]
 
 
 def matrices_equal(e, ref):
@@ -274,6 +275,75 @@ class TestExplain:
                 assert bellman_ford_consistent(without_new) is not None
                 break
         assert hits > 50
+
+    @pytest.mark.parametrize("n,seed", [(6, 17), (BLOCK_MIN_N + 12, 18)])
+    def test_random_streams_match_scratch_closure(self, n, seed):
+        # assert/backtrack streams; after each commit, explanations at a
+        # random earlier stamp are compared with the closure of the edges
+        # committed by then (each key at its tightest such weight)
+        rng = random.Random(seed)
+        rounds, steps = (40, 60) if n < BLOCK_MIN_N else (3, 200)
+        restricted = 0
+        for _ in range(rounds):
+            e = engine(n)
+            live = {}  # lit -> (level, stamp, tail, head, weight)
+            stamps = []
+            level = 0
+            lit = 0
+            for _ in range(steps):
+                roll = rng.random()
+                if roll < 0.25:
+                    level += 1
+                    continue
+                if roll < 0.3:
+                    level = max(0, level - rng.randint(1, 3))
+                    e.backtrack_to(level)
+                    live = {l: r for l, r in live.items() if r[0] <= level}
+                    continue
+                if live and roll < 0.5:  # tighten a committed bound
+                    _, _, y, x, c = rng.choice(list(live.values()))
+                    c -= rng.randint(1, 4)
+                else:  # edges to near successors on a ring: long paths
+                    y = rng.randrange(n)
+                    x = (y + rng.randint(1, 3)) % n
+                    c = rng.randint(-2, 12)
+                lit += 1
+                before = e.stamp
+                if e.assert_atom(x, y, c, lit=lit, level=level) is not None:
+                    continue
+                if e.stamp == before:
+                    continue  # a weaker parallel bound, not committed
+                live[lit] = (level, e.stamp, y, x, c)
+                stamps.append(e.stamp)
+                for _ in range(3):
+                    t = rng.choice(stamps + [None])
+                    edges = [(u, v, w) for _, st, u, v, w in live.values()
+                             if t is None or st <= t]
+                    D, R = scratch_floyd_warshall(n, edges)
+                    src = rng.randrange(n)
+                    targets = [v for v in np.flatnonzero(R[src]).tolist()
+                               if v != src]
+                    if not targets:
+                        continue
+                    dst = rng.choice(targets)
+                    want = int(D[src, dst])
+                    if t is None:
+                        assert want == e.dist(src, dst)
+                    elif want != e.dist(src, dst):
+                        restricted += 1
+                    lits = e.explain_path(src, dst, want, stamp=t)
+                    at = src
+                    total = 0
+                    for l in lits:
+                        _, st, u, v, w = live[l]
+                        assert t is None or st <= t
+                        assert u == at
+                        at = v
+                        total += w
+                    assert at == dst and total == want
+                    with pytest.raises(RuntimeError):
+                        e.explain_path(src, dst, want - 1, stamp=t)
+        assert restricted > 50
 
 
 class TestImplications:
