@@ -2,8 +2,9 @@
 
 Batch mode slurps and parses the whole script before executing; streaming
 mode (``--incremental``) reads, executes, and flushes one command at a
-time. A portfolio spec runs option stages sequentially on fresh engines,
-keeping the first transcript whose answers are all definitive.
+time. A portfolio spec reruns the parsed script in option stages on fresh
+engines, keeping the first transcript whose answers are all definitive;
+plain batch mode is the one-stage case.
 
 Exit codes: 0 clean (sat and unsat both count), 1 usage/parse/sort errors
 (input nested too deep for the recursive parser or normalizer included),
@@ -123,33 +124,6 @@ def _print_stats(session, extra=None):
         print(f"{key}={stats[key]}", file=sys.stderr)
 
 
-def _run_batch(opts, text, out):
-    session = Session(_make_config(opts))
-    code = 0
-    try:
-        commands = parse_script(text)
-    except SmtError as e:
-        print(f'(error "{e}")', file=out)
-        if opts.stats:
-            _print_stats(session)
-        return 1
-    for cmd in commands:
-        resp = session.execute(cmd)
-        if resp.text is not None:
-            print(resp.text, file=out)
-        if cmd.name == "check-sat":
-            _write_dumps(opts, session)
-        if resp.is_error:
-            code = 1
-            break
-        if session.finished:
-            break
-    out.flush()
-    if opts.stats:
-        _print_stats(session)
-    return code
-
-
 def _run_interactive(opts, stream, out):
     session = Session(_make_config(opts))
     reader = CommandReader(stream)
@@ -178,51 +152,53 @@ def _run_interactive(opts, stream, out):
     return 0
 
 
-def _run_portfolio(opts, text, out):
-    stages = parse_portfolio(opts.portfolio)
+def _run_batch(opts, text, out):
+    """Run the parsed script once per portfolio stage (one stage without a
+    portfolio) until a stage answers every check-sat definitively; the
+    transcript of the last stage run is the one printed."""
+    stages = (parse_portfolio(opts.portfolio) if opts.portfolio
+              else [_Stage("batch", not opts.no_theory_prop)])
+    used, code, lines = 0, 1, []
     try:
         commands = parse_script(text)
     except SmtError as e:
-        print(f'(error "{e}")', file=out)
-        return 1
-    last_lines = []
-    last_code = 0
-    last_session = None
-    used = 0
+        lines.append(f'(error "{e}")')
+        stages = []
+        session = Session(_make_config(opts))  # for --stats
     for stage in stages:
         used += 1
         session = Session(_make_config(opts, theory_prop=stage.theory_prop))
         session.cfg.conflict_budget = stage.conflicts
-        deadline = (time.monotonic() + stage.time_ms / 1000.0
-                    if stage.time_ms is not None else None)
-        if deadline is not None:
+        if stage.time_ms is not None:
+            deadline = time.monotonic() + stage.time_ms / 1000.0
             session.cancel_callback = lambda d=deadline: time.monotonic() > d
+        # the last stage's transcript is final, so it is printed as it goes
         lines = []
+        emit = (lines.append if used < len(stages)
+                else lambda line: print(line, file=out))
         code = 0
         definitive = True
         for cmd in commands:
             resp = session.execute(cmd)
             if resp.text is not None:
-                lines.append(resp.text)
-                if cmd.name == "check-sat" and resp.text == "unknown":
-                    definitive = False
+                emit(resp.text)
+            if cmd.name == "check-sat":
+                definitive = definitive and resp.text != "unknown"
+                _write_dumps(opts, session)
             if resp.is_error:
                 code = 1
                 break
             if session.finished:
                 break
-        last_lines, last_code, last_session = lines, code, session
         # an error downstream of an unknown answer falls through with it
         if definitive:
             break
-    for line in last_lines:
+    for line in lines:
         print(line, file=out)
-    if last_session is not None and (opts.dump_dimacs or opts.dump_apsp):
-        _write_dumps(opts, last_session)
     out.flush()
-    if opts.stats and last_session is not None:
-        _print_stats(last_session, extra={"stages": used})
-    return last_code
+    if opts.stats:
+        _print_stats(session, {"stages": used} if opts.portfolio else None)
+    return code
 
 
 def run(argv=None, stdin=None, stdout=None):
@@ -245,8 +221,6 @@ def run(argv=None, stdin=None, stdout=None):
                     text = f.read()
             except OSError as e:
                 raise _UsageError(str(e)) from None
-        if opts.portfolio:
-            return _run_portfolio(opts, text, out)
         return _run_batch(opts, text, out)
     except _UsageError as e:
         print(f"idl-smt: error: {e}", file=sys.stderr)

@@ -65,34 +65,39 @@ class _Frame:
 class _TheoryBridge:
     """Adapter between the SAT core's hook seams and the shortest-path engine.
 
-    It holds only what the hooks read: the solver's value and trail lists
-    (not the solver, which holds the bridge), the engine, the atom bounds
-    and the config. Nothing here refers back to the session, so a dropped
-    session is freed at once, undo trail included, without waiting for
-    the cyclic garbage collector.
+    It holds only what the hooks read: the solver's trail list (not the
+    solver, which holds the bridge), the engine, the atom bounds, the
+    config, and the atoms as numpy columns (var, x, y, c) with a mask of
+    those the SAT core has asserted. ``on_assert`` sets a mask entry and
+    logs ``(level, position)``; ``on_backtrack`` clears the entries logged
+    above its level. The trail's levels never decrease, so neither do the
+    log's. Nothing here refers back to the session, so a dropped session
+    is freed at once, undo trail included, without waiting for the cyclic
+    garbage collector.
     """
 
     def __init__(self, solver, apsp, bounds, cfg):
-        self.values = solver.values
         self.trail = solver.trail
         self.apsp = apsp
         self.bounds = bounds
         self.cfg = cfg
-        self.atom_vars = []
-        self.ax = []
-        self.ay = []
-        self.ac = []
-        self._arrays = None
+        self.position = {}  # atom var -> column index
+        self.columns = np.zeros((4, 16), dtype=np.int64)  # var, x, y, c
+        self.assigned = np.zeros(16, dtype=bool)
+        self.assigned_log = []  # (level, position)
         self.model = {}  # integer model of the last sat answer
         self.solved = None  # copy of the closure at the last sat answer
 
     def register_atom(self, var, x, y, c):
         self.apsp.ensure_vertex(max(x, y))
-        self.atom_vars.append(var)
-        self.ax.append(x)
-        self.ay.append(y)
-        self.ac.append(c)
-        self._arrays = None
+        k = len(self.position)
+        if k == len(self.assigned):
+            self.columns = np.concatenate(
+                (self.columns, np.zeros_like(self.columns)), axis=1)
+            self.assigned = np.concatenate(
+                (self.assigned, np.zeros_like(self.assigned)))
+        self.columns[:, k] = var, x, y, c
+        self.position[var] = k
 
     def _bound_of(self, lit):
         """The bound ``x - y <= c`` that ``lit`` asserts, or None for a
@@ -107,33 +112,24 @@ class _TheoryBridge:
         bound = self._bound_of(lit)
         if bound is None:
             return None
+        k = self.position[abs(lit)]
+        self.assigned[k] = True
+        self.assigned_log.append((level, k))
         return self.apsp.assert_atom(*bound, lit, level)
 
     def propagate(self):
-        if not self.cfg.theory_propagation or not self.atom_vars:
+        if not self.cfg.theory_propagation:
             return ()
-        if self._arrays is None:
-            self._arrays = (np.array(self.ax, dtype=np.int64),
-                            np.array(self.ay, dtype=np.int64),
-                            np.array(self.ac, dtype=np.int64))
-        values = self.values
-        free = [k for k, v in enumerate(self.atom_vars) if values[v] == 0]
-        if not free:
+        free = np.flatnonzero(~self.assigned[:len(self.position)])
+        if not free.size:
             return ()
-        idx = np.array(free, dtype=np.int64)
-        ax, ay, ac = self._arrays
-        xs, ys, cs = ax[idx], ay[idx], ac[idx]
+        xs, ys, cs = self.columns[1:, free]
         pos, neg = self.apsp.scan_implications(xs, ys, cs)
         stamp = self.apsp.stamp
-        out = []
-        for t in np.nonzero(pos)[0]:
-            k = free[t]
-            handle = (self.ay[k], self.ax[k], self.ac[k], stamp)
-            out.append((self.atom_vars[k], handle))
-        for t in np.nonzero(neg)[0]:
-            k = free[t]
-            handle = (self.ax[k], self.ay[k], -self.ac[k] - 1, stamp)
-            out.append((-self.atom_vars[k], handle))
+        out = [(v, (y, x, c, stamp)) for v, x, y, c
+               in zip(*self.columns[:, free[pos]].tolist())]
+        out += [(-v, (x, y, -c - 1, stamp)) for v, x, y, c
+                in zip(*self.columns[:, free[neg]].tolist())]
         return out
 
     def explain(self, handle):
@@ -141,6 +137,9 @@ class _TheoryBridge:
         return self.apsp.explain_path(src, dst, bound, stamp)
 
     def on_backtrack(self, level):
+        log = self.assigned_log
+        while log and log[-1][0] > level:
+            self.assigned[log.pop()[1]] = False
         self.apsp.backtrack_to(level)
 
     def final_check(self):

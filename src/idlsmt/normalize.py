@@ -64,15 +64,8 @@ class AtomTable:
                 self.on_new_atom(var, *key)
         return sign * var
 
-    def atom_of(self, var):
-        """Positive-polarity bound of a variable, or None for plain Booleans."""
-        return self.bounds.get(var)
-
     def __len__(self):
         return len(self.bounds)
-
-    def atoms(self):
-        return [(v, x, y, c) for v, (x, y, c) in self.bounds.items()]
 
 
 def _linear(t):

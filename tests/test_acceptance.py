@@ -48,8 +48,7 @@ def oracle_verdict(commands):
 
     skeletons = [skeleton(cmd.args[0], rint, rbool, atoms)
                  for cmd in commands if cmd.name == "assert"]
-    meta = {v: (x, y, c) for v, x, y, c in atoms.atoms()}
-    return enumerate_verdict(skeletons, meta)
+    return enumerate_verdict(skeletons, atoms.bounds)
 
 
 def run_commands(commands, config=None):

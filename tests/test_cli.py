@@ -240,6 +240,33 @@ class TestPortfolio:
         assert code == 0 and out == "sat\n"
         assert "stages=1" in err
 
+    @pytest.mark.parametrize("spec", ["prop:rest", "no-prop:0c,prop:rest"])
+    def test_dumps_match_batch(self, tmp_path, spec):
+        # a sat check, an unsat check, then asserts no check-sat follows
+        text, _ = emit_benchmark("negative-cycle-chain", 6)
+        text = text.replace("(assert (! (<= (- x5 x0)",
+                            "(check-sat)\n(assert (! (<= (- x5 x0)")
+        text += "(assert (<= (- x0 x2) 5))\n(assert (<= (- x1 x3) 4))\n"
+        path = write(tmp_path, "chain.smt2", text)
+        dumps = {}
+        for mode, extra in (("batch", []),
+                            ("portfolio", ["--portfolio", spec])):
+            cnf, tsv = tmp_path / f"{mode}.cnf", tmp_path / f"{mode}.tsv"
+            code, out = cli(["--produce-unsat-cores", "--dump-dimacs",
+                             str(cnf), "--dump-apsp", str(tsv)] + extra
+                            + [path])
+            assert code == 0 and out.splitlines()[:2] == ["sat", "unsat"]
+            dumps[mode] = cnf.read_bytes(), tsv.read_bytes()
+        assert dumps["portfolio"] == dumps["batch"]
+        assert dumps["batch"][1]  # the sat answer's matrix
+
+    def test_parse_error_prints_stats(self, tmp_path, capsys):
+        path = write(tmp_path, "c.smt2", "(assert (< x 1))\n(check-sat)\n")
+        for extra in ([], ["--portfolio", "prop:rest"]):
+            code, out = cli(["--stats"] + extra + [path])
+            assert code == 1 and out.startswith('(error "')
+            assert "decisions=0" in capsys.readouterr().err
+
     def test_portfolio_with_incremental_rejected(self):
         code, _ = cli(["--portfolio", "prop:rest", "--incremental", "-"],
                       text="")

@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 from idlsmt.engine import Session, SessionConfig
@@ -313,8 +314,7 @@ class TestAgainstEnumeration:
         for cmd in parse_script(text):
             if cmd.name == "assert":
                 skeletons.append(skeleton(cmd.args[0], rint, rbool, atoms))
-        meta = {v: (x, y, c) for v, x, y, c in atoms.atoms()}
-        return enumerate_verdict(skeletons, meta)
+        return enumerate_verdict(skeletons, atoms.bounds)
 
     def test_verdicts_match_on_mixed_structures(self):
         for seed in range(40):
@@ -353,6 +353,97 @@ class TestLifetime:
         assert r.is_error and "too deep" in r.text
         session.execute(Command("assert", (term[1][0], None), 1, 1))
         assert session.check_sat() == "sat"
+
+
+def push_pop_script(seed):
+    """A random CNF script cut into push/pop frames with checks between."""
+    rng = random.Random(seed)
+    spec = RandomInstanceSpec(vars=4, atoms=10, lo=-6, hi=6,
+                              structure=("cnf", 3, 14), seed=seed)
+    lines = random_script(spec).splitlines()[:-1]
+    out, depth = [], 0
+    for line in lines:
+        if line.startswith("(assert"):
+            roll = rng.random()
+            if roll < 0.3:
+                out.append("(push 1)")
+                depth += 1
+            elif roll < 0.45 and depth:
+                out.append("(pop 1)")
+                depth -= 1
+        out.append(line)
+        if line.startswith("(assert") and rng.random() < 0.4:
+            out.append("(check-sat)")
+    return "\n".join(out + ["(check-sat)"])
+
+
+def machine_script(seed, tasks):
+    """Tasks on one machine under makespan bounds, each bound pushed,
+    checked and popped; the bound below the total load is unsat."""
+    rng = random.Random(seed)
+    dur = [rng.randint(1, 6) for _ in range(tasks)]
+    lines = ["(set-logic QF_IDL)"]
+    lines += [f"(declare-fun s{i} () Int)" for i in range(tasks)]
+    lines += [f"(assert (>= s{i} 0))" for i in range(tasks)]
+    for i in range(tasks):
+        for j in range(i + 1, tasks):
+            lines.append(f"(assert (or (<= (- s{i} s{j}) (- {dur[i]})) "
+                         f"(<= (- s{j} s{i}) (- {dur[j]}))))")
+    total = sum(dur)
+    for bound in (total + 3, total - 1, total):
+        lines.append("(push 1)")
+        lines += [f"(assert (<= s{i} {bound - dur[i]}))"
+                  for i in range(tasks)]
+        lines += ["(check-sat)", "(pop 1)"]
+    return "\n".join(lines)
+
+
+class TestAssignmentMask:
+    """The bridge's mask of asserted atoms against the solver's values."""
+
+    def run_checked(self, text):
+        session = Session()
+        bridge, solver = session.bridge, session.solver
+        orig = bridge.propagate
+        calls = [0]
+
+        def free_positions():
+            return np.flatnonzero(~bridge.assigned[:len(bridge.position)])
+
+        def propagate():
+            calls[0] += 1
+            want = [k for var, k in bridge.position.items()
+                    if solver.values[var] == 0]
+            assert free_positions().tolist() == want
+            return orig()
+
+        bridge.propagate = propagate
+        for cmd in parse_script(text):
+            session.execute(cmd)
+            if cmd.name == "check-sat":
+                # back at level 0; the theory has seen trail[:th_head], all
+                # of the trail except after a conflict at level 0
+                assert not solver.trail_lim
+                seen = {abs(l) for l in solver.trail[:solver.th_head]}
+                want = [k for var, k in bridge.position.items()
+                        if var not in seen]
+                assert free_positions().tolist() == want
+        return session.stats, calls[0]
+
+    def test_mask_matches_solver_values(self):
+        totals = dict.fromkeys(("theory_conflicts", "conflicts", "restarts"),
+                               0)
+        calls = 0
+        texts = [push_pop_script(seed) for seed in range(40)]
+        texts += [machine_script(seed, 6) for seed in range(3)]
+        for text in texts:
+            stats, n = self.run_checked(text)
+            calls += n
+            for key in totals:
+                totals[key] += stats[key]
+        assert calls > 3000
+        assert totals["theory_conflicts"] > 200
+        assert totals["conflicts"] > 500 and totals["restarts"] > 0
 
 
 class TestDeterminism:

@@ -44,7 +44,7 @@ class Harness:
 
     def bound_of(self, lit):
         """The bound asserted by a signed atom literal."""
-        x, y, c = self.atoms.atom_of(abs(lit))
+        x, y, c = self.atoms.bounds[abs(lit)]
         return (x, y, c) if lit > 0 else (y, x, -c - 1)
 
     def varid_names(self):

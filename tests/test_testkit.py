@@ -86,8 +86,7 @@ class TestEnumerate:
         for cmd in parse_script(text):
             if cmd.name == "assert":
                 skeletons.append(skeleton(cmd.args[0], rint, rbool, atoms))
-        meta = {v: (x, y, c) for v, x, y, c in atoms.atoms()}
-        return skeletons, meta
+        return skeletons, atoms.bounds
 
     def test_single_atom_sat(self):
         sk, meta = self.from_script(
