@@ -71,9 +71,11 @@ class _TheoryBridge:
     those the SAT core has asserted. ``on_assert`` sets a mask entry and
     logs ``(level, position)``; ``on_backtrack`` clears the entries logged
     above its level. The trail's levels never decrease, so neither do the
-    log's. Nothing here refers back to the session, so a dropped session
-    is freed at once, undo trail included, without waiting for the cyclic
-    garbage collector.
+    log's. ``propagate`` scans only after a cell changed, an atom was added
+    or a backtrack; in between, the SAT core asserts all it returns, so the
+    free set only shrinks and a scan would find nothing. Nothing here
+    refers back to the session, so a dropped session is freed at once, undo
+    trail included, without waiting for the cyclic garbage collector.
     """
 
     def __init__(self, solver, apsp, bounds, cfg):
@@ -85,6 +87,7 @@ class _TheoryBridge:
         self.columns = np.zeros((4, 16), dtype=np.int64)  # var, x, y, c
         self.assigned = np.zeros(16, dtype=bool)
         self.assigned_log = []  # (level, position)
+        self.scanned = None  # cell_updates at the last scan; None: rescan
         self.model = {}  # integer model of the last sat answer
         self.solved = None  # copy of the closure at the last sat answer
 
@@ -98,6 +101,7 @@ class _TheoryBridge:
                 (self.assigned, np.zeros_like(self.assigned)))
         self.columns[:, k] = var, x, y, c
         self.position[var] = k
+        self.scanned = None
 
     def _bound_of(self, lit):
         """The bound ``x - y <= c`` that ``lit`` asserts, or None for a
@@ -118,8 +122,10 @@ class _TheoryBridge:
         return self.apsp.assert_atom(*bound, lit, level)
 
     def propagate(self):
-        if not self.cfg.theory_propagation:
+        if not self.cfg.theory_propagation or \
+                self.scanned == self.apsp.cell_updates:
             return ()
+        self.scanned = self.apsp.cell_updates
         free = np.flatnonzero(~self.assigned[:len(self.position)])
         if not free.size:
             return ()
@@ -137,6 +143,7 @@ class _TheoryBridge:
         return self.apsp.explain_path(src, dst, bound, stamp)
 
     def on_backtrack(self, level):
+        self.scanned = None
         log = self.assigned_log
         while log and log[-1][0] > level:
             self.assigned[log.pop()[1]] = False

@@ -9,13 +9,15 @@ Inserting a bound first tests for a conflict against the existing closure,
 then relaxes the pairs through the new edge: all n x n of them on small
 closures, and from `kernels.BLOCK_MIN_N` vertices on only the rows whose
 path to the edge's head gets cheaper times the columns its tail reaches
-more cheaply, the one block that can change. Every overwritten cell and
-replaced edge is logged per decision level so retraction replays to a
-bit-identical state. Models are read off the closure: a variable's
-value is its column minimum, the shortest distance from a virtual source.
-The explanation of a conflict or propagation is searched on demand, goal
-directed by the closure's distances to the target, so the hot loop carries
-no witness bookkeeping.
+more cheaply, the one block that can change. A bound the closure already
+entails, as every theory propagation is when it comes back asserted, is
+recorded as an edge for explanations but skips the kernel: it cannot
+shorten any pair. Every overwritten cell and replaced edge is logged per
+decision level so retraction replays to a bit-identical state. Models are
+read off the closure: a variable's value is its column minimum, the
+shortest distance from a virtual source. The explanation of a conflict or
+propagation is searched on demand, goal directed by the closure's
+distances to the target, so the hot loop carries no witness bookkeeping.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class DifferenceEngine:
         self._trail = []  # (level, edge key or None, undo cells or None)
         self.stamp = 0
         self.cell_updates = 0
-        self.commits = 0
+        self.commits = 0  # edges recorded, entailed ones too (edge_commits)
 
     # -- vertices ----------------------------------------------------------
 
@@ -95,7 +97,8 @@ class DifferenceEngine:
 
         Returns None on success or the list of supporting literals of a
         negative cycle (the new literal included); on conflict no state is
-        touched.
+        touched. A bound the closure already entails is logged as an edge
+        with a new stamp, but without a kernel call and with no undo cells.
         """
         if self._r[x, y] and self._d[x, y] + c < 0:
             path = self.explain_path(x, y, int(self._d[x, y]))
@@ -110,9 +113,12 @@ class DifferenceEngine:
             out[x] = [(c, lit, self.stamp)]
         else:
             hist.append((c, lit, self.stamp))
-        cells = relax_edge(self._d, self._r, self.n, x, y, c)
-        self.cell_updates += len(cells[0])
         self.commits += 1
+        if self._r[y, x] and self._d[y, x] <= c:
+            cells = None  # entailed: D[i,y] + c + D[x,j] >= D[i,j] everywhere
+        else:
+            cells = relax_edge(self._d, self._r, self.n, x, y, c)
+            self.cell_updates += len(cells[0])
         self._trail.append((level, (y, x), cells))
         return None
 

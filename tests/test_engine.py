@@ -1,16 +1,18 @@
 import gc
 import random
+import types
 import weakref
 
 import numpy as np
 import pytest
 
-from idlsmt.engine import Session, SessionConfig
+from idlsmt.engine import Session, SessionConfig, _TheoryBridge
 from idlsmt.smtlib import Command, parse_script
 from idlsmt.testkit import (
     bellman_ford_consistent, enumerate_verdict, eval_term, random_script,
-    RandomInstanceSpec,
+    RandomInstanceSpec, scratch_floyd_warshall,
 )
+from idlsmt.theory import DifferenceEngine
 from idlsmt.normalize import AtomTable, skeleton
 
 
@@ -444,6 +446,130 @@ class TestAssignmentMask:
         assert calls > 3000
         assert totals["theory_conflicts"] > 200
         assert totals["conflicts"] > 500 and totals["restarts"] > 0
+
+
+def entailed_literals(bounds, asserted, free, n):
+    """Signed literals of the ``free`` atom variables that the bounds of
+    the ``asserted`` literals entail, read off a from-scratch closure: the
+    variable when its bound holds, its negation when the integer complement
+    does."""
+    edges = []
+    for lit in asserted:
+        x, y, c = bounds[abs(lit)]
+        if lit < 0:
+            x, y, c = y, x, -c - 1
+        edges.append((y, x, c))
+    ref = scratch_floyd_warshall(n, edges)
+    assert ref is not None, "the asserted bounds must be consistent"
+    D, R = ref
+    out = set()
+    for var in free:
+        x, y, c = bounds[var]
+        if R[y, x] and D[y, x] <= c:
+            out.add(var)
+        if R[x, y] and D[x, y] <= -c - 1:
+            out.add(-var)
+    return out
+
+
+class TestPropagationOracle:
+    """Theory propagation is exhaustive: every ``propagate`` call returns
+    exactly the free atoms that the asserted bounds entail, or refute,
+    skipped scans included."""
+
+    def run_checked(self, text):
+        session = Session()
+        bridge, solver = session.bridge, session.solver
+        bounds = session.atoms.bounds
+        orig = bridge.propagate
+        counts = {"calls": 0, "found": 0}
+
+        def propagate():
+            got = orig()
+            lits = [lit for lit, _ in got]
+            assert len(lits) == len(set(lits))
+            # the theory has seen the whole trail when it is asked
+            asserted = [lit for lit in solver.trail if abs(lit) in bounds]
+            free = [var for var in bounds if solver.values[var] == 0]
+            assert set(lits) == entailed_literals(bounds, asserted, free,
+                                                  session.apsp.n)
+            counts["calls"] += 1
+            counts["found"] += bool(lits)
+            return got
+
+        bridge.propagate = propagate
+        for cmd in parse_script(text):
+            session.execute(cmd)
+        return counts
+
+    def test_solver_calls_match_scratch_closure(self):
+        calls = found = 0
+        texts = [push_pop_script(seed) for seed in range(40)]
+        texts += [machine_script(seed, 6) for seed in range(3)]
+        for text in texts:
+            counts = self.run_checked(text)
+            calls += counts["calls"]
+            found += counts["found"]
+        assert calls > 3000 and found > 500
+
+    def test_hook_protocol_without_fixpoint(self):
+        """The bridge alone, under hook calls in any order the SAT core's
+        protocol allows, not only its propagate-before-deciding one: atoms
+        are added between scans, several levels pass without a scan, each
+        scan's implications are asserted or dropped by a backtrack, and a
+        conflict is followed by a backtrack."""
+        rng = random.Random(23)
+        found = rescans = 0
+        for _ in range(100):
+            n = rng.randint(3, 6)
+            bounds = {}
+            bridge = _TheoryBridge(types.SimpleNamespace(trail=[]),
+                                   DifferenceEngine(), bounds, SessionConfig())
+            asserted = []  # (level, literal)
+            level = 0
+            dropped = False  # the last scan's implications were backtracked
+
+            def backtrack(to):
+                bridge.on_backtrack(to)
+                asserted[:] = [(lv, lit) for lv, lit in asserted if lv <= to]
+                return to
+
+            for _ in range(80):
+                roll = rng.random()
+                taken = {abs(lit) for _, lit in asserted}
+                free = [var for var in bounds if var not in taken]
+                if roll < 0.2 or not free:
+                    x, y = rng.sample(range(n), 2)
+                    var = len(bounds) + 1
+                    bounds[var] = (x, y, rng.randint(-4, 4))
+                    bridge.register_atom(var, *bounds[var])
+                elif roll < 0.45 and level:
+                    lit = rng.choice(free) * rng.choice((1, -1))
+                    if bridge.on_assert(lit, level) is None:
+                        asserted.append((level, lit))
+                    else:
+                        level = backtrack(rng.randrange(level))
+                elif roll < 0.6:
+                    level += 1
+                elif roll < 0.7 and level:
+                    level = backtrack(rng.randrange(level))
+                else:
+                    got = bridge.propagate()
+                    lits = {lit for lit, _ in got}
+                    want = entailed_literals(
+                        bounds, [lit for _, lit in asserted], free,
+                        bridge.apsp.n)
+                    assert lits == want
+                    found += bool(lits)
+                    rescans += dropped and bool(lits)
+                    dropped = bool(lits) and level > 0 and rng.random() < 0.3
+                    if dropped:
+                        level = backtrack(rng.randrange(level))
+                        continue
+                    for lit in lits:
+                        assert bridge.on_assert(lit, level) is None
+                        asserted.append((level, lit))
+        assert found > 300 and rescans > 20
 
 
 class TestDeterminism:

@@ -104,6 +104,23 @@ class TestAssert:
         e.backtrack_to(1)
         assert e.snapshot() == before
 
+    def test_entailed_bound_skips_the_kernel(self):
+        e = engine(4)
+        e.assert_atom(1, 0, 2, lit=1, level=1)
+        e.assert_atom(2, 1, 3, lit=2, level=1)
+        before = e.snapshot()
+        updates, commits, stamp = e.cell_updates, e.commits, e.stamp
+        # 2 - 0 <= 6 follows from the path 0 -> 1 -> 2 of weight 5
+        assert e.assert_atom(2, 0, 6, lit=3, level=2) is None
+        assert e.cell_updates == updates
+        assert e._trail[-1] == (2, (0, 2), None)
+        assert (e.commits, e.stamp) == (commits + 1, stamp + 1)
+        assert e.edges[0][2] == [(6, 3, e.stamp)]
+        assert e.explain_path(0, 2, 6, stamp=e.stamp) == [1, 2]
+        assert e.explain_path(0, 2, 5, stamp=e.stamp) == [1, 2]
+        e.backtrack_to(1)
+        assert e.snapshot() == before
+
     def test_tightening_parallel_edge(self):
         e = engine(2)
         e.assert_atom(0, 1, 7, lit=5, level=1)
@@ -202,23 +219,55 @@ class TestBacktrack:
         # the last round is big enough for the kernel's I x J block form
         for round_ in range(26):
             n = rng.randint(3, 8) if round_ < 25 else BLOCK_MIN_N + 12
-            e = engine(n)
-            level = 0
-            lit = 0
-            for _ in range(100):
-                roll = rng.random()
-                if roll < 0.55:
-                    x, y = rng.sample(range(n), 2)
-                    lit += 1
-                    e.assert_atom(x, y, rng.randint(-8, 8), lit=lit,
-                                  level=level)
-                elif roll < 0.8:
-                    level += 1
-                elif level > 0:
-                    level = rng.randrange(level)
-                    e.backtrack_to(level)
-            ref = scratch_floyd_warshall(n, committed_edges(e))
-            assert matrices_equal(e, ref)
+            self.fuzz_round(rng, n)
+        # a pass that also asserts bounds the closure already entails
+        rng = random.Random(16)
+        for n in (6, BLOCK_MIN_N + 12):
+            assert self.fuzz_round(rng, n, entail=0.4) >= 10
+
+    @staticmethod
+    def fuzz_round(rng, n, entail=0.0):
+        """100 random steps, then the closure against a scratch one. With
+        ``entail``, that share of the assertions picks a bound the closure
+        entails; those must change no cell and undo exactly. Returns how
+        many were logged as edges."""
+        e = engine(n)
+        level = 0
+        lit = 0
+        entailed = 0
+        closed = []  # closed[k]: the state when level k was left
+        for _ in range(100):
+            roll = rng.random()
+            if roll < 0.55:
+                x, y = rng.sample(range(n), 2)
+                lit += 1
+                c = rng.randint(-8, 8)
+                if entail and rng.random() < entail:
+                    # a path without a direct edge, so the bound is new
+                    reach = [(i, j) for i, j
+                             in np.argwhere(e._r[:n, :n]).tolist()
+                             if i != j and j not in e.edges[i]]
+                    y, x = rng.choice(reach or [(y, x)])
+                    if e.dist(y, x) is not None:
+                        c = e.dist(y, x) + rng.randint(0, 2)
+                updates, implied = e.cell_updates, e.holds(x, y, c)
+                e.assert_atom(x, y, c, lit=lit, level=level)
+                if entail and implied:
+                    assert e.cell_updates == updates
+                    assert e._trail[-1][2] is None
+                    entailed += e._trail[-1][1] is not None
+            elif roll < 0.8:
+                level += 1
+                closed.append(e.snapshot())
+            elif level > 0:
+                level = rng.randrange(level)
+                e.backtrack_to(level)
+                if entail:
+                    assert e.snapshot() == closed[level]
+                del closed[level:]
+        ref = scratch_floyd_warshall(n, committed_edges(e))
+        assert matrices_equal(e, ref)
+        return entailed
 
 
 class TestExplain:
