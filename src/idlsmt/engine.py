@@ -44,7 +44,6 @@ class SessionConfig:
     produce_unsat_cores: bool = False
     theory_propagation: bool = True
     minimize_core: bool = False
-    conflict_budget: Optional[int] = None
     time_budget_ms: Optional[int] = None
 
 
@@ -178,7 +177,6 @@ class Session:
         self.logic = None
         self.finished = False
         self.last_status = None
-        self.cancel_callback = None
         self._int_ids = {}
         self._bool_ids = {}
         self._names = {}
@@ -315,15 +313,10 @@ class Session:
 
     def check_sat(self):
         assumptions = [rec.selector for rec in self.active_records()]
-        cancel = self.cancel_callback
+        deadline = None
         if self.cfg.time_budget_ms is not None:
             deadline = time.monotonic() + self.cfg.time_budget_ms / 1000.0
-            outer = cancel
-            cancel = (lambda: time.monotonic() > deadline
-                      or (outer is not None and outer()))
-        res = self.solver.solve(assumptions,
-                                conflict_budget=self.cfg.conflict_budget,
-                                cancel=cancel)
+        res = self.solver.solve(assumptions, deadline)
         self._core_records = None
         self._core_minimized = None
         if res.status == "sat":

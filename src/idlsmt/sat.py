@@ -15,6 +15,7 @@ signed ints, clauses are lists of them.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 
@@ -45,7 +46,6 @@ class SolveResult:
     status: str  # "sat" | "unsat" | "unknown"
     model: dict | None = None  # var -> bool, total over registered vars
     failed: list = field(default_factory=list)  # subset of the assumptions
-    reason: str = ""  # for unknown answers
 
 
 _RESCALE = 1e100
@@ -406,38 +406,33 @@ class Solver:
                 besta = activity[v]
         return best
 
-    def solve(self, assumptions=(), conflict_budget=None, cancel=None):
+    def solve(self, assumptions=(), deadline=None):
         """Search under assumptions.
 
         Returns sat with a total model, unsat with a failed-assumption
-        subset, or unknown when the conflict budget runs out (checked at
-        each conflict) or the cancel callback trips (polled once per search
-        step: before the propagation that follows each assumption,
-        decision, restart or conflict).
+        subset, or unknown once ``time.monotonic()`` passes ``deadline``
+        (polled once per search step: before the propagation that follows
+        each assumption, decision, restart or conflict). Every answer
+        leaves the solver at level 0.
         """
         if not self.ok:
             return SolveResult("unsat")
         assumptions = list(assumptions)
         self._cancel_until(0)
-        conflicts_here = 0
         since_restart = 0
         restarts = 0
         pending = None
         while True:
-            if cancel is not None and cancel():
+            if deadline is not None and time.monotonic() > deadline:
                 self._cancel_until(0)
-                return SolveResult("unknown", reason="cancelled")
+                return SolveResult("unknown")
             confl = pending if pending is not None else self._propagate_full()
             pending = None
             if confl is not None:
                 if not self.trail_lim:
                     self.ok = False
                     return SolveResult("unsat")
-                if conflict_budget is not None and conflicts_here >= conflict_budget:
-                    self._cancel_until(0)
-                    return SolveResult("unknown", reason="conflict budget")
                 self.stats["conflicts"] += 1
-                conflicts_here += 1
                 since_restart += 1
                 learned, bj = self._analyze(confl)
                 self.var_inc /= self.var_decay

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from idlsmt.cli import parse_portfolio, run
+from idlsmt.cli import run
 from idlsmt.testkit import emit_benchmark
 
 SAT_TEXT = ("(set-logic QF_IDL)\n(declare-fun x () Int)\n"
@@ -66,6 +66,12 @@ class TestBatch:
     def test_missing_file_is_usage_error(self):
         code, _ = cli(["/nonexistent/nope.smt2"])
         assert code == 1
+
+    def test_parse_error_prints_stats(self, tmp_path, capsys):
+        path = write(tmp_path, "c.smt2", "(assert (< x 1))\n(check-sat)\n")
+        code, out = cli(["--stats", path])
+        assert code == 1 and out.startswith('(error "')
+        assert "decisions=0" in capsys.readouterr().err
 
 
 class TestIncremental:
@@ -156,6 +162,35 @@ class TestFlags:
         cells = [c for r in rows for c in r.split("\t")]
         assert "inf" in cells and "3" in cells
 
+    def test_dumps_match_incremental(self, tmp_path):
+        # a sat check, an unsat check, then asserts no check-sat follows
+        text, _ = emit_benchmark("negative-cycle-chain", 6)
+        text = text.replace("(assert (! (<= (- x5 x0)",
+                            "(check-sat)\n(assert (! (<= (- x5 x0)")
+        text += "(assert (<= (- x0 x2) 5))\n(assert (<= (- x1 x3) 4))\n"
+        path = write(tmp_path, "chain.smt2", text)
+        dumps = {}
+        for mode, extra in (("batch", []), ("incremental", ["--incremental"])):
+            cnf, tsv = tmp_path / f"{mode}.cnf", tmp_path / f"{mode}.tsv"
+            code, out = cli(["--produce-unsat-cores", "--dump-dimacs",
+                             str(cnf), "--dump-apsp", str(tsv)] + extra
+                            + [path])
+            assert code == 0 and out.splitlines()[:2] == ["sat", "unsat"]
+            dumps[mode] = cnf.read_bytes(), tsv.read_bytes()
+        assert dumps["incremental"] == dumps["batch"]
+        assert dumps["batch"][1]  # the sat answer's matrix
+
+    @pytest.mark.parametrize("mode", [[], ["--incremental"]],
+                             ids=["batch", "incremental"])
+    @pytest.mark.parametrize("flag", ["--dump-dimacs", "--dump-apsp"])
+    def test_unwritable_dump_is_clean_error(self, tmp_path, capsys, flag,
+                                            mode):
+        dump = str(tmp_path / "missing" / "out")
+        code, out = cli([flag, dump] + mode + ["-"], text=SAT_TEXT)
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "sat\n")
+        assert err.startswith("idl-smt: error: ") and "Traceback" not in err
+
     def test_no_theory_prop_same_answer(self, tmp_path):
         path = write(tmp_path, "s.smt2", UNSAT_TEXT)
         assert cli(["--no-theory-prop", path]) == (1 - 1, "unsat\n")
@@ -167,6 +202,11 @@ class TestFlags:
     def test_tlimit_accepted(self, tmp_path):
         path = write(tmp_path, "s.smt2", SAT_TEXT)
         assert cli(["--tlimit", "60000", path]) == (0, "sat\n")
+
+    def test_negative_tlimit_is_usage_error(self, tmp_path, capsys):
+        path = write(tmp_path, "s.smt2", SAT_TEXT)
+        assert cli(["--tlimit", "-5", path]) == (1, "")
+        assert "idl-smt: error: argument --tlimit" in capsys.readouterr().err
 
     def test_tlimit_honored_within_slack(self, tmp_path):
         # an instance that takes many seconds unbounded; the deadline is
@@ -205,72 +245,6 @@ class TestFlags:
         path = write(tmp_path, "s.smt2", SAT_TEXT)
         out = io.StringIO()
         assert cli_mod.run([path], stdout=out) == 2
-
-
-class TestPortfolio:
-    def test_spec_parsing(self):
-        stages = parse_portfolio("no-prop:1000ms,prop:rest")
-        assert [s.name for s in stages] == ["no-prop", "prop"]
-        assert stages[0].time_ms == 1000 and stages[1].time_ms is None
-        stages = parse_portfolio("prop:5c")
-        assert stages[0].conflicts == 5
-        for bad in ["", "warp:1c", "prop:xyz", "prop:9"]:
-            with pytest.raises(Exception):
-                parse_portfolio(bad)
-
-    def test_one_stage_equals_plain_run(self, tmp_path):
-        path = write(tmp_path, "s.smt2", UNSAT_TEXT)
-        assert cli(["--portfolio", "prop:rest", path]) == cli([path])
-
-    def test_fall_through_on_unknown(self, tmp_path, capsys):
-        text, _ = emit_benchmark("negative-cycle-chain", 6)
-        path = write(tmp_path, "chain.smt2", text)
-        code, out = cli(["--produce-unsat-cores", "--stats",
-                         "--portfolio", "no-prop:0c,prop:rest", path])
-        err = capsys.readouterr().err
-        assert code == 0
-        assert out.splitlines()[0] == "unsat"
-        assert "stages=2" in err
-
-    def test_short_circuit_skips_later_stages(self, tmp_path, capsys):
-        path = write(tmp_path, "s.smt2", SAT_TEXT)
-        code, out = cli(["--stats", "--portfolio", "prop:rest,no-prop:rest",
-                         path])
-        err = capsys.readouterr().err
-        assert code == 0 and out == "sat\n"
-        assert "stages=1" in err
-
-    @pytest.mark.parametrize("spec", ["prop:rest", "no-prop:0c,prop:rest"])
-    def test_dumps_match_batch(self, tmp_path, spec):
-        # a sat check, an unsat check, then asserts no check-sat follows
-        text, _ = emit_benchmark("negative-cycle-chain", 6)
-        text = text.replace("(assert (! (<= (- x5 x0)",
-                            "(check-sat)\n(assert (! (<= (- x5 x0)")
-        text += "(assert (<= (- x0 x2) 5))\n(assert (<= (- x1 x3) 4))\n"
-        path = write(tmp_path, "chain.smt2", text)
-        dumps = {}
-        for mode, extra in (("batch", []),
-                            ("portfolio", ["--portfolio", spec])):
-            cnf, tsv = tmp_path / f"{mode}.cnf", tmp_path / f"{mode}.tsv"
-            code, out = cli(["--produce-unsat-cores", "--dump-dimacs",
-                             str(cnf), "--dump-apsp", str(tsv)] + extra
-                            + [path])
-            assert code == 0 and out.splitlines()[:2] == ["sat", "unsat"]
-            dumps[mode] = cnf.read_bytes(), tsv.read_bytes()
-        assert dumps["portfolio"] == dumps["batch"]
-        assert dumps["batch"][1]  # the sat answer's matrix
-
-    def test_parse_error_prints_stats(self, tmp_path, capsys):
-        path = write(tmp_path, "c.smt2", "(assert (< x 1))\n(check-sat)\n")
-        for extra in ([], ["--portfolio", "prop:rest"]):
-            code, out = cli(["--stats"] + extra + [path])
-            assert code == 1 and out.startswith('(error "')
-            assert "decisions=0" in capsys.readouterr().err
-
-    def test_portfolio_with_incremental_rejected(self):
-        code, _ = cli(["--portfolio", "prop:rest", "--incremental", "-"],
-                      text="")
-        assert code == 1
 
 
 class TestSubprocess:

@@ -104,30 +104,22 @@ class TestCheckSat:
         _, rs = run(text)
         assert answers(rs) == ["unsat"]
 
-    def test_unknown_on_conflict_budget(self):
+    def test_theory_propagation_switch_changes_the_search(self):
         from idlsmt.testkit import emit_benchmark
 
+        # exhaustive propagation refutes the chain without any conflict;
+        # with the switch off no atom is implied and a conflict is needed
         text, _ = emit_benchmark("negative-cycle-chain", 6)
-        # propagation disabled: the refutation needs an actual conflict,
-        # which a zero budget forbids
-        cfg = SessionConfig(conflict_budget=0, theory_propagation=False)
-        session = Session(cfg)
-        outs = []
-        for cmd in parse_script(text):
-            r = session.execute(cmd)
-            if cmd.name == "check-sat":
-                outs.append(r.text)
-        assert outs == ["unknown"]
-        # with exhaustive propagation the same instance is refuted without
-        # any conflict at all, so the budget never trips
-        session = Session(SessionConfig(conflict_budget=0))
-        outs = []
-        for cmd in parse_script(text):
-            r = session.execute(cmd)
-            if cmd.name == "check-sat":
-                outs.append(r.text)
-        assert outs == ["unsat"]
-        assert session.stats["conflicts"] == 0
+        on = Session()
+        off = Session(SessionConfig(theory_propagation=False))
+        for session in (on, off):
+            outs = [(cmd.name, session.execute(cmd).text)
+                    for cmd in parse_script(text)]
+            assert [t for name, t in outs if name == "check-sat"] == ["unsat"]
+        assert on.stats["conflicts"] == 0
+        assert on.stats["theory_propagations"] > 0
+        assert off.stats["theory_propagations"] == 0
+        assert off.stats["conflicts"] >= 1
 
     def test_time_budget_holds_without_conflicts(self):
         import time

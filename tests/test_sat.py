@@ -1,8 +1,11 @@
 import itertools
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 
+from idlsmt import sat
 from idlsmt.sat import Solver, _luby
 from idlsmt.testkit import naive_unit_fixpoint, truth_table_sat
 
@@ -270,32 +273,8 @@ class TestSolve:
                         continue
                     assert any(assign[abs(l)] == (l > 0) for l in learned)
 
-    def test_conflict_budget_gives_unknown(self):
-        # pigeonhole 4 into 3: var p_ij = 3*(i-1)+j
-        def var(i, j):
-            return 3 * i + j + 1
-
-        s = fresh(12)
-        for i in range(4):
-            s.add_clause([var(i, j) for j in range(3)])
-        for j in range(3):
-            for i1 in range(4):
-                for i2 in range(i1 + 1, 4):
-                    s.add_clause([-var(i1, j), -var(i2, j)])
-        full = s.solve()
-        assert full.status == "unsat"
-        s2 = fresh(12)
-        for i in range(4):
-            s2.add_clause([var(i, j) for j in range(3)])
-        for j in range(3):
-            for i1 in range(4):
-                for i2 in range(i1 + 1, 4):
-                    s2.add_clause([-var(i1, j), -var(i2, j)])
-        res = s2.solve(conflict_budget=1)
-        assert res.status == "unknown"
-        assert res.reason == "conflict budget"
-
-    def test_cancel_flag(self):
+    def test_past_deadline_gives_unknown(self, monkeypatch):
+        # pigeonhole 4 into 3: var p_ij = 3*i+j+1
         s = fresh(12)
         for i in range(4):
             s.add_clause([3 * i + j + 1 for j in range(3)])
@@ -303,8 +282,17 @@ class TestSolve:
             for i1 in range(4):
                 for i2 in range(i1 + 1, 4):
                     s.add_clause([-(3 * i1 + j + 1), -(3 * i2 + j + 1)])
-        res = s.solve(cancel=lambda: True)
-        assert res.status == "unknown" and res.reason == "cancelled"
+        res = s.solve(deadline=time.monotonic() - 1)
+        assert res.status == "unknown" and not s.trail_lim
+        # a clock that passes the deadline at the sixth poll stops the search
+        # after some decisions; the answer must still leave level 0
+        ticks = itertools.count()
+        monkeypatch.setattr(sat, "time",
+                            SimpleNamespace(monotonic=lambda: next(ticks)))
+        res = s.solve(deadline=5.5)
+        assert res.status == "unknown" and not s.trail_lim
+        assert s.stats["decisions"] > 0
+        assert s.solve().status == "unsat"
 
     def test_determinism(self):
         rng = random.Random(2)
