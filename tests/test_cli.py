@@ -162,7 +162,9 @@ class TestFlags:
         cells = [c for r in rows for c in r.split("\t")]
         assert "inf" in cells and "3" in cells
 
-    def test_dumps_match_incremental(self, tmp_path):
+    @pytest.mark.parametrize("prop", [[], ["--no-theory-prop"]],
+                             ids=["prop", "no-prop"])
+    def test_dumps_match_incremental(self, tmp_path, prop):
         # a sat check, an unsat check, then asserts no check-sat follows
         text, _ = emit_benchmark("negative-cycle-chain", 6)
         text = text.replace("(assert (! (<= (- x5 x0)",
@@ -173,8 +175,8 @@ class TestFlags:
         for mode, extra in (("batch", []), ("incremental", ["--incremental"])):
             cnf, tsv = tmp_path / f"{mode}.cnf", tmp_path / f"{mode}.tsv"
             code, out = cli(["--produce-unsat-cores", "--dump-dimacs",
-                             str(cnf), "--dump-apsp", str(tsv)] + extra
-                            + [path])
+                             str(cnf), "--dump-apsp", str(tsv)] + prop
+                            + extra + [path])
             assert code == 0 and out.splitlines()[:2] == ["sat", "unsat"]
             dumps[mode] = cnf.read_bytes(), tsv.read_bytes()
         assert dumps["incremental"] == dumps["batch"]
