@@ -7,7 +7,11 @@ negation of ``x - y <= c`` is ``y - x <= -c-1``, so every atom and its
 complement share a single SAT variable with opposite polarities.
 
 Formulas become clauses through the usual fresh-variable gate encoding;
-only constants are folded, the Boolean structure is kept as written.
+only constants are folded, the Boolean structure is kept as written. The
+parser returns a ``let``-bound subterm as one shared object, so a term is a
+DAG; both passes cache compound nodes by identity and handle each distinct
+subterm once. Every gate is a two-sided equivalence, so one gate literal
+stands for its subterm wherever it occurs, under either polarity.
 """
 
 from __future__ import annotations
@@ -128,6 +132,9 @@ class _Normalizer:
         self.resolve_int = resolve_int
         self.resolve_bool = resolve_bool
         self.atoms = atoms
+        # id -> skeleton of each compound node; the caller's term keeps
+        # every node alive, so no id is reused during the walk
+        self._done = {}
 
     def _atom(self, x_name, y_name, c, src):
         _checked(c, src)
@@ -174,21 +181,29 @@ class _Normalizer:
             return ("const", t[1])
         if tag == "bvar":
             return ("lit", self.resolve_bool(t[1]))
-        if tag == "not":
-            return ("not", self.walk(t[1]))
-        if tag in ("and", "or"):
-            return (tag, [self.walk(k) for k in t[1]])
-        if tag == "xor":
-            return ("xor", self.walk(t[1]), self.walk(t[2]))
-        if tag == "implies":
-            return ("or", [("not", self.walk(t[1])), self.walk(t[2])])
-        if tag == "ite":
-            return ("ite", self.walk(t[1]), self.walk(t[2]), self.walk(t[3]))
         if tag == "cmp":
             return self._cmp(t[1], t[2], t[3], t)
         if tag == "distinct":
             return self._distinct(t[1], t)
-        raise NonDifferenceTerm(f"unexpected term {render_term(t)}")
+        # leaves above are interned by the atom table; compound nodes are
+        # keyed by identity, since hashing a nested tuple walks it again
+        node = self._done.get(id(t))
+        if node is not None:
+            return node
+        if tag == "not":
+            node = ("not", self.walk(t[1]))
+        elif tag in ("and", "or"):
+            node = (tag, [self.walk(k) for k in t[1]])
+        elif tag == "xor":
+            node = ("xor", self.walk(t[1]), self.walk(t[2]))
+        elif tag == "implies":
+            node = ("or", [("not", self.walk(t[1])), self.walk(t[2])])
+        elif tag == "ite":
+            node = ("ite", self.walk(t[1]), self.walk(t[2]), self.walk(t[3]))
+        else:
+            raise NonDifferenceTerm(f"unexpected term {render_term(t)}")
+        self._done[id(t)] = node
+        return node
 
 
 def skeleton(term, resolve_int, resolve_bool, atoms):
@@ -211,6 +226,7 @@ class _Encoder:
     def __init__(self, new_var):
         self.new_var = new_var
         self.clauses = []
+        self._done = {}  # id -> literal of each compound skeleton node
 
     def gate_and(self, vals):
         if any(v is False for v in vals):
@@ -237,66 +253,69 @@ class _Encoder:
     def gate_or(self, vals):
         return _neg(self.gate_and([_neg(v) for v in vals]))
 
+    def gate_xor(self, a, b):
+        if isinstance(a, bool):
+            return _neg(b) if a else b
+        if isinstance(b, bool):
+            return _neg(a) if b else a
+        if a == b:
+            return False
+        if a == -b:
+            return True
+        g = self.new_var()
+        self.clauses += [[-g, a, b], [-g, -a, -b], [g, -a, b], [g, a, -b]]
+        return g
+
+    def gate_ite(self, c, t, e):
+        if t is True:
+            return self.gate_or([c, e])
+        if t is False:
+            return self.gate_and([-c, e])
+        if e is True:
+            return self.gate_or([-c, t])
+        if e is False:
+            return self.gate_and([c, t])
+        if t == e:
+            return t
+        g = self.new_var()
+        self.clauses += [[-g, -c, t], [-g, c, e], [g, -c, -t], [g, c, -e]]
+        return g
+
     def enc(self, nd):
         tag = nd[0]
-        if tag == "lit":
+        if tag == "lit" or tag == "const":
             return nd[1]
-        if tag == "const":
-            return nd[1]
+        lit = self._done.get(id(nd))
+        if lit is not None:
+            return lit
         if tag == "not":
-            return _neg(self.enc(nd[1]))
-        if tag == "and":
-            return self.gate_and([self.enc(k) for k in nd[1]])
-        if tag == "or":
-            return self.gate_or([self.enc(k) for k in nd[1]])
-        clauses = self.clauses
-        if tag == "xor":
-            a, b = self.enc(nd[1]), self.enc(nd[2])
-            if isinstance(a, bool):
-                return _neg(b) if a else b
-            if isinstance(b, bool):
-                return _neg(a) if b else a
-            if a == b:
-                return False
-            if a == -b:
-                return True
-            g = self.new_var()
-            clauses.append([-g, a, b])
-            clauses.append([-g, -a, -b])
-            clauses.append([g, -a, b])
-            clauses.append([g, a, -b])
-            return g
-        if tag == "ite":
+            lit = _neg(self.enc(nd[1]))
+        elif tag == "and":
+            lit = self.gate_and([self.enc(k) for k in nd[1]])
+        elif tag == "or":
+            lit = self.gate_or([self.enc(k) for k in nd[1]])
+        elif tag == "xor":
+            lit = self.gate_xor(self.enc(nd[1]), self.enc(nd[2]))
+        elif tag == "ite":
             c = self.enc(nd[1])
             if c is True:
-                return self.enc(nd[2])
-            if c is False:
-                return self.enc(nd[3])
-            t, e = self.enc(nd[2]), self.enc(nd[3])
-            if t is True:
-                return self.gate_or([c, e])
-            if t is False:
-                return self.gate_and([-c, e])
-            if e is True:
-                return self.gate_or([-c, t])
-            if e is False:
-                return self.gate_and([c, t])
-            if t == e:
-                return t
-            g = self.new_var()
-            clauses.append([-g, -c, t])
-            clauses.append([-g, c, e])
-            clauses.append([g, -c, -t])
-            clauses.append([g, c, -e])
-            return g
-        raise ValueError(f"unknown skeleton tag {tag!r}")
+                lit = self.enc(nd[2])
+            elif c is False:
+                lit = self.enc(nd[3])
+            else:
+                lit = self.gate_ite(c, self.enc(nd[2]), self.enc(nd[3]))
+        else:
+            raise ValueError(f"unknown skeleton tag {tag!r}")
+        self._done[id(nd)] = lit
+        return lit
 
 
 def to_cnf(node, new_var):
     """Gate-encode a skeleton; returns ``(clauses, root)``.
 
     ``root`` is a literal to assert (or True/False when the formula folded
-    to a constant). Clause count is linear in the skeleton size.
+    to a constant). Clause count is linear in the number of distinct
+    subterms: a node shared by reference is encoded once.
     """
     encoder = _Encoder(new_var)
     root = encoder.enc(node)

@@ -4,8 +4,9 @@ Covers the command subset a QF_IDL script needs: set-logic, set-option,
 set-info, declare-fun (constants only), declare-const, assert (with
 ``(! term :named id)`` annotations), push, pop, check-sat, get-model,
 get-unsat-core, and exit. Terms are parsed into tagged tuples and
-sort-checked against the declaration table; ``let`` bindings are expanded
-inline while parsing.
+sort-checked against the declaration table; ``let`` bindings are resolved
+while parsing, and every use of a bound name is the one parsed term object,
+so a term with shared bindings is a DAG.
 
 Two reading styles: :func:`parse_script` consumes a whole input eagerly,
 while :class:`CommandReader` hands out one balanced command at a time as
@@ -64,6 +65,7 @@ class Token(NamedTuple):
 
 
 _SYM_PUNCT = "~!@$%^&*_-+=<>.?/"
+_BLANK = " \t\r\n\f\v"
 
 _RESERVED = frozenset(
     ["!", "_", "as", "let", "exists", "forall", "match", "par",
@@ -539,15 +541,24 @@ class CommandReader:
 
     Reads line by line and returns a command as soon as its parentheses
     balance, without waiting for end of input. Parens inside strings,
-    quoted symbols, and comments do not count.
+    quoted symbols, and comments do not count. The scan state (position,
+    paren depth, and whether a string, quoted symbol or comment is open)
+    carries over from one line to the next, so a command spread over many
+    lines is still read in linear time.
     """
 
     def __init__(self, stream):
         self._stream = stream
-        self._buf = ""
-        self._line = 1
-        self._col = 1
         self._eof = False
+        self._line = 1  # position of the first character not yet returned
+        self._col = 1
+        self._buf = ""  # the line being scanned
+        self._head = 0  # first character of _buf not yet returned or held
+        self._pos = 0  # next character of _buf to scan
+        self._held = []  # the open command's text from earlier lines
+        self._first = None  # the open command's first character, if any
+        self._depth = 0
+        self._closer = None  # character that ends the open string, etc.
 
     def _advance_past(self, text):
         nl = text.count("\n")
@@ -560,90 +571,69 @@ class CommandReader:
     def next_command(self):
         """Return ``(text, line, col)`` of the next command, or None."""
         while True:
-            found = self._scan()
-            if found is not None:
-                start, end = found
-                prefix = self._buf[:start]
-                chunk = self._buf[start:end]
-                self._advance_past(prefix)
-                line, col = self._line, self._col
-                self._advance_past(chunk)
-                self._buf = self._buf[end:]
-                return chunk, line, col
+            end = self._scan()
+            if end is not None:
+                return self._cut(end)
             if self._eof:
-                # whatever remains is whitespace/comments or a truncated form
-                rest = self._buf
-                self._buf = ""
-                stripped = self._strip_trivia(rest)
-                if stripped is None:
-                    return None
-                start = stripped
-                prefix = rest[:start]
-                self._advance_past(prefix)
-                line, col = self._line, self._col
-                self._advance_past(rest[start:])
-                return rest[start:], line, col
-            chunk = self._stream.readline()
-            if chunk == "":
-                self._eof = True
+                # whatever remains is a truncated form, or nothing at all
+                return None if self._first is None else self._cut(0)
+            rest = self._buf[self._head:]
+            if self._first is None:
+                self._advance_past(rest)
             else:
-                self._buf += chunk
+                self._held.append(rest)
+            self._buf = self._stream.readline()
+            self._head = self._pos = 0
+            self._eof = self._buf == ""
 
-    def _strip_trivia(self, text):
-        i, n = 0, len(text)
-        while i < n:
-            c = text[i]
-            if c in " \t\r\n\f\v":
-                i += 1
-            elif c == ";":
-                while i < n and text[i] != "\n":
-                    i += 1
-            else:
-                return i
-        return None
+    def _cut(self, end):
+        self._held.append(self._buf[self._head:end])
+        text = "".join(self._held)
+        line, col = self._line, self._col
+        self._advance_past(text)
+        self._head = self._pos = end
+        self._held = []
+        self._first, self._depth, self._closer = None, 0, None
+        return text, line, col
 
     def _scan(self):
-        buf = self._buf
-        start = self._strip_trivia(buf)
-        if start is None:
-            return None
-        if buf[start] != "(":
-            # a stray top-level token: hand it over so the parser reports it
-            i = start
-            n = len(buf)
-            while i < n and buf[i] not in " \t\r\n\f\v(;":
-                i += 1
-            if i == n and not self._eof:
-                return None
-            return start, i
-        depth = 0
-        i, n = start, len(buf)
-        in_string = in_quoted = in_comment = False
+        """Scan on through the current line; the end offset of the command
+        it completes, or None when the line runs out first."""
+        buf, n = self._buf, len(self._buf)
+        i, first, depth, closer = self._pos, self._first, self._depth, self._closer
+        end = None
         while i < n:
             c = buf[i]
-            if in_comment:
-                if c == "\n":
-                    in_comment = False
-            elif in_string:
-                if c == '"':
-                    in_string = False
-            elif in_quoted:
-                if c == "|":
-                    in_quoted = False
+            if closer is not None:
+                if c == closer:
+                    closer = None
+            elif first is None:
+                if c == ";":
+                    closer = "\n"
+                elif c not in _BLANK:
+                    first = c
+                    self._advance_past(buf[self._head:i])
+                    self._head = i
+                    continue
+            elif first != "(":
+                # a stray top-level token: hand it over so the parser reports it
+                if c in _BLANK or c == "(" or c == ";":
+                    end = i
+                    break
             elif c == ";":
-                in_comment = True
-            elif c == '"':
-                in_string = True
-            elif c == "|":
-                in_quoted = True
+                closer = "\n"
+            elif c == '"' or c == "|":
+                closer = c
             elif c == "(":
                 depth += 1
             elif c == ")":
                 depth -= 1
                 if depth == 0:
-                    return start, i + 1
+                    end = i + 1
+                    break
             i += 1
-        return None
+        self._pos, self._first, self._depth, self._closer = i, first, depth, closer
+        return end
 
 
 def render_term(t):

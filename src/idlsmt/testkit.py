@@ -179,49 +179,63 @@ def enumerate_verdict(skeletons, atom_meta, max_atoms=12):
 
 
 def eval_term(term, int_env, bool_env):
-    """Direct evaluation of a parsed term under name-to-value maps."""
-    tag = term[0]
-    if tag == "int":
-        return term[1]
-    if tag == "ivar":
-        return int_env.get(term[1], 0)
-    if tag == "bvar":
-        return bool_env.get(term[1], False)
-    if tag == "bool":
-        return term[1]
-    if tag == "neg":
-        return -eval_term(term[1], int_env, bool_env)
-    if tag == "add":
-        return eval_term(term[1], int_env, bool_env) \
-            + eval_term(term[2], int_env, bool_env)
-    if tag == "sub":
-        return eval_term(term[1], int_env, bool_env) \
-            - eval_term(term[2], int_env, bool_env)
-    if tag == "cmp":
-        a = eval_term(term[2], int_env, bool_env)
-        b = eval_term(term[3], int_env, bool_env)
-        return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
-                "=": a == b}[term[1]]
-    if tag == "distinct":
-        vals = [eval_term(t, int_env, bool_env) for t in term[1]]
-        return len(set(vals)) == len(vals)
-    if tag == "not":
-        return not eval_term(term[1], int_env, bool_env)
-    if tag == "and":
-        return all(eval_term(t, int_env, bool_env) for t in term[1])
-    if tag == "or":
-        return any(eval_term(t, int_env, bool_env) for t in term[1])
-    if tag == "xor":
-        return eval_term(term[1], int_env, bool_env) \
-            != eval_term(term[2], int_env, bool_env)
-    if tag == "implies":
-        return (not eval_term(term[1], int_env, bool_env)) \
-            or eval_term(term[2], int_env, bool_env)
-    if tag == "ite":
-        if eval_term(term[1], int_env, bool_env):
-            return eval_term(term[2], int_env, bool_env)
-        return eval_term(term[3], int_env, bool_env)
-    raise ValueError(f"unknown term tag {tag!r}")
+    """Direct evaluation of a parsed term under name-to-value maps.
+
+    A let-bound subterm is one object shared by reference; each distinct
+    node is evaluated once, so a doubling let chain costs linear time.
+    """
+    return _Evaluator(int_env, bool_env).ev(term)
+
+
+class _Evaluator:
+    def __init__(self, int_env, bool_env):
+        self.int_env = int_env
+        self.bool_env = bool_env
+        self.memo = {}  # id -> value; the root keeps every node alive
+
+    def ev(self, term):
+        key = id(term)
+        if key in self.memo:
+            return self.memo[key]
+        ev = self.ev
+        tag = term[0]
+        if tag == "int":
+            val = term[1]
+        elif tag == "ivar":
+            val = self.int_env.get(term[1], 0)
+        elif tag == "bvar":
+            val = self.bool_env.get(term[1], False)
+        elif tag == "bool":
+            val = term[1]
+        elif tag == "neg":
+            val = -ev(term[1])
+        elif tag == "add":
+            val = ev(term[1]) + ev(term[2])
+        elif tag == "sub":
+            val = ev(term[1]) - ev(term[2])
+        elif tag == "cmp":
+            a, b = ev(term[2]), ev(term[3])
+            val = {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
+                   "=": a == b}[term[1]]
+        elif tag == "distinct":
+            vals = [ev(t) for t in term[1]]
+            val = len(set(vals)) == len(vals)
+        elif tag == "not":
+            val = not ev(term[1])
+        elif tag == "and":
+            val = all(ev(t) for t in term[1])
+        elif tag == "or":
+            val = any(ev(t) for t in term[1])
+        elif tag == "xor":
+            val = ev(term[1]) != ev(term[2])
+        elif tag == "implies":
+            val = (not ev(term[1])) or ev(term[2])
+        elif tag == "ite":
+            val = ev(term[2]) if ev(term[1]) else ev(term[3])
+        else:
+            raise ValueError(f"unknown term tag {tag!r}")
+        self.memo[key] = val
+        return val
 
 
 # -- Boolean reference checks ------------------------------------------------------
@@ -287,7 +301,8 @@ class RandomInstanceSpec:
     atoms: int = 6
     lo: int = -8
     hi: int = 8
-    structure: tuple = ("conjunction",)  # ("cnf", k, m) | ("tree", depth)
+    # ("conjunction",) | ("cnf", k, m) | ("tree", depth) | ("let", levels)
+    structure: tuple = ("conjunction",)
     seed: int = 0
 
 
@@ -352,6 +367,50 @@ def _random_tree(rng, depth, pool):
     return f"({op} {kids})"
 
 
+def _random_let(rng, levels, pool):
+    """Nested ``let`` bindings, each a small tree over atoms and earlier
+    bindings; the body uses the last binding under ``not``, as an ``xor``
+    operand, and as an ``ite`` condition and branch."""
+    names = []
+
+    def operand():
+        if names and rng.random() < 0.6:
+            return rng.choice(names)
+        return _render_atom(rng, *pool[rng.randrange(len(pool))])
+
+    binds = []
+    for i in range(levels):
+        op = rng.choice(["and", "or", "xor", "=>", "ite", "not"])
+        args = " ".join(operand() for _ in range({"not": 1, "ite": 3}.get(op, 2)))
+        binds.append(f"(s{i} ({op} {args}))")
+        names.append(f"s{i}")
+    s = names[-1]
+    uses = [f"(not {s})", f"(xor {s} {operand()})",
+            f"(ite {s} {operand()} {operand()})",
+            f"(ite {operand()} {s} {operand()})"]
+    rng.shuffle(uses)
+    body = uses[0]
+    for use in uses[1:]:
+        body = f"({rng.choice(['and', 'or'])} {body} {use})"
+    for b in reversed(binds):
+        body = f"(let ({b}) {body})"
+    return body
+
+
+def let_chain(depth):
+    """A ``let`` chain over Int ``x`` and ``y`` whose level t uses level
+    t-1 twice, so its text grows linearly while its tree expansion doubles
+    per level; it holds exactly when x - y > depth."""
+    binds = ["(a0 (< y x))"]
+    for t in range(1, depth + 1):
+        # a xor (a and b) is a and not b
+        binds.append(f"(a{t} (xor a{t - 1} (and a{t - 1} (<= (- x y) {t}))))")
+    text = f"a{depth}"
+    for b in reversed(binds):
+        text = f"(let ({b}) {text})"
+    return text
+
+
 def random_script(spec):
     """Deterministic random QF_IDL script; every assertion is named."""
     rng = random.Random(spec.seed)
@@ -377,6 +436,8 @@ def random_script(spec):
     elif kind == "tree":
         _, depth = spec.structure
         asserts.append(_random_tree(rng, depth, pool))
+    elif kind == "let":
+        asserts.append(_random_let(rng, spec.structure[1], pool))
     else:
         raise ValueError(f"unknown structure {kind!r}")
     for i, body in enumerate(asserts):

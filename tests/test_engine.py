@@ -9,8 +9,8 @@ import pytest
 from idlsmt.engine import Session, SessionConfig, _TheoryBridge
 from idlsmt.smtlib import Command, parse_script
 from idlsmt.testkit import (
-    bellman_ford_consistent, enumerate_verdict, eval_term, random_script,
-    RandomInstanceSpec, scratch_floyd_warshall,
+    bellman_ford_consistent, enumerate_verdict, eval_term, let_chain,
+    random_script, RandomInstanceSpec, scratch_floyd_warshall,
 )
 from idlsmt.theory import DifferenceEngine
 from idlsmt.normalize import AtomTable, skeleton
@@ -171,6 +171,20 @@ class TestModel:
             if cmd.name == "assert":
                 assert eval_term(cmd.args[0], ints, bools) is True
 
+    def test_model_of_a_deep_let_chain(self):
+        # 60 levels, each using the one below twice: 2^60 nodes as a tree
+        text = DECLS + f"(assert {let_chain(60)})(check-sat)(get-model)"
+        session, rs = run(text)
+        assert answers(rs)[0] == "sat"
+        ints, bools = session.model_env()
+        assert ints["x"] - ints["y"] > 60
+        for cmd in parse_script(text):
+            if cmd.name == "assert":
+                assert eval_term(cmd.args[0], ints, bools) is True
+        _, rs = run(DECLS + f"(assert {let_chain(60)})"
+                    "(assert (<= (- x y) 60))(check-sat)")
+        assert answers(rs) == ["unsat"]
+
     def test_model_text_format(self):
         text = (DECLS + "(assert (<= x (- 2)))(check-sat)(get-model)")
         _, rs = run(text)
@@ -307,7 +321,9 @@ class TestAgainstEnumeration:
         skeletons = []
         for cmd in parse_script(text):
             if cmd.name == "assert":
-                skeletons.append(skeleton(cmd.args[0], rint, rbool, atoms))
+                # a tree copy: the oracle must not rely on the node cache
+                term = _unshare(cmd.args[0])
+                skeletons.append(skeleton(term, rint, rbool, atoms))
         return enumerate_verdict(skeletons, atoms.bounds)
 
     def test_verdicts_match_on_mixed_structures(self):
@@ -320,6 +336,36 @@ class TestAgainstEnumeration:
             _, rs = run(text)
             got = answers(rs)[-1]
             assert got == self.oracle(text), f"seed {seed} diverged"
+
+    def test_let_dags_match_and_models_hold(self):
+        # a let-bound subterm reused under not, xor and ite is encoded once;
+        # verdicts and models must still be those of the tree expansion
+        verdicts = set()
+        for seed in range(60):
+            spec = RandomInstanceSpec(vars=4, atoms=6, seed=seed,
+                                      structure=("let", 4))
+            text = random_script(spec) + "(get-model)"
+            session, rs = run(text)
+            got = answers(rs)[0]
+            assert got == self.oracle(text), f"seed {seed} diverged"
+            verdicts.add(got)
+            if got == "sat":
+                ints, bools = session.model_env()
+                for cmd in parse_script(text):
+                    if cmd.name == "assert":
+                        assert eval_term(cmd.args[0], ints, bools) is True
+        assert verdicts == {"sat", "unsat"}
+
+
+def _unshare(term):
+    """A copy of a parsed term in which no node is shared."""
+    out = [term[0]]
+    for part in term[1:]:
+        if isinstance(part, tuple):
+            part = (_unshare(part) if isinstance(part[0], str)
+                    else tuple(_unshare(k) for k in part))
+        out.append(part)
+    return tuple(out)
 
 
 class TestLifetime:

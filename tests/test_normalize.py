@@ -9,7 +9,7 @@ from idlsmt.normalize import (
     to_cnf,
 )
 from idlsmt.smtlib import DeclEnv, cursor, parse_term, tokenize
-from idlsmt.testkit import eval_term, truth_table_sat
+from idlsmt.testkit import eval_term, let_chain, truth_table_sat
 
 
 class Harness:
@@ -365,3 +365,28 @@ class TestTseitin:
             else:
                 cnf_sat = truth_table_sat(cnf, counter["n"]) is not None
             assert cnf_sat == formula_sat
+
+
+class TestSharedSubterms:
+    def encode(self, text):
+        h = Harness()
+        clauses, root = to_cnf(h.norm(text), h.new_var)
+        return h.n_vars, clauses, root
+
+    def test_shared_subterm_is_one_node_and_one_gate(self):
+        h = Harness()
+        node = h.norm("(let ((g (or (< x 1) (< y 2)))) (and g (not g)))")
+        assert node[1][1][1] is node[1][0]
+        clauses, root = to_cnf(node, h.new_var)
+        # one gate for g, so the encoder sees g and its negation
+        assert root is False and len(clauses) == 3
+
+    def test_let_chain_grows_linearly(self):
+        # a tree expansion doubles per level: fail fast at a small depth
+        # before trying the depths that it could not finish
+        n12, clauses12, _ = self.encode(let_chain(12))
+        assert n12 <= 4 * 13 and len(clauses12) <= 8 * 13
+        n30, clauses30, _ = self.encode(let_chain(30))
+        n60, clauses60, _ = self.encode(let_chain(60))
+        assert n60 <= 2.2 * n30
+        assert len(clauses60) <= 2.2 * len(clauses30)

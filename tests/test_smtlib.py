@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -328,6 +329,31 @@ class TestStreaming:
     def test_string_hides_parens(self):
         reader = CommandReader(io.StringIO('(set-info :x "a ) b")\n'))
         assert reader.next_command()[0] == '(set-info :x "a ) b")'
+
+    def test_command_over_5000_lines(self):
+        # each open string, quoted symbol and comment crosses a line break,
+        # so the scan state must carry over from one line to the next
+        pieces = ["(set-info :notes ("]
+        for k in range(1250):
+            pieces += [f'"s{k} ( (( ""q""\n', f' ) still a string"\n',
+                       f"|q{k} (\n", f" ) |  ; c{k} ( ((\n"]
+        cmd = "".join(pieces) + "))"
+        prefix = "; lead ( (\n\t(push 1)\n  "
+        text = prefix + cmd + " (check-sat)\n"
+        assert text.count("\n") > 5000
+        reader = CommandReader(io.StringIO(text))
+        start = time.perf_counter()
+        assert reader.next_command() == ("(push 1)", 2, 2)
+        chunk, line, col = reader.next_command()
+        # re-scanning the buffer after each line read takes tens of seconds
+        assert time.perf_counter() - start < 5
+        assert (chunk, line, col) == (cmd, 3, 3)
+        got = parse_command(cursor(tokenize(chunk, line, col)), DeclEnv())
+        assert got.name == "set-info" and len(got.args[1]) == 2500
+        end_line = 3 + cmd.count("\n")
+        end_col = len(cmd) - cmd.rindex("\n") + 1  # past the "))" and a space
+        assert reader.next_command() == ("(check-sat)", end_line, end_col)
+        assert reader.next_command() is None
 
     def test_truncated_input_surfaces(self):
         reader = CommandReader(io.StringIO("(assert (< x"))
