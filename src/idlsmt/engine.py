@@ -57,6 +57,9 @@ class _Record:
 
 @dataclass
 class _Frame:
+    # a frame stands for a run of push levels ending at depth ``top``; its
+    # records and declarations belong to that top level
+    top: int
     records: list = field(default_factory=list)
     decls: list = field(default_factory=list)
 
@@ -173,7 +176,7 @@ class Session:
                                     self.atoms.bounds, self.cfg)
         self.solver.theory = self.bridge
         self.atoms.on_new_atom = self.bridge.register_atom
-        self.frames = [_Frame()]
+        self.frames = [_Frame(0)]
         self.logic = None
         self.finished = False
         self.last_status = None
@@ -268,21 +271,23 @@ class Session:
         return Response()
 
     def _cmd_push(self, n):
-        for _ in range(n):
-            self.frames.append(_Frame())
+        self.frames.append(_Frame(self.frames[-1].top + n))
         self.last_status = None
         return Response()
 
     def _cmd_pop(self, n):
-        if n >= len(self.frames):
+        depth = self.frames[-1].top - n
+        if depth < 0:
             return _error("pop below the bottom of the assertion stack")
-        for _ in range(n):
-            frame = self.frames.pop()
-            for rec in frame.records:
+        while self.frames[-1].top > depth:
+            for rec in self.frames.pop().records:
                 self.solver.add_clause([-rec.selector])
                 self._sel2rec.pop(rec.selector, None)
                 if rec.name is not None:
                     self._names.pop(rec.name, None)
+        if self.frames[-1].top < depth:
+            # what is left of a partly popped run holds nothing
+            self.frames.append(_Frame(depth))
         self.last_status = None
         return Response()
 
@@ -311,12 +316,14 @@ class Session:
     def active_records(self):
         return [rec for fr in self.frames for rec in fr.records]
 
+    def _deadline(self):
+        if self.cfg.time_budget_ms is None:
+            return None
+        return time.monotonic() + self.cfg.time_budget_ms / 1000.0
+
     def check_sat(self):
         assumptions = [rec.selector for rec in self.active_records()]
-        deadline = None
-        if self.cfg.time_budget_ms is not None:
-            deadline = time.monotonic() + self.cfg.time_budget_ms / 1000.0
-        res = self.solver.solve(assumptions, deadline)
+        res = self.solver.solve(assumptions, self._deadline())
         self._core_records = None
         self._core_minimized = None
         if res.status == "sat":
@@ -380,12 +387,15 @@ class Session:
         return self._core_minimized
 
     def _minimize(self, records):
+        # one deadline for the whole loop; a trial that answers unknown
+        # keeps its assertion, so the core stays sound
+        deadline = self._deadline()
         cur = [r.selector for r in records]
         for s in list(cur):
             if s not in cur:
                 continue
             trial = [t for t in cur if t != s]
-            res = self.solver.solve(trial)
+            res = self.solver.solve(trial, deadline)
             if res.status == "unsat":
                 kept = set(res.failed)
                 cur = [t for t in trial if t in kept]

@@ -11,10 +11,14 @@ so a term with shared bindings is a DAG.
 Two reading styles: :func:`parse_script` consumes a whole input eagerly,
 while :class:`CommandReader` hands out one balanced command at a time as
 soon as it has been read, which is what a solver driven over a pipe needs.
+One token grammar serves both: the reader counts parentheses with the pattern
+that :func:`tokenize` lexes with. Symbols and numerals are ASCII; other
+characters may appear only in strings and quoted symbols.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 
@@ -64,9 +68,6 @@ class Token(NamedTuple):
     col: int
 
 
-_SYM_PUNCT = "~!@$%^&*_-+=<>.?/"
-_BLANK = " \t\r\n\f\v"
-
 _RESERVED = frozenset(
     ["!", "_", "as", "let", "exists", "forall", "match", "par",
      "BINARY", "DECIMAL", "HEXADECIMAL", "NUMERAL", "STRING"]
@@ -80,6 +81,35 @@ _UNSUPPORTED_COMMANDS = frozenset(
      "reset-assertions", "check-sat-assuming", "simplify"]
 )
 
+# The one token grammar (SMT-LIB v2.6, section 3.1, ASCII symbols and
+# numerals). Blanks other than newlines ride in front of every match, and
+# each alternative is told apart by its last capturing group.
+_SYMBOL_PUNCT = r"~!@$%^&*_\-+=<>.?/"
+_SYMBOL_CHAR = "[A-Za-z0-9" + _SYMBOL_PUNCT + "]"
+_TOKEN = re.compile("[ \t\r\f\v]*(?:" + "|".join([
+    r"(\()",
+    r"(\))",
+    "([A-Za-z" + _SYMBOL_PUNCT + "]" + _SYMBOL_CHAR + "*)",
+    # the character after a numeral, captured when it would continue a symbol
+    "([0-9]+(?=([A-Za-z" + _SYMBOL_PUNCT + "]?)))",
+    r"(\n)",
+    r"(;[^\n]*)",
+    # "" is an escaped quote, between [^"]* runs (faster than (?:[^"]|"")*);
+    # (?!") keeps a run like """ from reading as a string closed and reopened
+    r'"([^"]*(?:""[^"]*)*)"(?!")',
+    r"\|([^|]*)\|",
+    "(:" + _SYMBOL_CHAR + "+)",
+    r"(.)",
+    r"(\Z)",
+]) + ")", re.S)
+(_LPAREN, _RPAREN, _SYMBOL, _NUMERAL, _NUMERAL_NEXT, _NEWLINE, _COMMENT,
+ _STRING, _QUOTED, _KEYWORD, _OTHER, _END) = range(1, 13)
+_KINDS = {_LPAREN: "lparen", _RPAREN: "rparen", _KEYWORD: "keyword"}
+# a lone opener matched by the catch-all: nothing closes it before the end
+_UNCLOSED = {'"': "unterminated string literal",
+             "|": "unterminated quoted symbol",
+             ":": "expected a keyword name after ':'"}
+
 
 def tokenize(text, start_line=1, start_col=1):
     """Lex ``text`` into a token list ending with an ``eof`` marker.
@@ -88,111 +118,45 @@ def tokenize(text, start_line=1, start_col=1):
     out of a larger stream keep their original coordinates.
     """
     toks = []
-    line, col = start_line, start_col
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r\f\v":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-        elif ch == "(":
-            toks.append(Token("lparen", "(", line, col))
-            i += 1
-            col += 1
-        elif ch == ")":
-            toks.append(Token("rparen", ")", line, col))
-            i += 1
-            col += 1
-        elif ch == '"':
-            sl, sc = line, col
-            i += 1
-            col += 1
-            buf = []
-            while True:
-                if i >= n:
-                    raise LexError("unterminated string literal", sl, sc)
-                c = text[i]
-                if c == '"':
-                    if i + 1 < n and text[i + 1] == '"':
-                        buf.append('"')
-                        i += 2
-                        col += 2
-                        continue
-                    i += 1
-                    col += 1
-                    break
-                if c == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                buf.append(c)
-                i += 1
-            toks.append(Token("string", "".join(buf), sl, sc))
-        elif ch == "|":
-            sl, sc = line, col
-            i += 1
-            col += 1
-            j = i
-            while i < n and text[i] != "|":
-                if text[i] == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                i += 1
-            if i >= n:
-                raise LexError("unterminated quoted symbol", sl, sc)
-            toks.append(Token("symbol", text[j:i], sl, sc))
-            i += 1
-            col += 1
-        elif ch == ":":
-            sl, sc = line, col
-            i += 1
-            col += 1
-            j = i
-            while i < n and (text[i].isalnum() or text[i] in _SYM_PUNCT):
-                i += 1
-                col += 1
-            if i == j:
-                raise LexError("expected a keyword name after ':'", sl, sc)
-            toks.append(Token("keyword", ":" + text[j:i], sl, sc))
-        elif ch.isdigit():
-            sl, sc = line, col
-            j = i
-            while i < n and text[i].isdigit():
-                i += 1
-                col += 1
-            word = text[j:i]
-            nxt = text[i] if i < n else ""
-            if nxt == ".":
-                raise LexError("decimal literals are not supported", sl, sc)
-            if nxt.isalpha() or nxt in _SYM_PUNCT:
-                raise LexError(f"malformed numeral '{word}{nxt}'", sl, sc)
-            if len(word) > 1 and word[0] == "0":
-                raise LexError(f"numeral with a leading zero: '{word}'", sl, sc)
-            toks.append(Token("numeral", word, sl, sc))
-        elif ch.isalpha() or ch in _SYM_PUNCT:
-            sl, sc = line, col
-            j = i
-            while i < n and (text[i].isalnum() or text[i] in _SYM_PUNCT):
-                i += 1
-                col += 1
-            word = text[j:i]
+    line, base = start_line, -start_col  # column of offset i is i - base
+    for m in _TOKEN.finditer(text):
+        k = m.lastindex
+        word, col = m.group(k), m.start(k) - base
+        if k in _KINDS:
+            toks.append(Token(_KINDS[k], word, line, col))
+        elif k == _SYMBOL:
             kind = "reserved" if word in _RESERVED else "symbol"
-            toks.append(Token(kind, word, sl, sc))
-        else:
-            raise LexError(f"illegal character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
-    return toks
+            toks.append(Token(kind, word, line, col))
+        elif k == _NUMERAL:
+            nxt = m.group(_NUMERAL_NEXT)
+            if nxt == ".":
+                raise LexError("decimal literals are not supported", line, col)
+            if nxt:
+                raise LexError(f"malformed numeral '{word}{nxt}'", line, col)
+            if len(word) > 1 and word[0] == "0":
+                raise LexError(f"numeral with a leading zero: '{word}'",
+                               line, col)
+            toks.append(Token("numeral", word, line, col))
+        elif k == _NEWLINE:
+            line += 1
+            base = m.start(k)
+        elif k == _STRING or k == _QUOTED:
+            # the group holds the body; the token starts at the delimiter
+            if k == _STRING:
+                toks.append(Token("string", word.replace('""', '"'), line,
+                                  col - 1))
+            else:
+                toks.append(Token("symbol", word, line, col - 1))
+            if "\n" in word:
+                line += word.count("\n")
+                base = m.start(k) + word.rindex("\n")
+        elif k == _OTHER:
+            raise LexError(_UNCLOSED.get(word, f"illegal character {word!r}"),
+                           line, col)
+        elif k == _END:
+            # finditer may add an empty match after trailing blanks
+            toks.append(Token("eof", "", line, col))
+            return toks
 
 
 class Command(NamedTuple):
@@ -219,33 +183,40 @@ class _Cursor:
 
 
 class DeclEnv:
-    """Scoped symbol-to-sort table; scopes mirror push/pop."""
+    """Scoped symbol-to-sort table; scopes mirror push/pop.
+
+    A scope stands for a run of push levels, and its declarations belong to
+    the run's top level, so ``push n`` costs one scope whatever ``n`` is.
+    """
 
     def __init__(self):
-        self._scopes = [{}]
+        self._scopes = [(0, {})]  # (depth of the run's top level, declarations)
 
     def declare(self, name, sort, tok=None):
         if self.sort_of(name) is not None:
             raise ParseError(f"symbol '{name}' is already declared",
                              getattr(tok, "line", None), getattr(tok, "col", None))
-        self._scopes[-1][name] = sort
+        self._scopes[-1][1][name] = sort
 
     def sort_of(self, name):
-        for scope in reversed(self._scopes):
+        for _, scope in reversed(self._scopes):
             if name in scope:
                 return scope[name]
         return None
 
     def push(self, n=1):
-        for _ in range(n):
-            self._scopes.append({})
+        self._scopes.append((self.depth() + n, {}))
 
     def pop(self, n=1):
-        for _ in range(n):
+        depth = self.depth() - n
+        while self._scopes[-1][0] > depth:
             self._scopes.pop()
+        if self._scopes[-1][0] < depth:
+            # what is left of a partly popped run holds no declarations
+            self._scopes.append((depth, {}))
 
     def depth(self):
-        return len(self._scopes) - 1
+        return self._scopes[-1][0]
 
 
 def _expect(cur, kind, what=None):
@@ -540,25 +511,25 @@ class CommandReader:
     """Extract one balanced command at a time from a character stream.
 
     Reads line by line and returns a command as soon as its parentheses
-    balance, without waiting for end of input. Parens inside strings,
-    quoted symbols, and comments do not count. The scan state (position,
-    paren depth, and whether a string, quoted symbol or comment is open)
-    carries over from one line to the next, so a command spread over many
-    lines is still read in linear time.
+    balance, without waiting for end of input. It scans the token grammar
+    of :func:`tokenize`, so parens inside strings, quoted symbols and
+    comments do not count. Only a string or quoted symbol still open at
+    the end of the text read so far is scanned again, from its start, once
+    more lines have arrived, so a command spread over many lines is read in
+    linear time. Tokens the grammar rejects are left for the parser to
+    report, and a token outside any command is handed over on its own.
     """
 
     def __init__(self, stream):
         self._stream = stream
         self._eof = False
-        self._line = 1  # position of the first character not yet returned
+        self._line = 1  # position of _buf[_head], or of the open command
         self._col = 1
-        self._buf = ""  # the line being scanned
+        self._buf = ""  # the text being scanned
         self._head = 0  # first character of _buf not yet returned or held
-        self._pos = 0  # next character of _buf to scan
+        self._pos = 0  # next offset of _buf to scan
         self._held = []  # the open command's text from earlier lines
-        self._first = None  # the open command's first character, if any
-        self._depth = 0
-        self._closer = None  # character that ends the open string, etc.
+        self._depth = 0  # paren depth of the open command, 0 if none is open
 
     def _advance_past(self, text):
         nl = text.count("\n")
@@ -571,20 +542,31 @@ class CommandReader:
     def next_command(self):
         """Return ``(text, line, col)`` of the next command, or None."""
         while True:
-            end = self._scan()
-            if end is not None:
-                return self._cut(end)
+            for m in _TOKEN.finditer(self._buf, self._pos):
+                k = m.lastindex
+                if k == _NEWLINE or k == _COMMENT:
+                    continue
+                if k == _END or k == _OTHER and m.group(k) in '"|':
+                    break  # the text read so far ends, maybe inside a string
+                if not self._depth:
+                    # a command starts here, or a stray top-level token that
+                    # is handed over alone for the parser to report
+                    self._open(m.end() - len(m.group().lstrip(" \t\r\f\v")))
+                self._depth += (k == _LPAREN) - (k == _RPAREN)
+                if self._depth <= 0:
+                    return self._cut(m.end())
             if self._eof:
                 # whatever remains is a truncated form, or nothing at all
-                return None if self._first is None else self._cut(0)
-            rest = self._buf[self._head:]
-            if self._first is None:
-                self._advance_past(rest)
-            else:
-                self._held.append(rest)
-            self._buf = self._stream.readline()
-            self._head = self._pos = 0
-            self._eof = self._buf == ""
+                if not self._depth:
+                    if k == _END:
+                        return None
+                    self._open(m.start(k))
+                return self._cut(len(self._buf))
+            self._read(m.start(k), m.group(k) or "\n")
+
+    def _open(self, start):
+        self._advance_past(self._buf[self._head:start])
+        self._head = start
 
     def _cut(self, end):
         self._held.append(self._buf[self._head:end])
@@ -593,47 +575,25 @@ class CommandReader:
         self._advance_past(text)
         self._head = self._pos = end
         self._held = []
-        self._first, self._depth, self._closer = None, 0, None
+        self._depth = 0
         return text, line, col
 
-    def _scan(self):
-        """Scan on through the current line; the end offset of the command
-        it completes, or None when the line runs out first."""
-        buf, n = self._buf, len(self._buf)
-        i, first, depth, closer = self._pos, self._first, self._depth, self._closer
-        end = None
-        while i < n:
-            c = buf[i]
-            if closer is not None:
-                if c == closer:
-                    closer = None
-            elif first is None:
-                if c == ";":
-                    closer = "\n"
-                elif c not in _BLANK:
-                    first = c
-                    self._advance_past(buf[self._head:i])
-                    self._head = i
-                    continue
-            elif first != "(":
-                # a stray top-level token: hand it over so the parser reports it
-                if c in _BLANK or c == "(" or c == ";":
-                    end = i
-                    break
-            elif c == ";":
-                closer = "\n"
-            elif c == '"' or c == "|":
-                closer = c
-            elif c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-                if depth == 0:
-                    end = i + 1
-                    break
-            i += 1
-        self._pos, self._first, self._depth, self._closer = i, first, depth, closer
-        return end
+    def _read(self, start, closer):
+        """Keep the buffer from ``start`` on and read up to a line that can
+        end what is still open: one with ``closer`` outside a "" pair."""
+        if self._depth:
+            self._held.append(self._buf[self._head:start])
+        else:
+            self._advance_past(self._buf[self._head:start])
+        parts = [self._buf[start:]]
+        while True:
+            line = self._stream.readline()
+            parts.append(line)
+            if not line or closer in line.replace('""', ""):
+                break
+        self._eof = not line
+        self._buf = "".join(parts)
+        self._head = self._pos = 0
 
 
 def render_term(t):

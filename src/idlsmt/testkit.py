@@ -88,49 +88,60 @@ def bellman_ford_consistent(atoms):
 # -- exhaustive ground truth -----------------------------------------------------
 
 
-def _eval_skeleton(node, cols):
+def _eval_skeleton(node, cols, memo):
+    # memo maps id(node) to its column; a let-shared node is evaluated once
+    key = id(node)
+    if key in memo:
+        return memo[key]
     tag = node[0]
     if tag == "lit":
         col = cols[abs(node[1])]
-        return col if node[1] > 0 else ~col
-    if tag == "const":
+        val = col if node[1] > 0 else ~col
+    elif tag == "const":
         some = next(iter(cols.values()))
-        return np.full(some.shape, node[1], dtype=np.bool_)
-    if tag == "not":
-        return ~_eval_skeleton(node[1], cols)
-    if tag == "and":
-        out = None
+        val = np.full(some.shape, node[1], dtype=np.bool_)
+    elif tag == "not":
+        val = ~_eval_skeleton(node[1], cols, memo)
+    elif tag == "and":
+        val = None
         for k in node[1]:
-            v = _eval_skeleton(k, cols)
-            out = v if out is None else out & v
-        return out
-    if tag == "or":
-        out = None
+            v = _eval_skeleton(k, cols, memo)
+            val = v if val is None else val & v
+    elif tag == "or":
+        val = None
         for k in node[1]:
-            v = _eval_skeleton(k, cols)
-            out = v if out is None else out | v
-        return out
-    if tag == "xor":
-        return _eval_skeleton(node[1], cols) ^ _eval_skeleton(node[2], cols)
-    if tag == "ite":
-        c = _eval_skeleton(node[1], cols)
-        return (c & _eval_skeleton(node[2], cols)) \
-            | (~c & _eval_skeleton(node[3], cols))
-    raise ValueError(f"unknown skeleton tag {tag!r}")
+            v = _eval_skeleton(k, cols, memo)
+            val = v if val is None else val | v
+    elif tag == "xor":
+        val = _eval_skeleton(node[1], cols, memo) \
+            ^ _eval_skeleton(node[2], cols, memo)
+    elif tag == "ite":
+        c = _eval_skeleton(node[1], cols, memo)
+        val = (c & _eval_skeleton(node[2], cols, memo)) \
+            | (~c & _eval_skeleton(node[3], cols, memo))
+    else:
+        raise ValueError(f"unknown skeleton tag {tag!r}")
+    memo[key] = val
+    return val
 
 
-def _skeleton_vars(node, acc):
+def _skeleton_vars(node, acc, seen):
+    # seen holds the ids of nodes already walked, so shared nodes are
+    # walked once
+    if id(node) in seen:
+        return
+    seen.add(id(node))
     tag = node[0]
     if tag == "lit":
         acc.add(abs(node[1]))
     elif tag == "not":
-        _skeleton_vars(node[1], acc)
+        _skeleton_vars(node[1], acc, seen)
     elif tag in ("and", "or"):
         for k in node[1]:
-            _skeleton_vars(k, acc)
+            _skeleton_vars(k, acc, seen)
     elif tag in ("xor", "ite"):
         for k in node[1:]:
-            _skeleton_vars(k, acc)
+            _skeleton_vars(k, acc, seen)
 
 
 def enumerate_verdict(skeletons, atom_meta, max_atoms=12):
@@ -141,9 +152,9 @@ def enumerate_verdict(skeletons, atom_meta, max_atoms=12):
     variables is enumerated (atom count capped) and each Boolean solution is
     checked for difference feasibility with Bellman-Ford.
     """
-    leaves = set()
+    leaves, seen = set(), set()
     for sk in skeletons:
-        _skeleton_vars(sk, leaves)
+        _skeleton_vars(sk, leaves, seen)
     avars = sorted(v for v in leaves if v in atom_meta)
     bvars = sorted(v for v in leaves if v not in atom_meta)
     if len(avars) > max_atoms:
@@ -161,8 +172,9 @@ def enumerate_verdict(skeletons, atom_meta, max_atoms=12):
     if not order:
         cols = {0: np.zeros(1, dtype=np.bool_)}  # shape donor for consts
     mask = np.ones(count, dtype=np.bool_)
+    memo = {}  # the skeletons keep every memoized node alive
     for sk in skeletons:
-        mask &= _eval_skeleton(sk, cols)
+        mask &= _eval_skeleton(sk, cols, memo)
     for row in np.nonzero(mask)[0]:
         bounds = []
         for i, v in enumerate(order):

@@ -104,6 +104,41 @@ class TestIncremental:
         assert lines[-1] == "sat"
 
 
+# Symbols and numerals are ASCII, so each of these is an (error ...) answer
+# with its position, never a traceback. The odd run of quotes opens a string
+# that runs to the end of the input.
+LEX_ERRORS = {
+    "(push ²)": "6:7: illegal character '²'",
+    "(assert (< x ²))": "6:14: illegal character '²'",
+    "(declare-fun café () Int)": "6:17: illegal character 'é'",
+    "(push ٣)": "6:7: illegal character '٣'",
+    '(set-info :x """)': "6:14: unterminated string literal",
+}
+
+
+class TestLexErrors:
+    @pytest.mark.parametrize("bad", LEX_ERRORS)
+    def test_batch_answers_an_error(self, bad, capsys):
+        code, out = cli(["-"], text=SAT_TEXT + bad + "\n(check-sat)\n")
+        assert (code, out) == (1, f'(error "{LEX_ERRORS[bad]}")\n')
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", LEX_ERRORS)
+    def test_incremental_session_goes_on(self, bad, capsys):
+        text = SAT_TEXT + bad + "\n(check-sat)\n"
+        code, out = cli(["--incremental", "-"], text=text)
+        assert code == 0
+        rest = [] if '"' in bad else ["sat"]
+        assert out.splitlines() == ["sat", f'(error "{LEX_ERRORS[bad]}")'] + rest
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_quoted_symbol_over_two_lines(self):
+        text = ("(set-logic QF_IDL)(declare-fun |a\nb| () Int)\n"
+                "(assert (< |a\nb| 0))(check-sat)\n")
+        for args in (["-"], ["--incremental", "-"]):
+            assert cli(args, text=text) == (0, "sat\n")
+
+
 def nested_and(depth):
     return ("(set-logic QF_IDL)\n(declare-fun x () Int)\n"
             "(declare-fun y () Int)\n(assert "

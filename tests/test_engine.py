@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 import types
 import weakref
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from idlsmt.engine import Session, SessionConfig, _TheoryBridge
-from idlsmt.smtlib import Command, parse_script
+from idlsmt.smtlib import Command, ParseError, parse_script
 from idlsmt.testkit import (
     bellman_ford_consistent, enumerate_verdict, eval_term, let_chain,
     random_script, RandomInstanceSpec, scratch_floyd_warshall,
@@ -65,6 +66,21 @@ class TestPushPop:
         from idlsmt.smtlib import Command
         resp = session.execute(Command("pop", (1,)))
         assert resp.is_error
+
+    def test_push_a_billion_levels(self):
+        # one frame stands for the whole run of levels; popping one level
+        # drops what its top level declared and asserted
+        text = ("(set-logic QF_IDL)(push 1000000000)(declare-fun x () Int)"
+                "(assert (< x 0))(assert (> x 0))(check-sat)(pop 1)"
+                "(check-sat)(get-model)(declare-fun x () Bool)"
+                "(pop 999999999)")
+        start = time.perf_counter()
+        session, rs = run(text)
+        assert answers(rs) == ["unsat", "sat", "(model )"]
+        assert session.execute(Command("pop", (1,))).is_error
+        with pytest.raises(ParseError, match="below the bottom"):
+            parse_script(text + "(pop 1)")
+        assert time.perf_counter() - start < 1
 
     def test_prefix_answers_match_scratch(self):
         # three asserts, a pop in the middle, two checks; every incremental
@@ -263,6 +279,22 @@ class TestUnsatCore:
         cfg = SessionConfig(produce_unsat_cores=True, minimize_core=True)
         _, rs = run(text, cfg)
         assert answers(rs)[-1] == "(a1 a2)"
+
+    def test_minimize_honours_the_time_budget(self):
+        # a2 alone is unsat, so minimizing drops a1; with no time left every
+        # trial answers unknown and keeps its assertion
+        text = (DECLS + "(assert (! (< x y) :named a1))"
+                + "(assert (! (and (< x y) (< y x)) :named a2))(check-sat)")
+        cfg = SessionConfig(produce_unsat_cores=True, minimize_core=True)
+        session, _ = run(text + "(get-unsat-core)", cfg)
+        assert session.unsat_core_names() == ["a2"]
+        session, rs = run(text, cfg)
+        assert answers(rs) == ["unsat"]
+        session.cfg.time_budget_ms = 0
+        start = time.perf_counter()
+        resp = session.execute(Command("get-unsat-core", ()))
+        assert time.perf_counter() - start < 1
+        assert resp.text == "(a1 a2)"
 
     def test_core_reasserted_fresh_is_unsat(self):
         cfg = SessionConfig(produce_unsat_cores=True)

@@ -100,6 +100,38 @@ class TestTokenize:
             tokenize("(x 1.5)")
         assert texts("(x 0 10)") == ["(", "x", "0", "10", ")"]
 
+    @pytest.mark.parametrize("text,col,ch", [
+        ("(push ²)", 7, "²"), ("(assert (< x ²))", 14, "²"),
+        ("(declare-fun café () Int)", 17, "é"), ("(push ٣)", 7, "٣"),
+    ])
+    def test_symbols_and_numerals_are_ascii(self, text, col, ch):
+        with pytest.raises(LexError) as e:
+            tokenize(text)
+        assert (e.value.line, e.value.col) == (1, col)
+        assert e.value.message == f"illegal character {ch!r}"
+
+    def test_quoted_symbols_and_strings_take_any_character(self):
+        assert kinds('(|café| "²")') == ["lparen", "symbol", "string", "rparen"]
+        assert texts('(|café| "²")')[1:3] == ["café", "²"]
+
+    def test_end_of_text(self):
+        toks = tokenize("12")
+        assert [(t.kind, t.text, t.col) for t in toks] == [
+            ("numeral", "12", 1), ("eof", "", 3)]
+        assert kinds("x \t") == ["symbol"]  # one eof after trailing blanks
+
+    def test_odd_quote_run_is_unterminated(self):
+        with pytest.raises(LexError) as e:
+            tokenize('(set-info :x """)')
+        assert (e.value.col, e.value.message) == (
+            14, "unterminated string literal")
+        assert texts('(set-info :x """")') == ["(", "set-info", ":x", '"', ")"]
+
+    def test_multi_line_quoted_symbol(self):
+        toks = tokenize("(declare-fun |a\nb| () Int)")
+        assert toks[2] == ("symbol", "a\nb", 1, 14)
+        assert (toks[3].line, toks[3].col) == (2, 4)
+
     def test_roundtrip_with_spaces(self):
         text = "(assert (<= (- x y) 3))"
         joined = " ".join(t.text for t in tokenize(text)[:-1])
@@ -354,6 +386,30 @@ class TestStreaming:
         end_col = len(cmd) - cmd.rindex("\n") + 1  # past the "))" and a space
         assert reader.next_command() == ("(check-sat)", end_line, end_col)
         assert reader.next_command() is None
+
+    def test_string_over_5000_lines_of_escaped_quotes(self):
+        # a line holding only "" pairs cannot end the string, so it is not
+        # a reason to scan the string again from its start
+        text = '(set-info :x "' + 'a ""q"" (\n' * 5000 + '")(check-sat)'
+        reader = CommandReader(io.StringIO(text))
+        start = time.perf_counter()
+        assert reader.next_command()[0] == text[:-len("(check-sat)")]
+        assert time.perf_counter() - start < 1
+        assert reader.next_command() == ("(check-sat)", 5001, 3)
+
+    def test_multi_line_quoted_symbol(self):
+        reader = CommandReader(io.StringIO("(declare-fun |a\nb| () Int) (check-sat)\n"))
+        assert reader.next_command() == ("(declare-fun |a\nb| () Int)", 1, 1)
+        assert reader.next_command() == ("(check-sat)", 2, 12)
+        assert reader.next_command() is None
+
+    def test_stray_tokens_one_at_a_time(self):
+        reader = CommandReader(io.StringIO(")) x (push ²)(pop 1)"))
+        got = []
+        while (item := reader.next_command()) is not None:
+            got.append(item)
+        assert got == [(")", 1, 1), (")", 1, 2), ("x", 1, 4),
+                       ("(push ²)", 1, 6), ("(pop 1)", 1, 14)]
 
     def test_truncated_input_surfaces(self):
         reader = CommandReader(io.StringIO("(assert (< x"))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -113,6 +114,20 @@ class TestEnumerate:
         with pytest.raises(AtomBudgetExceeded):
             enumerate_verdict(sk, meta)
         enumerate_verdict(sk, meta, max_atoms=13)
+
+    def test_shared_chain_is_walked_once(self):
+        # level t uses level t-1 twice; as a tree, 40 levels are 2**40 nodes
+        body = "a40"
+        for t in range(40, 0, -1):
+            body = (f"(let ((a{t} (xor a{t - 1} (and a{t - 1} "
+                    f"(<= (- x y) 1))))) {body})")
+        sk, meta = self.from_script(
+            "(declare-fun x () Int)(declare-fun y () Int)"
+            f"(assert (let ((a0 (< y x))) {body}))")
+        assert len(meta) == 2
+        start = time.perf_counter()
+        assert enumerate_verdict(sk, meta) == "sat"  # x - y >= 2
+        assert time.perf_counter() - start < 1
 
     def test_free_booleans_enumerated(self):
         text = ("(declare-fun p () Bool)(declare-fun x () Int)"
