@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import normalize, sat, theory
-from .smtlib import Command
+from .smtlib import Command, format_int, render_symbol
 
 SUPPORTED_LOGIC = "QF_IDL"
 
@@ -33,10 +33,6 @@ class Response(NamedTuple):
 
 def _error(msg):
     return Response(f'(error "{msg}")', is_error=True)
-
-
-def format_int(v):
-    return str(v) if v >= 0 else f"(- {-v})"
 
 
 @dataclass
@@ -75,7 +71,9 @@ class _TheoryBridge:
     above its level. The trail's levels never decrease, so neither do the
     log's. ``propagate`` scans only after a cell changed, an atom was added
     or a backtrack; in between, the SAT core asserts all it returns, so the
-    free set only shrinks and a scan would find nothing. Nothing here
+    free set only shrinks and a scan would find nothing. ``on_solution``
+    checks the trail's bounds against the closure and keeps the integer
+    model, nothing else: the closure itself is not copied. Nothing here
     refers back to the session, so a dropped session is freed at once, undo
     trail included, without waiting for the cyclic garbage collector.
     """
@@ -91,7 +89,6 @@ class _TheoryBridge:
         self.assigned_log = []  # (level, position)
         self.scanned = None  # cell_updates at the last scan; None: rescan
         self.model = {}  # integer model of the last sat answer
-        self.solved = None  # copy of the closure at the last sat answer
 
     def register_atom(self, var, x, y, c):
         self.apsp.ensure_vertex(max(x, y))
@@ -151,17 +148,13 @@ class _TheoryBridge:
             self.assigned[log.pop()[1]] = False
         self.apsp.backtrack_to(level)
 
-    def final_check(self):
+    def on_solution(self):
         # eager assertion makes this a re-scan of what is already committed
         for lit in self.trail:
             bound = self._bound_of(lit)
             if bound is not None and not self.apsp.holds(*bound):
                 raise InternalError("asserted bound missing from the closure")
-        return None
-
-    def on_solution(self):
         self.model = self.apsp.extract_model()
-        self.solved = self.apsp.clone()
 
 
 class Session:
@@ -305,7 +298,8 @@ class Session:
                           "(set :produce-unsat-cores true)")
         if self.last_status != "unsat":
             return _error("no unsat core is available")
-        return Response("(" + " ".join(self.unsat_core_names()) + ")")
+        names = map(render_symbol, self.unsat_core_names())
+        return Response("(" + " ".join(names) + ")")
 
     def _cmd_exit(self):
         self.finished = True
@@ -356,12 +350,13 @@ class Session:
     def model_text(self):
         parts = []
         for name, sort in self.declared_symbols():
+            symbol = render_symbol(name)
             if sort == "Int":
-                parts.append(f"(define-fun {name} () Int "
+                parts.append(f"(define-fun {symbol} () Int "
                              f"{format_int(self.int_value(name))})")
             else:
                 val = "true" if self.bool_value(name) else "false"
-                parts.append(f"(define-fun {name} () Bool {val})")
+                parts.append(f"(define-fun {symbol} () Bool {val})")
         return "(model " + " ".join(parts) + ")" if parts else "(model )"
 
     def model_env(self):
@@ -413,7 +408,7 @@ class Session:
     def stats(self):
         out = dict(self.solver.stats)
         out["fw_cell_updates"] = self.apsp.cell_updates
-        out["edge_commits"] = self.apsp.commits
+        out["edge_commits"] = self.apsp.stamp
         out["max_vertices"] = self.apsp.n
         return out
 
@@ -427,7 +422,19 @@ class Session:
         return "\n".join(lines) + "\n"
 
     def apsp_tsv(self):
-        """Distance matrix of the last sat answer (empty before any)."""
-        if self.bridge.solved is None:
-            return ""
-        return self.bridge.solved.dump_tsv()
+        """Distance matrix of the last sat answer (empty before any).
+
+        The closure is rebuilt from that answer's Boolean model, skipping
+        atoms registered since. Shortest-path values are unique for a given
+        edge set, so this is the matrix the search held at the answer.
+        """
+        apsp = theory.DifferenceEngine()
+        for var, (x, y, c) in self.atoms.bounds.items():
+            value = self._bool_model.get(var)
+            if value is None:
+                continue
+            apsp.ensure_vertex(max(x, y))
+            lit = var if value else -var
+            if apsp.assert_atom(*self.bridge._bound_of(lit), lit, 0):
+                raise InternalError("the last sat model violates a bound")
+        return apsp.dump_tsv()

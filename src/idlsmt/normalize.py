@@ -62,10 +62,12 @@ class AtomTable:
         var = self._ids.get(key)
         if var is None:
             var = self._new_var()
-            self._ids[key] = var
-            self.bounds[var] = key
+            # an atom the theory refuses (too many vertices) stays unknown:
+            # its variable is left a plain Boolean with no bound
             if self.on_new_atom is not None:
                 self.on_new_atom(var, *key)
+            self._ids[key] = var
+            self.bounds[var] = key
         return sign * var
 
     def __len__(self):

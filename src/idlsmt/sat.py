@@ -5,12 +5,13 @@ activities (ties to the lowest index), Luby restarts, phase saving, and
 solving under assumptions; the failed-assumption subset of an unsat answer
 is what unsat cores and retraction are built from.
 
-A theory plugs in through four seams: every literal appended to the trail
+A theory plugs in through five seams: every literal appended to the trail
 is forwarded to ``on_assert``, backjumps call ``on_backtrack``, implied
 literals arrive from ``propagate`` with an opaque explanation handle that
 is only cashed in (via ``explain``) if conflict analysis needs it, and
-``final_check`` runs once a full assignment is reached. Literals are
-signed ints, clauses are lists of them.
+``on_solution`` runs on a full assignment. There is no final check: the
+theory vetted each literal as it was asserted. Literals are signed ints,
+clauses are lists of them.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ class NullTheory:
 
     def on_backtrack(self, level):
         pass
-
-    def final_check(self):
-        return None
 
     def on_solution(self):
         pass
@@ -421,13 +419,11 @@ class Solver:
         self._cancel_until(0)
         since_restart = 0
         restarts = 0
-        pending = None
         while True:
             if deadline is not None and time.monotonic() > deadline:
                 self._cancel_until(0)
                 return SolveResult("unknown")
-            confl = pending if pending is not None else self._propagate_full()
-            pending = None
+            confl = self._propagate_full()
             if confl is not None:
                 if not self.trail_lim:
                     self.ok = False
@@ -469,11 +465,6 @@ class Solver:
                 continue
             v = self._pick_branch()
             if v is None:
-                tc = self.theory.final_check()
-                if tc is not None:
-                    self.stats["theory_conflicts"] += 1
-                    pending = [-l for l in tc]
-                    continue
                 model = {u: self.values[u] == 1
                          for u in range(1, len(self.values))}
                 self.theory.on_solution()

@@ -86,10 +86,12 @@ _UNSUPPORTED_COMMANDS = frozenset(
 # each alternative is told apart by its last capturing group.
 _SYMBOL_PUNCT = r"~!@$%^&*_\-+=<>.?/"
 _SYMBOL_CHAR = "[A-Za-z0-9" + _SYMBOL_PUNCT + "]"
+_SIMPLE_SYMBOL = re.compile(
+    "[A-Za-z" + _SYMBOL_PUNCT + "]" + _SYMBOL_CHAR + "*")
 _TOKEN = re.compile("[ \t\r\f\v]*(?:" + "|".join([
     r"(\()",
     r"(\))",
-    "([A-Za-z" + _SYMBOL_PUNCT + "]" + _SYMBOL_CHAR + "*)",
+    "(" + _SIMPLE_SYMBOL.pattern + ")",
     # the character after a numeral, captured when it would continue a symbol
     "([0-9]+(?=([A-Za-z" + _SYMBOL_PUNCT + "]?)))",
     r"(\n)",
@@ -596,13 +598,26 @@ class CommandReader:
         self._head = self._pos = 0
 
 
+def render_symbol(name):
+    """``name`` as a symbol token: bare when it lexes back as that simple
+    symbol, otherwise in ``|bars|``, so it reads back as the same name."""
+    if _SIMPLE_SYMBOL.fullmatch(name) and name not in _RESERVED:
+        return name
+    return f"|{name}|"
+
+
+def format_int(v):
+    """An integer as an SMT-LIB term: negatives as ``(- n)``."""
+    return str(v) if v >= 0 else f"(- {-v})"
+
+
 def render_term(t):
     """Concrete-syntax rendering of a parsed term (for messages and files)."""
     tag = t[0]
     if tag == "int":
-        return str(t[1]) if t[1] >= 0 else f"(- {-t[1]})"
+        return format_int(t[1])
     if tag in ("ivar", "bvar"):
-        return t[1]
+        return render_symbol(t[1])
     if tag == "bool":
         return "true" if t[1] else "false"
     if tag == "neg":

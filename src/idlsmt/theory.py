@@ -51,9 +51,8 @@ class DifferenceEngine:
         # explanations
         self.edges = []
         self._trail = []  # (level, edge key or None, undo cells or None)
-        self.stamp = 0
+        self.stamp = 0  # edges recorded, entailed ones too (edge_commits)
         self.cell_updates = 0
-        self.commits = 0  # edges recorded, entailed ones too (edge_commits)
 
     # -- vertices ----------------------------------------------------------
 
@@ -113,7 +112,6 @@ class DifferenceEngine:
             out[x] = [(c, lit, self.stamp)]
         else:
             hist.append((c, lit, self.stamp))
-        self.commits += 1
         if self._r[y, x] and self._d[y, x] <= c:
             cells = None  # entailed: D[i,y] + c + D[x,j] >= D[i,j] everywhere
         else:
@@ -234,27 +232,6 @@ class DifferenceEngine:
         return {v: dv - base for v, dv in enumerate(dist)}
 
     # -- debugging -------------------------------------------------------------
-
-    def clone(self):
-        """Independent copy of the closure and its edges (keeps the
-        closure of the last sat answer for ``--dump-apsp``).
-
-        The copy is sized to the live vertices and starts with an empty
-        undo log: it can take and retract new assertions, but it does not
-        hold the undo data of the original, which may be large.
-        """
-        other = DifferenceEngine.__new__(DifferenceEngine)
-        other.n = self.n
-        cap = max(self.n, 2)  # ensure_vertex grows by doubling from here
-        other._d = self._d[:cap, :cap].copy()
-        other._r = self._r[:cap, :cap].copy()
-        other.edges = [{v: list(hist) for v, hist in out.items()}
-                       for out in self.edges]
-        other._trail = []
-        other.stamp = self.stamp
-        other.cell_updates = self.cell_updates
-        other.commits = self.commits
-        return other
 
     def dump_tsv(self):
         """Row-major distance matrix, tab-separated, ``inf`` for no path."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from idlsmt.engine import Session, SessionConfig, _TheoryBridge
-from idlsmt.smtlib import Command, ParseError, parse_script
+from idlsmt.smtlib import Command, ParseError, parse_script, tokenize
 from idlsmt.testkit import (
     bellman_ford_consistent, enumerate_verdict, eval_term, let_chain,
     random_script, RandomInstanceSpec, scratch_floyd_warshall,
@@ -155,6 +155,19 @@ class TestCheckSat:
         assert status == "unknown"
         assert elapsed < 0.2
 
+    def test_atom_over_the_vertex_limit_is_not_kept(self):
+        # the refused atom's variable is still decided; it must not reach
+        # the theory as an atom it never registered
+        text = "(set-logic QF_IDL)" + "".join(
+            f"(declare-fun v{i} () Int)(assert (<= v{i} 5))"
+            for i in range(1, 1025)) + "(check-sat)(get-model)"
+        session, rs = run(text)
+        assert [r.text for r in rs if r.is_error] == \
+            ['(error "more than 1024 difference variables")']
+        assert answers(rs)[1] == "sat"
+        assert len(session.atoms) == 1023
+        assert session.apsp_tsv().count("\n") == 1024
+
     def test_theory_propagation_toggle_same_verdicts(self):
         for seed in range(15):
             spec = RandomInstanceSpec(vars=4, atoms=7, seed=seed,
@@ -208,6 +221,27 @@ class TestModel:
         assert model.startswith("(model (define-fun x () Int ")
         assert "(- " in model  # negative values print in functional form
         assert model.endswith(")")
+
+    def test_quoted_names_read_back(self):
+        # the model and the core print every name so that it lexes back
+        # as the declared symbol, bars and all
+        text = ("(set-logic QF_IDL)(set-option :produce-unsat-cores true)"
+                "(declare-fun |café| () Int)(declare-fun |a\nb| () Int)"
+                "(declare-fun |let| () Bool)(declare-fun plain () Int)"
+                "(assert (! (< |café| |a\nb|) :named |first one|))"
+                "(assert (or |let| (< plain 0)))(check-sat)(get-model)"
+                "(assert (! (< |a\nb| |café|) :named plain))"
+                "(check-sat)(get-unsat-core)")
+        _, rs = run(text)
+        out = answers(rs)
+        assert out[0] == "sat" and out[2] == "unsat"
+        toks = tokenize(out[1])
+        heads = [(toks[i + 1].kind, toks[i + 1].text)
+                 for i, t in enumerate(toks) if t.text == "define-fun"]
+        assert heads == [("symbol", name)
+                         for name in ("café", "a\nb", "let", "plain")]
+        assert [t.text for t in tokenize(out[3])[1:-2]] == \
+            ["first one", "plain"]
 
     def test_selector_hygiene(self):
         session, rs = run(DECLS + "(assert (<= x 1))(check-sat)(get-model)")
@@ -640,6 +674,62 @@ class TestPropagationOracle:
                         assert bridge.on_assert(lit, level) is None
                         asserted.append((level, lit))
         assert found > 300 and rescans > 20
+
+
+class TestApspDump:
+    """``apsp_tsv`` rebuilds the closure of the last sat answer from that
+    answer's Boolean model; it prints the matrix the engine held then."""
+
+    def run_checked(self, text, config=None):
+        session = Session(config)
+        bridge = session.bridge
+        orig = bridge.on_solution
+        held = []
+
+        def on_solution():
+            orig()
+            held.append(session.apsp.dump_tsv())
+
+        bridge.on_solution = on_solution
+        want = ""  # nothing before the first sat answer
+        dumps = []
+        for cmd in parse_script(text):
+            resp = session.execute(cmd)
+            if cmd.name == "check-sat" and resp.text == "sat":
+                want = held[-1]
+                dumps.append(want)
+            # atoms added since, unsat checks and core minimization trials
+            # leave the dump of the last sat answer as it was
+            assert session.apsp_tsv() == want
+        return dumps
+
+    def test_dump_matches_the_engine_at_each_sat_answer(self):
+        cfg = SessionConfig(produce_unsat_cores=True, minimize_core=True)
+        dumps = []
+        for seed in range(30):
+            text = push_pop_script(seed).replace(
+                "(check-sat)", "(check-sat)(get-unsat-core)")
+            dumps += self.run_checked(text, cfg)
+        for seed in range(2):
+            dumps += self.run_checked(machine_script(seed, 5))
+        assert len(dumps) > 100
+        assert sum(dump.count("\n") > 2 for dump in dumps) > 50
+
+    def test_new_vertex_after_the_last_sat_answer(self):
+        text = (DECLS + "(declare-fun z () Int)(assert (<= (- x y) 3))"
+                "(check-sat)(assert (< z x))(assert (< x z))(check-sat)"
+                "(assert (< y z))")
+        [dump] = self.run_checked(text)
+        # only x - y <= 3, the edge y -> x of weight 3, over 0, x and y
+        assert dump == "0\tinf\tinf\ninf\t0\tinf\ninf\t3\t0\n"
+
+    def test_minimize_trial_leaves_no_dump(self):
+        # the trial without a1 answers sat; no check-sat ever did
+        text = (DECLS + "(assert (! (< x y) :named a1))"
+                "(assert (! (and (< x y) (< y x)) :named a2))"
+                "(check-sat)(get-unsat-core)(check-sat)")
+        cfg = SessionConfig(produce_unsat_cores=True, minimize_core=True)
+        assert self.run_checked(text, cfg) == []
 
 
 class TestDeterminism:

@@ -349,9 +349,6 @@ class TestTheoryHooks:
         def on_backtrack(self, level):
             self.backtracks.append(level)
 
-        def final_check(self):
-            return None
-
         def on_solution(self):
             pass
 
@@ -389,9 +386,6 @@ class TestTheoryHooks:
 
             def on_backtrack(self, level):
                 self.seen = {l for l in self.seen if False}
-
-            def final_check(self):
-                return None
 
             def on_solution(self):
                 pass

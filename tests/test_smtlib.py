@@ -6,7 +6,7 @@ import pytest
 from idlsmt.smtlib import (
     CommandReader, DeclEnv, LexError, ParseError, SmtError, SortError,
     UnknownSymbol, UnsupportedCommand, cursor, parse_command, parse_script,
-    parse_term, render_term, tokenize,
+    parse_term, render_symbol, render_term, tokenize,
 )
 from idlsmt.testkit import emit_benchmark
 
@@ -275,6 +275,18 @@ class TestTerms:
         term, _ = parse_term(cursor(tokenize(text)), env)
         again, _ = parse_term(cursor(tokenize(render_term(term))), env)
         assert term == again
+
+    def test_render_symbol_reads_back(self):
+        for name in ["x", "a.b", "+", "1x", "let", "café", "a b", "a\nb",
+                     'say "hi"', "a;b", ""]:
+            [tok, _] = tokenize(render_symbol(name))
+            assert (tok.kind, tok.text) == ("symbol", name)
+        assert render_symbol("x") == "x"
+        assert render_symbol("let") == "|let|"
+        env = _int_env("café", "a b")
+        text = "(<= (- |café| |a b|) (- 3))"
+        term, _ = parse_term(cursor(tokenize(text)), env)
+        assert render_term(term) == text
 
 
 class TestParseScript:
