@@ -18,6 +18,7 @@ read off the closure: a variable's value is its column minimum, the
 shortest distance from a virtual source. The explanation of a conflict or
 propagation is searched on demand, goal directed by the closure's
 distances to the target, so the hot loop carries no witness bookkeeping.
+The undo cells also tell theory propagation which cells changed.
 """
 
 from __future__ import annotations
@@ -119,6 +120,16 @@ class DifferenceEngine:
             self.cell_updates += len(cells[0])
         self._trail.append((level, (y, x), cells))
         return None
+
+    def changes_since(self, mark):
+        """The trail length, as the next call's mark, and the ``(rows,
+        cols)`` of the cells each commit from trail position ``mark`` on
+        changed; none for ``mark=None``. A backtrack below a mark voids it."""
+        trail = self._trail
+        if mark is None:
+            return len(trail), ()
+        return len(trail), [cells[:2] for _, _, cells in trail[mark:]
+                            if cells is not None]
 
     def backtrack_to(self, level):
         """Undo every assertion made above ``level``, bit-exactly."""

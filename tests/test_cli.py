@@ -172,7 +172,7 @@ class TestFlags:
         err = capsys.readouterr().err
         assert code == 0 and out == "sat\n"
         assert "decisions=" in err and "fw_cell_updates=" in err
-        assert "max_vertices=" in err
+        assert "max_vertices=" in err and "prop_atoms_tested=" in err
 
     def test_dump_dimacs(self, tmp_path):
         dump = tmp_path / "out.cnf"

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from idlsmt.engine import Session, SessionConfig, _TheoryBridge
+from idlsmt.kernels import BLOCK_MIN_N
 from idlsmt.smtlib import Command, ParseError, parse_script, tokenize
 from idlsmt.testkit import (
-    bellman_ford_consistent, enumerate_verdict, eval_term, let_chain,
-    random_script, RandomInstanceSpec, scratch_floyd_warshall,
+    bellman_ford_consistent, emit_benchmark, enumerate_verdict, eval_term,
+    let_chain, random_script, RandomInstanceSpec, scratch_floyd_warshall,
 )
 from idlsmt.theory import DifferenceEngine
 from idlsmt.normalize import AtomTable, skeleton
@@ -167,6 +168,10 @@ class TestCheckSat:
         assert answers(rs)[1] == "sat"
         assert len(session.atoms) == 1023
         assert session.apsp_tsv().count("\n") == 1024
+        # nor does it leave a cell for propagation to read
+        bridge = session.bridge
+        assert len(bridge.readers) == bridge.watched.sum() == 2 * 1023
+        assert bridge.watched.shape == (1024, 1024)
 
     def test_theory_propagation_toggle_same_verdicts(self):
         for seed in range(15):
@@ -576,20 +581,33 @@ def entailed_literals(bounds, asserted, free, n):
     return out
 
 
+def full_scan_agrees(bridge, propagate):
+    """Call ``propagate``; when no full scan was due, so the call could
+    test only the readers of changed cells, scan the same state in full
+    and check that both answers agree, order included."""
+    per_cell = bridge.scanned is not None
+    got = propagate()
+    if per_cell:
+        bridge.scanned = None
+        assert list(propagate()) == list(got)
+    return got, per_cell
+
+
 class TestPropagationOracle:
     """Theory propagation is exhaustive: every ``propagate`` call returns
     exactly the free atoms that the asserted bounds entail, or refute,
-    skipped scans included."""
+    skipped scans included. A call that tests only the readers of the
+    changed cells answers what a full scan of the same state answers."""
 
     def run_checked(self, text):
         session = Session()
         bridge, solver = session.bridge, session.solver
         bounds = session.atoms.bounds
         orig = bridge.propagate
-        counts = {"calls": 0, "found": 0}
+        counts = {"calls": 0, "found": 0, "per_cell": 0}
 
         def propagate():
-            got = orig()
+            got, per_cell = full_scan_agrees(bridge, orig)
             lits = [lit for lit, _ in got]
             assert len(lits) == len(set(lits))
             # the theory has seen the whole trail when it is asked
@@ -599,6 +617,7 @@ class TestPropagationOracle:
                                                   session.apsp.n)
             counts["calls"] += 1
             counts["found"] += bool(lits)
+            counts["per_cell"] += per_cell and bool(lits)
             return got
 
         bridge.propagate = propagate
@@ -607,25 +626,26 @@ class TestPropagationOracle:
         return counts
 
     def test_solver_calls_match_scratch_closure(self):
-        calls = found = 0
+        calls = found = per_cell = 0
         texts = [push_pop_script(seed) for seed in range(40)]
         texts += [machine_script(seed, 6) for seed in range(3)]
         for text in texts:
             counts = self.run_checked(text)
             calls += counts["calls"]
             found += counts["found"]
-        assert calls > 3000 and found > 500
+            per_cell += counts["per_cell"]
+        assert calls > 3000 and found > 500 and per_cell > 200
 
-    def test_hook_protocol_without_fixpoint(self):
+    def drive(self, rng, rounds, pools):
         """The bridge alone, under hook calls in any order the SAT core's
         protocol allows, not only its propagate-before-deciding one: atoms
         are added between scans, several levels pass without a scan, each
         scan's implications are asserted or dropped by a backtrack, and a
-        conflict is followed by a backtrack."""
-        rng = random.Random(23)
-        found = rescans = 0
-        for _ in range(100):
-            n = rng.randint(3, 6)
+        conflict is followed by a backtrack. ``pools(rng)`` gives a round's
+        vertex pools; its 80 steps draw new atoms from each in turn."""
+        found = rescans = per_cell = 0
+        for _ in range(rounds):
+            vertices = pools(rng)
             bounds = {}
             bridge = _TheoryBridge(types.SimpleNamespace(trail=[]),
                                    DifferenceEngine(), bounds, SessionConfig())
@@ -638,12 +658,13 @@ class TestPropagationOracle:
                 asserted[:] = [(lv, lit) for lv, lit in asserted if lv <= to]
                 return to
 
-            for _ in range(80):
+            for step in range(80):
                 roll = rng.random()
                 taken = {abs(lit) for _, lit in asserted}
                 free = [var for var in bounds if var not in taken]
                 if roll < 0.2 or not free:
-                    x, y = rng.sample(range(n), 2)
+                    pool = vertices[step * len(vertices) // 80]
+                    x, y = rng.sample(pool, 2)
                     var = len(bounds) + 1
                     bounds[var] = (x, y, rng.randint(-4, 4))
                     bridge.register_atom(var, *bounds[var])
@@ -658,13 +679,14 @@ class TestPropagationOracle:
                 elif roll < 0.7 and level:
                     level = backtrack(rng.randrange(level))
                 else:
-                    got = bridge.propagate()
+                    got, cell_path = full_scan_agrees(bridge, bridge.propagate)
                     lits = {lit for lit, _ in got}
                     want = entailed_literals(
                         bounds, [lit for _, lit in asserted], free,
                         bridge.apsp.n)
                     assert lits == want
                     found += bool(lits)
+                    per_cell += cell_path and bool(lits)
                     rescans += dropped and bool(lits)
                     dropped = bool(lits) and level > 0 and rng.random() < 0.3
                     if dropped:
@@ -673,7 +695,94 @@ class TestPropagationOracle:
                     for lit in lits:
                         assert bridge.on_assert(lit, level) is None
                         asserted.append((level, lit))
-        assert found > 300 and rescans > 20
+        return found, rescans, per_cell, bridge
+
+    def test_hook_protocol_without_fixpoint(self):
+        found, rescans, per_cell, _ = self.drive(
+            random.Random(23), 100, lambda rng: [range(rng.randint(3, 6))])
+        assert found > 300 and rescans > 20 and per_cell > 50
+
+    def test_hook_protocol_on_the_block_kernel(self):
+        # the vertices sit above BLOCK_MIN_N, so every commit that relaxes
+        # runs the block kernel and its undo cells feed the cell index
+        top = BLOCK_MIN_N + 8
+        found, rescans, per_cell, bridge = self.drive(
+            random.Random(29), 40,
+            lambda rng: [rng.sample(range(BLOCK_MIN_N, top + 4),
+                                    rng.randint(3, 6))])
+        assert bridge.apsp.n > BLOCK_MIN_N
+        assert found > 100 and rescans > 5 and per_cell > 50
+
+    def test_atoms_added_across_capacity_doublings(self):
+        # closure capacity 8 -> 16 -> 32 -> 128 as vertices 7, 9, 17 and
+        # 70 arrive, with commits and scans in between
+        pools = [range(8), [0, 3, 5, 9], [3, 5, 9, 17], [0, 9, 17, 70]]
+        found, rescans, per_cell, bridge = self.drive(
+            random.Random(31), 80, lambda rng: pools)
+        assert bridge.apsp.n == 71 and bridge.watched.shape == (128, 128)
+        assert found > 100 and per_cell > 25
+
+
+class TestPropagationCount:
+    """``prop_atoms_tested`` counts the atoms that full scans test plus the
+    tests of readers of changed cells, so a silent fallback to full scans
+    shows in it."""
+
+    def test_commit_off_the_free_atoms_tests_nothing(self):
+        bounds = {1: (1, 0, 5), 2: (3, 2, 0), 3: (4, 3, 1), 4: (4, 2, 3)}
+        bridge = _TheoryBridge(types.SimpleNamespace(trail=[]),
+                               DifferenceEngine(), bounds, SessionConfig())
+        for var, bound in bounds.items():
+            bridge.register_atom(var, *bound)
+        scans = []
+        orig = bridge.apsp.scan_implications
+        bridge.apsp.scan_implications = lambda *a: scans.append(1) or orig(*a)
+        assert bridge.propagate() == [] and bridge.atoms_tested == 4
+        assert len(scans) == 1
+        # x3 - x2 <= 0 changes cell (2, 3) alone, which only atom 2 reads
+        assert bridge.on_assert(2, 1) is None
+        assert bridge.propagate() == [] and bridge.atoms_tested == 4
+        # x4 - x3 <= 1 also changes (2, 4), which entails atom 4
+        assert bridge.on_assert(3, 1) is None
+        assert bridge.propagate() == [(4, (2, 4, 3, 2))]
+        assert bridge.atoms_tested == 5 and len(scans) == 1
+
+    def test_a_fifth_of_the_full_scans(self):
+        # the full scan ran at every call after a cell change, a backtrack
+        # or a new atom, over all free atoms. The conflict-free families
+        # keep most calls off the full scan; machine_script's dense
+        # 7-vertex closures and frequent backtracks would not.
+        texts = [emit_benchmark("diamond-grid", n, seed)[0]
+                 for n, seed in ((60, 0), (120, 1))]
+        texts += [emit_benchmark("window-scheduling", n, seed)[0]
+                  for n, seed in ((40, 0), (80, 1))]
+        full = tested = 0
+        for text in texts:
+            session = Session()
+            bridge, apsp = session.bridge, session.apsp
+            due = {"rescan": True, "cells": None}
+            for name in ("register_atom", "on_backtrack"):
+                def hook(*args, orig=getattr(bridge, name)):
+                    due["rescan"] = True
+                    return orig(*args)
+                setattr(bridge, name, hook)
+            session.atoms.on_new_atom = bridge.register_atom
+            orig = bridge.propagate
+
+            def propagate():
+                nonlocal full
+                if due["rescan"] or due["cells"] != apsp.cell_updates:
+                    k = len(bridge.position)
+                    full += k - int(bridge.assigned[:k].sum())
+                    due.update(rescan=False, cells=apsp.cell_updates)
+                return orig()
+
+            bridge.propagate = propagate
+            for cmd in parse_script(text):
+                session.execute(cmd)
+            assert session.last_status == "sat"
+            tested += session.stats["prop_atoms_tested"]
+        assert 0 < 5 * tested <= full
 
 
 class TestApspDump:
