@@ -1,9 +1,13 @@
 """Solver sessions: assertion stack, satisfiability checks, models, cores.
 
 Each assertion is guarded by a fresh selector variable, so checks run under
-the assumptions "all active selectors", pop retracts by fixing popped
-selectors false, and the failed-assumption subset of an unsat answer is the
-unsat core. Difference atoms flow to the shortest-path engine the moment
+the assumptions "all active selectors", and the failed-assumption subset of
+an unsat answer is the unsat core. Pop deletes what the popped assertions
+added: their clauses, every learned clause that holds a popped selector or
+a retired variable, and their selectors, gate variables and the atoms no
+live assertion holds any more, whose variable slots the SAT core reuses. A
+long push/check/pop session therefore stays the size of its live
+assertions. Difference atoms flow to the shortest-path engine the moment
 the SAT core asserts them; implied atoms flow back as theory propagations
 with explanations reconstructed only if conflict analysis asks.
 """
@@ -49,6 +53,10 @@ class _Record:
     term: tuple
     name: Optional[str]
     selector: int
+    # what a pop deletes: the clauses the assertion stored (guard and
+    # gates, the very list objects) and the atoms it holds
+    clauses: list
+    atoms: tuple
 
 
 @dataclass
@@ -65,11 +73,14 @@ class _TheoryBridge:
 
     It holds only what the hooks read: the solver's trail list (not the
     solver, which holds the bridge), the engine, the atom bounds, the
-    config, and the atoms as numpy columns (var, x, y, c) with a mask of
-    those the SAT core has asserted. ``on_assert`` sets a mask entry and
+    config, and the live atoms as numpy columns (var, x, y, c) with a mask
+    of those the SAT core has asserted. ``on_assert`` sets a mask entry and
     logs ``(level, position)``; ``on_backtrack`` clears the entries logged
     above its level. The trail's levels never decrease, so neither do the
-    log's. Each atom also reads two closure cells: ``(y, x)`` entails it,
+    log's. ``retire_atom`` takes a popped atom out of both scans; its
+    column stays marked assigned until a new atom takes it, so the columns
+    in use stay as many as the most atoms live at once. Each atom also
+    reads two closure cells: ``(y, x)`` entails it,
     ``(x, y)`` refutes it; ``readers`` lists the atoms by cell and
     ``watched`` marks the cells that have any. After a backtrack or a new
     atom, ``propagate`` tests every free atom at once. Otherwise it tests
@@ -90,9 +101,11 @@ class _TheoryBridge:
         self.apsp = apsp
         self.bounds = bounds
         self.cfg = cfg
-        self.position = {}  # atom var -> column index
+        self.position = {}  # live atom var -> column index
         self.columns = np.zeros((4, 16), dtype=np.int64)  # var, x, y, c
         self.assigned = np.zeros(16, dtype=bool)
+        self.width = 0  # columns in use, retired ones included
+        self.free_columns = []  # retired columns, taken by new atoms first
         self.assigned_log = []  # (level, position)
         self.readers = {}  # cell (i, j) -> [(side, position, lit, i, j, c)]
         self.watched = np.zeros((8, 8), dtype=bool)  # cells with readers
@@ -101,24 +114,46 @@ class _TheoryBridge:
         self.model = {}  # integer model of the last sat answer
 
     def register_atom(self, var, x, y, c):
-        self.apsp.ensure_vertex(max(x, y))
-        k = len(self.position)
-        if k == len(self.assigned):
-            self.columns = np.concatenate(
-                (self.columns, np.zeros_like(self.columns)), axis=1)
-            self.assigned = np.concatenate(
-                (self.assigned, np.zeros_like(self.assigned)))
+        v = x if x > y else y
+        self.apsp.ensure_vertex(v)
+        if self.free_columns:
+            k = self.free_columns.pop()
+            self.assigned[k] = False
+        else:
+            k = self.width
+            self.width += 1
+            if k == len(self.assigned):
+                self.columns = np.concatenate(
+                    (self.columns, np.zeros_like(self.columns)), axis=1)
+                self.assigned = np.concatenate(
+                    (self.assigned, np.zeros_like(self.assigned)))
         self.columns[:, k] = var, x, y, c
         self.position[var] = k
-        v, cap = max(x, y), len(self.watched)
-        if v >= cap:  # doubling, as the closure does
-            self.watched = np.pad(self.watched,
-                                  (0, (1 << v.bit_length()) - cap))
+        watched = self.watched
+        if v >= len(watched):  # doubling, as the closure does
+            watched = self.watched = np.pad(
+                watched, (0, (1 << v.bit_length()) - len(watched)))
         # cell (y, x) entails the atom, cell (x, y) refutes it
-        for test in ((0, k, var, y, x, c), (1, k, -var, x, y, -c - 1)):
-            self.watched[test[3:5]] = True
-            self.readers.setdefault(test[3:5], []).append(test)
+        watched[y, x] = watched[x, y] = True
+        readers = self.readers
+        readers.setdefault((y, x), []).append((0, k, var, y, x, c))
+        readers.setdefault((x, y), []).append((1, k, -var, x, y, -c - 1))
         self.scanned = None
+
+    def retire_atom(self, var):
+        """Forget atom ``var``: no scan tests it again, and its column is
+        marked assigned until a new atom takes it."""
+        k = self.position.pop(var)
+        x, y, c = self.bounds[var]
+        for test in ((0, k, var, y, x, c), (1, k, -var, x, y, -c - 1)):
+            cell = test[3:5]
+            tests = self.readers[cell]
+            tests.remove(test)
+            if not tests:
+                del self.readers[cell]
+                self.watched[cell] = False
+        self.assigned[k] = True
+        self.free_columns.append(k)
 
     def _bound_of(self, lit):
         """The bound ``x - y <= c`` that ``lit`` asserts, or None for a
@@ -163,7 +198,7 @@ class _TheoryBridge:
                 if holds(j, i, b)]
 
     def _scan_all(self):
-        free = np.flatnonzero(~self.assigned[:len(self.position)])
+        free = np.flatnonzero(~self.assigned[:self.width])
         self.atoms_tested += free.size
         if not free.size:
             return ()
@@ -221,6 +256,10 @@ class Session:
         self._core_records = None
         self._core_minimized = None
         self._bool_model = {}
+        # (var, bound, value) of atoms retired since the last sat answer,
+        # and the closure's vertex count at that answer
+        self._retired = []
+        self._sat_vertices = 0
 
     # -- wiring ---------------------------------------------------------------
 
@@ -276,25 +315,31 @@ class Session:
             node = normalize.skeleton(term, self._resolve_int,
                                       self._resolve_bool, self.atoms)
             clauses, root = normalize.to_cnf(node, self.solver.new_var)
+            err = None
         except normalize.ConstantOverflow as e:
-            return _error(f"constant overflow: {e}")
-        except normalize.NonDifferenceTerm as e:
-            return _error(str(e))
-        except theory.TooManyVertices as e:
-            return _error(str(e))
+            err = f"constant overflow: {e}"
+        except (normalize.NonDifferenceTerm, theory.TooManyVertices) as e:
+            err = str(e)
         except RecursionError:
             # normalization recurses on the term; the session stays usable
-            return _error("term nesting too deep")
-        rec = _Record(self._next_index, term, name, self.solver.new_var())
-        self._next_index += 1
+            err = "term nesting too deep"
+        if err is not None:
+            # no record holds the atoms the failed assertion interned
+            self._delete([], self.atoms.hold(), [])
+            return _error(err)
+        selector = self.solver.new_var()
+        stored = len(self.solver.clauses)
         for cl in clauses:
             self.solver.add_clause(cl)
         if root is True:
             pass
         elif root is False:
-            self.solver.add_clause([-rec.selector])
+            self.solver.add_clause([-selector])
         else:
-            self.solver.add_clause([-rec.selector, root])
+            self.solver.add_clause([-selector, root])
+        rec = _Record(self._next_index, term, name, selector,
+                      self.solver.clauses[stored:], self.atoms.hold())
+        self._next_index += 1
         self.frames[-1].records.append(rec)
         self._sel2rec[rec.selector] = rec
         if name is not None:
@@ -311,17 +356,51 @@ class Session:
         depth = self.frames[-1].top - n
         if depth < 0:
             return _error("pop below the bottom of the assertion stack")
+        popped = []
         while self.frames[-1].top > depth:
-            for rec in self.frames.pop().records:
-                self.solver.add_clause([-rec.selector])
-                self._sel2rec.pop(rec.selector, None)
-                if rec.name is not None:
-                    self._names.pop(rec.name, None)
+            popped += self.frames.pop().records
         if self.frames[-1].top < depth:
             # what is left of a partly popped run holds nothing
             self.frames.append(_Frame(depth))
+        for rec in popped:
+            del self._sel2rec[rec.selector]
+            if rec.name is not None:
+                del self._names[rec.name]
+        clauses = [c for rec in popped for c in rec.clauses]
+        # the variables of these clauses that are neither atoms nor declared
+        # Booleans are the popped selectors and gates. A gate none of whose
+        # clauses was stored (each satisfied or cut to a unit at level 0)
+        # has a level-0 value, which it would keep anyway.
+        bools = set(self._bool_ids.values())
+        own = {abs(l) for c in clauses for l in c}
+        own = [v for v in own if v not in self.atoms.bounds and v not in bools]
+        self._delete(clauses, [v for rec in popped for v in rec.atoms],
+                     own + [rec.selector for rec in popped])
         self.last_status = None
         return Response()
+
+    def _delete(self, clauses, held, variables):
+        """Delete ``clauses``, drop one holder of each atom in ``held``,
+        and retire ``variables`` and the atoms nobody holds any more.
+
+        The solver also deletes every learned clause over a retired
+        variable and releases the retired variables for reuse, except
+        those assigned at level 0, which keep their value (and an atom
+        among them stays interned). The last sat answer's values of the
+        released atoms are kept for ``apsp_tsv``.
+        """
+        unheld = self.atoms.release(held)
+        freed = self.solver.remove(clauses, [*variables, *unheld])
+        model = self._bool_model
+        for var in freed:
+            value = model.pop(var, None)
+            bound = self.atoms.bounds.get(var)
+            if bound is None:
+                continue
+            if value is not None:
+                self._retired.append((var, bound, value))
+            self.bridge.retire_atom(var)
+            self.atoms.retire(var)
 
     def _cmd_check_sat(self):
         return Response(self.check_sat())
@@ -361,6 +440,8 @@ class Session:
         self._core_minimized = None
         if res.status == "sat":
             self._bool_model = res.model
+            self._retired = []
+            self._sat_vertices = self.apsp.n
         elif res.status == "unsat":
             failed = set(res.failed)
             self._core_records = sorted(
@@ -450,31 +531,36 @@ class Session:
         out["edge_commits"] = self.apsp.stamp
         out["max_vertices"] = self.apsp.n
         out["prop_atoms_tested"] = self.bridge.atoms_tested
+        out["live_clauses"] = len(self.solver.clauses)
+        out["live_atoms"] = len(self.atoms)
         return out
 
     def dimacs_text(self):
         """Current clause store in DIMACS, selectors and gates included."""
-        lines = []
-        active = [c for c in self.solver.clauses if c is not None]
-        lines.append(f"p cnf {self.solver.n_vars} {len(active)}")
-        for c in active:
+        clauses = self.solver.clauses
+        lines = [f"p cnf {self.solver.n_vars} {len(clauses)}"]
+        for c in clauses:
             lines.append(" ".join(str(l) for l in c) + " 0")
         return "\n".join(lines) + "\n"
 
     def apsp_tsv(self):
         """Distance matrix of the last sat answer (empty before any).
 
-        The closure is rebuilt from that answer's Boolean model, skipping
-        atoms registered since. Shortest-path values are unique for a given
-        edge set, so this is the matrix the search held at the answer.
+        The closure is rebuilt over that answer's vertices from its Boolean
+        model, over the atoms retired since as well and skipping atoms
+        registered since (a reused variable leaves the model when it is
+        released). Shortest-path values are unique for a given edge set, so
+        this is the matrix the search held at the answer.
         """
         apsp = theory.DifferenceEngine()
-        for var, (x, y, c) in self.atoms.bounds.items():
-            value = self._bool_model.get(var)
+        apsp.ensure_vertex(self._sat_vertices - 1)
+        model = self._bool_model
+        atoms = [(var, bound, model.get(var))
+                 for var, bound in self.atoms.bounds.items()]
+        for var, (x, y, c), value in atoms + self._retired:
             if value is None:
                 continue
-            apsp.ensure_vertex(max(x, y))
-            lit = var if value else -var
-            if apsp.assert_atom(*self.bridge._bound_of(lit), lit, 0):
+            lit, bound = (var, (x, y, c)) if value else (-var, (y, x, -c - 1))
+            if apsp.assert_atom(*bound, lit, 0):
                 raise InternalError("the last sat model violates a bound")
         return apsp.dump_tsv()

@@ -43,6 +43,10 @@ class AtomTable:
     ``bounds`` maps each atom variable to its positive-polarity bound
     ``(x, y, c)``; ``on_new_atom``, when set, is called with
     ``(var, x, y, c)`` for each new atom.
+
+    Each atom counts its holders. ``hold`` makes one holder of every atom
+    interned since its last call, ``release`` drops one holder of each
+    atom given, and ``retire`` forgets an atom nobody holds.
     """
 
     def __init__(self, new_var):
@@ -50,6 +54,8 @@ class AtomTable:
         self.on_new_atom = None
         self._ids = {}
         self.bounds = {}
+        self._refs = {}  # atom var -> holders
+        self._interned = set()  # atom vars interned since the last hold()
 
     def literal(self, x, y, c):
         """SAT literal asserting ``x - y <= c``; x and y must differ."""
@@ -68,7 +74,32 @@ class AtomTable:
                 self.on_new_atom(var, *key)
             self._ids[key] = var
             self.bounds[var] = key
+            self._refs[var] = 0
+        self._interned.add(var)
         return sign * var
+
+    def hold(self):
+        """One more holder for each atom interned since the last call;
+        returns those atom variables."""
+        held = tuple(self._interned)
+        self._interned.clear()
+        for var in held:
+            self._refs[var] += 1
+        return held
+
+    def release(self, held):
+        """One holder fewer for each atom in ``held``; returns the atoms
+        that nobody holds now."""
+        refs = self._refs
+        for var in held:
+            refs[var] -= 1
+        return {var for var in held if not refs[var]}
+
+    def retire(self, var):
+        """Forget an atom nobody holds; its variable may then stand for
+        something else."""
+        del self._ids[self.bounds.pop(var)]
+        del self._refs[var]
 
     def __len__(self):
         return len(self.bounds)

@@ -1,9 +1,16 @@
 """Conflict-driven clause learning SAT core.
 
 Two-watched-literal propagation, first-UIP learning, exponential variable
-activities (ties to the lowest index), Luby restarts, phase saving, and
-solving under assumptions; the failed-assumption subset of an unsat answer
-is what unsat cores and retraction are built from.
+activities kept in a heap (ties to the lowest index), Luby restarts, phase
+saving, and solving under assumptions; the failed-assumption subset of an
+unsat answer is what unsat cores are built from.
+
+Clauses can be deleted as well as added. ``remove`` deletes given clauses
+and every learned clause over given variables, then releases those of the
+variables left unassigned; ``new_var`` reuses a released slot before it
+grows, so a long session of additions and deletions keeps its size. One
+compaction routine renumbers the clause store after every deletion, a
+halving of the learned clauses included, so no holes remain.
 
 A theory plugs in through five seams: every literal appended to the trail
 is forwarded to ``on_assert``, backjumps call ``on_backtrack``, implied
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 
 class NullTheory:
@@ -42,7 +50,7 @@ class NullTheory:
 @dataclass
 class SolveResult:
     status: str  # "sat" | "unsat" | "unknown"
-    model: dict | None = None  # var -> bool, total over registered vars
+    model: dict | None = None  # var -> bool, total over the live variables
     failed: list = field(default_factory=list)  # subset of the assumptions
 
 
@@ -70,6 +78,12 @@ class Solver:
         self.reasons = [None]  # clause index, ("th", handle), or None
         self.phase = [False]
         self.activity = [0.0]
+        # (-activity, var) of every unassigned live variable, plus stale
+        # entries: an entry counts only while ``in_heap[var]`` holds and its
+        # activity is the variable's own
+        self.heap = []
+        self.in_heap = [False]
+        self.free_vars = []  # released slots, reused by new_var
         self.watches = [[], []]  # literal-indexed (2v / 2v+1)
         self.clauses = []
         self.cla_activity = {}  # learned clause index -> activity
@@ -90,14 +104,26 @@ class Solver:
     # -- construction -------------------------------------------------------
 
     def new_var(self):
+        if self.free_vars:
+            v = self.free_vars.pop()
+            self.phase[v] = False
+            self.activity[v] = 0.0
+            self.in_heap[v] = True
+            heappush(self.heap, (-0.0, v))
+            return v
         self.values.append(0)
         self.levels.append(0)
         self.reasons.append(None)
         self.phase.append(False)
         self.activity.append(0.0)
+        self.in_heap.append(True)
         self.watches.append([])
         self.watches.append([])
-        return len(self.values) - 1
+        v = len(self.values) - 1
+        # activities are never negative and v tops every index, so no key
+        # exceeds (-0.0, v): it may sit at a leaf
+        self.heap.append((-0.0, v))
+        return v
 
     @property
     def n_vars(self):
@@ -247,12 +273,16 @@ class Solver:
         if len(self.trail_lim) <= level:
             return
         bound = self.trail_lim[level]
+        in_heap = self.in_heap
         for pos in range(len(self.trail) - 1, bound - 1, -1):
             lit = self.trail[pos]
             v = abs(lit)
             self.phase[v] = lit > 0
             self.values[v] = 0
             self.reasons[v] = None
+            if not in_heap[v]:  # picked since: put it back
+                in_heap[v] = True
+                heappush(self.heap, (-self.activity[v], v))
         del self.trail[bound:]
         del self.trail_lim[level:]
         self.qhead = min(self.qhead, bound)
@@ -262,12 +292,25 @@ class Solver:
     # -- analysis ----------------------------------------------------------------
 
     def _bump_var(self, v):
-        self.activity[v] += self.var_inc
-        if self.activity[v] > _RESCALE:
+        act = self.activity[v] + self.var_inc
+        self.activity[v] = act
+        if act > _RESCALE:
             inv = 1.0 / _RESCALE
             for k in range(1, len(self.activity)):
                 self.activity[k] *= inv
             self.var_inc *= inv
+            self._rebuild_heap()
+        elif self.in_heap[v]:
+            # the entry with the old activity goes stale
+            heappush(self.heap, (-act, v))
+            if len(self.heap) > 2 * len(self.values) + 64:
+                self._rebuild_heap()
+
+    def _rebuild_heap(self):
+        act = self.activity
+        self.heap = [(-act[v], v) for v, held in enumerate(self.in_heap)
+                     if held]
+        heapify(self.heap)
 
     def _bump_clause(self, ci):
         if ci in self.cla_activity:
@@ -369,40 +412,75 @@ class Solver:
 
     def _reduce_learned(self):
         """Activity-based halving of the learned clause store."""
-        locked = set()
-        for v in range(1, len(self.values)):
-            r = self.reasons[v]
-            if isinstance(r, int) and r in self.cla_activity:
-                locked.add(r)
+        locked = {r for r in self.reasons if isinstance(r, int)}
         victims = sorted(
             (ci for ci in self.cla_activity if ci not in locked and
              len(self.clauses[ci]) > 2),
             key=lambda ci: (self.cla_activity[ci], -ci))
         drop = set(victims[: len(victims) // 2])
-        if not drop:
-            return
-        for ci in drop:
-            self.clauses[ci] = None
-            del self.cla_activity[ci]
-        for enc in range(2, len(self.watches)):
-            self.watches[enc] = []
+        if drop:
+            self._compact(drop)
+
+    def _compact(self, drop):
+        """Delete the clauses at the indices in ``drop`` and renumber the
+        rest in order. Watches, learned activities and reasons follow the
+        new numbers; a reason whose clause is gone becomes None, which only
+        a level-0 literal may lose, since nothing reads its reason."""
+        kept, remap = [], {}
         for ci, c in enumerate(self.clauses):
-            if c is not None:
-                self._watch(c[0], ci)
-                self._watch(c[1], ci)
+            if ci not in drop:
+                remap[ci] = len(kept)
+                kept.append(c)
+        self.clauses = kept
+        self.cla_activity = {remap[ci]: act for ci, act
+                             in self.cla_activity.items() if ci in remap}
+        self.reasons = [remap.get(r) if isinstance(r, int) else r
+                        for r in self.reasons]
+        self.watches = [[] for _ in self.watches]
+        for ci, c in enumerate(kept):
+            self._watch(c[0], ci)
+            self._watch(c[1], ci)
+
+    def remove(self, clauses, variables):
+        """Delete the stored ``clauses`` (the list objects ``add_clause``
+        stored) and every learned clause over one of ``variables``, then
+        release those of the ``variables`` left unassigned for ``new_var``
+        to reuse; returns the released ones, in increasing order.
+
+        Level 0 only. A variable assigned there keeps its value and slot.
+        The caller vouches that no surviving input clause mentions a
+        released variable; deleting a learned clause is always sound.
+        """
+        assert not self.trail_lim, "clauses may only be removed at level 0"
+        gone = {id(c) for c in clauses}
+        variables = set(variables)
+        learned = self.cla_activity
+        drop = {ci for ci, c in enumerate(self.clauses)
+                if id(c) in gone or ci in learned and
+                any(abs(l) in variables for l in c)}
+        if drop:
+            self._compact(drop)
+        freed = sorted(v for v in variables if not self.values[v])
+        for v in freed:
+            self.in_heap[v] = False  # its heap entries go stale
+        self.free_vars += reversed(freed)  # the lowest slot is reused first
+        return freed
 
     # -- search -----------------------------------------------------------------
 
     def _pick_branch(self):
-        best = None
-        besta = -1.0
-        activity = self.activity
-        values = self.values
-        for v in range(1, len(values)):
-            if values[v] == 0 and activity[v] > besta:
-                best = v
-                besta = activity[v]
-        return best
+        """The unassigned live variable of highest activity, the lowest
+        index among equals; None when every one is assigned."""
+        heap, in_heap = self.heap, self.in_heap
+        activity, values = self.activity, self.values
+        while heap:
+            neg, v = heappop(heap)
+            if not in_heap[v] or -neg != activity[v]:
+                continue  # stale
+            in_heap[v] = False
+            if values[v] == 0:
+                return v
+        return None
 
     def solve(self, assumptions=(), deadline=None):
         """Search under assumptions.
@@ -465,8 +543,9 @@ class Solver:
                 continue
             v = self._pick_branch()
             if v is None:
-                model = {u: self.values[u] == 1
-                         for u in range(1, len(self.values))}
+                # released slots are the only unassigned variables here
+                model = {u: val == 1 for u, val in enumerate(self.values)
+                         if val}
                 self.theory.on_solution()
                 self._cancel_until(0)
                 return SolveResult("sat", model=model)

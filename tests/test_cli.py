@@ -173,6 +173,7 @@ class TestFlags:
         assert code == 0 and out == "sat\n"
         assert "decisions=" in err and "fw_cell_updates=" in err
         assert "max_vertices=" in err and "prop_atoms_tested=" in err
+        assert "live_clauses=1\n" in err and "live_atoms=1\n" in err
 
     def test_dump_dimacs(self, tmp_path):
         dump = tmp_path / "out.cnf"
@@ -216,6 +217,60 @@ class TestFlags:
             dumps[mode] = cnf.read_bytes(), tsv.read_bytes()
         assert dumps["incremental"] == dumps["batch"]
         assert dumps["batch"][1]  # the sat answer's matrix
+
+    def test_dimacs_after_pop_holds_nothing_of_the_frame(self, tmp_path,
+                                                         capsys):
+        # three points two apart in a window of width 3: the frame's check
+        # needs case splits, so it learns clauses, all over its own atoms
+        base = ("(set-logic QF_IDL)(declare-fun x () Int)"
+                "(declare-fun y () Int)(declare-fun z () Int)"
+                "(assert (<= (- x y) 3))(assert (<= (- y z) 3))\n")
+        frame = "(push 1)(assert (and {}))".format(" ".join(
+            f"(<= 0 {v}) (<= {v} 3)" for v in "xyz"))
+        frame += "".join(f"(assert (or (<= (+ {a} 2) {b}) (<= (+ {b} 2) {a})))"
+                         for a, b in ("xy", "yz", "xz")) + "(check-sat)\n"
+
+        def dump(text):
+            cnf = tmp_path / "out.cnf"
+            code, out = cli(["--stats", "--dump-dimacs", str(cnf), "-"],
+                            text=text)
+            lines = cnf.read_text().splitlines()
+            clauses = [[int(l) for l in c.split()[:-1]] for c in lines[1:]]
+            assert int(lines[0].split()[3]) == len(clauses)
+            return out, clauses, {abs(l) for c in clauses for l in c}
+
+        out, _, base_vars = dump(base + "(check-sat)")
+        assert out == "sat\n"
+        capsys.readouterr()
+        out, in_frame, frame_vars = dump(base + frame)
+        stats = dict(line.split("=") for line
+                     in capsys.readouterr().err.splitlines())
+        assert out == "unsat\n" and int(stats["conflicts"]) > 0
+        frame_vars -= base_vars
+        assert len(frame_vars) >= 15  # selectors, gates and atoms
+        out, after, after_vars = dump(base + frame + "(pop 1)(check-sat)")
+        assert out == "unsat\nsat\n"
+        assert after and not after_vars & frame_vars
+        assert len(after) < len(in_frame)
+
+    def test_apsp_dump_outlives_a_pop(self, tmp_path):
+        # the frame's atoms are retired at the pop and their variable
+        # slots taken by the next assertion's, while the dump still shows
+        # the closure of the frame's sat answer
+        base = ("(set-logic QF_IDL)(declare-fun x () Int)(declare-fun y () Int)"
+                "(declare-fun z () Int)(assert (<= (- x y) 3))")
+        frame = ("(push 1)(assert (or (< z x) (< x (- y 8))))"
+                 "(assert (< (- z 2) y))(check-sat)\n")
+        later = "(pop 1)(assert (and (< x (- z 1)) (< z (- x 1))))(check-sat)\n"
+        dumps = []
+        for script in (base + "(check-sat)", base + frame,
+                       base + frame + later):
+            tsv = tmp_path / "out.tsv"
+            code, out = cli(["--dump-apsp", str(tsv), "-"], text=script)
+            assert code == 0
+            dumps.append((out, tsv.read_text()))
+        assert [out for out, _ in dumps] == ["sat\n", "sat\n", "sat\nunsat\n"]
+        assert dumps[2][1] == dumps[1][1] != dumps[0][1]
 
     @pytest.mark.parametrize("mode", [[], ["--incremental"]],
                              ids=["batch", "incremental"])

@@ -19,9 +19,13 @@ from idlsmt.normalize import AtomTable, skeleton
 
 
 def run(text, config=None):
+    return run_commands(parse_script(text), config)
+
+
+def run_commands(commands, config=None):
     session = Session(config)
     responses = []
-    for cmd in parse_script(text):
+    for cmd in commands:
         responses.append(session.execute(cmd))
     return session, responses
 
@@ -519,26 +523,31 @@ class TestAssignmentMask:
         calls = [0]
 
         def free_positions():
-            return np.flatnonzero(~bridge.assigned[:len(bridge.position)])
+            # a retired atom's column counts as assigned, so the free
+            # columns are those of the live atoms the solver left free
+            return np.flatnonzero(~bridge.assigned[:bridge.width]).tolist()
 
         def propagate():
             calls[0] += 1
-            want = [k for var, k in bridge.position.items()
-                    if solver.values[var] == 0]
-            assert free_positions().tolist() == want
+            want = sorted(k for var, k in bridge.position.items()
+                          if solver.values[var] == 0)
+            assert free_positions() == want
             return orig()
 
         bridge.propagate = propagate
         for cmd in parse_script(text):
             session.execute(cmd)
+            # the bridge holds the live atoms, each in a column of its own
+            assert bridge.position.keys() == session.atoms.bounds.keys()
+            assert len(set(bridge.position.values())) == len(bridge.position)
             if cmd.name == "check-sat":
                 # back at level 0; the theory has seen trail[:th_head], all
                 # of the trail except after a conflict at level 0
                 assert not solver.trail_lim
                 seen = {abs(l) for l in solver.trail[:solver.th_head]}
-                want = [k for var, k in bridge.position.items()
-                        if var not in seen]
-                assert free_positions().tolist() == want
+                want = sorted(k for var, k in bridge.position.items()
+                              if var not in seen)
+                assert free_positions() == want
         return session.stats, calls[0]
 
     def test_mask_matches_solver_values(self):
@@ -839,6 +848,134 @@ class TestApspDump:
                 "(check-sat)(get-unsat-core)(check-sat)")
         cfg = SessionConfig(produce_unsat_cores=True, minimize_core=True)
         assert self.run_checked(text, cfg) == []
+
+
+def _num(c):
+    return str(c) if c >= 0 else f"(- {-c})"
+
+
+def window_session(seed, n_vars, cycles):
+    """A base frame of overlapping windows around a hidden witness, then
+    cycles of push, three assertions, check-sat and pop. The assertions
+    ask four of the variables to lie pairwise ``gap`` apart, two pairs per
+    assertion and one disjunction per pair, so the check splits cases and
+    learns clauses. The witness keeps the gap of a sat cycle; in every
+    other cycle the gap is more than a third of the span of the four
+    windows, so no four points fit. Returns the script and the expected
+    verdicts."""
+    rng = random.Random(seed)
+    witness = rng.sample(range(200), n_vars)
+    lo = [w - rng.randint(0, 100) for w in witness]
+    hi = [w + rng.randint(0, 100) for w in witness]
+    lines = ["(set-logic QF_IDL)"]
+    lines += [f"(declare-fun t{i} () Int)" for i in range(n_vars)]
+    lines += [f"(assert (and (<= {_num(lo[i])} t{i}) (<= t{i} {_num(hi[i])})))"
+              for i in range(n_vars)]
+    expected = []
+    for cycle in range(cycles):
+        four = rng.sample(range(n_vars), 4)
+        pairs = [(a, b) for k, a in enumerate(four) for b in four[k + 1:]]
+        if cycle % 2:
+            span = max(hi[v] for v in four) - min(lo[v] for v in four)
+            gap = span // 3 + 1
+        else:
+            gap = min(abs(witness[a] - witness[b]) for a, b in pairs)
+        seps = [f"(or (<= (+ t{a} {gap}) t{b}) (<= (+ t{b} {gap}) t{a}))"
+                for a, b in pairs]
+        lines.append("(push 1)")
+        lines += [f"(assert (and {seps[k]} {seps[k + 3]}))" for k in range(3)]
+        expected.append("unsat" if cycle % 2 else "sat")
+        lines += ["(check-sat)", "(pop 1)"]
+    return "\n".join(lines), expected
+
+
+def orphan_vars(session):
+    """Unassigned variables that are neither released slots nor used by a
+    live assertion as an atom, declared Boolean, selector or variable of a
+    stored clause: variables a pop should have released."""
+    solver = session.solver
+    live = set(session.atoms.bounds) | set(session._bool_ids.values())
+    for rec in session.active_records():
+        live.add(rec.selector)
+        live.update(abs(l) for c in rec.clauses for l in c)
+    free = set(solver.free_vars)
+    return [v for v in range(1, solver.n_vars + 1)
+            if not solver.values[v] and v not in free and v not in live]
+
+
+class TestPopByDeletion:
+    """Pop deletes what the popped frame added, so a session holds only
+    what its live assertions need."""
+
+    def test_a_thousand_cycles_stay_flat(self):
+        text, expected = window_session(1, 8, 1000)
+        session = Session()
+        apsp, solver, bridge = session.apsp, session.solver, session.bridge
+        calls = [0]
+
+        def assert_atom(*args, orig=apsp.assert_atom):
+            calls[0] += 1
+            return orig(*args)
+
+        apsp.assert_atom = assert_atom
+        got, sizes, per_check = [], [], []
+        for cmd in parse_script(text):
+            resp = session.execute(cmd)
+            if cmd.name == "check-sat":
+                got.append(resp.text)
+                per_check.append(calls[0])
+                calls[0] = 0
+            elif cmd.name == "pop":
+                assert not orphan_vars(session)
+                sizes.append((solver.n_vars, len(solver.clauses),
+                              len(session.atoms), len(bridge.position),
+                              bridge.width, len(bridge.readers),
+                              int(bridge.watched.sum())))
+        assert got == expected
+        # the base frame's 16 atoms are all that is left after each pop
+        assert sizes[5][2] == 16
+        assert set(sizes[5:]) == {sizes[5]}
+        stats = session.stats
+        assert (stats["live_clauses"], stats["live_atoms"]) == sizes[5][1:3]
+        first = sum(per_check[10:110]) / 100
+        last = sum(per_check[-100:]) / 100
+        assert abs(last - first) <= 0.1 * first
+
+    def test_verdicts_match_a_fresh_replay_of_the_live_assertions(self):
+        cfg = SessionConfig(produce_unsat_cores=True)
+        checks = {"sat": 0, "unsat": 0}
+        for seed in range(40):
+            session = Session(cfg)
+            head, frames = [], [[]]
+            for cmd in parse_script(push_pop_script(seed)):
+                resp = session.execute(cmd)
+                if cmd.name == "push":
+                    frames.append([])
+                elif cmd.name == "pop":
+                    frames.pop()
+                    assert orphan_vars(session) == [], f"seed {seed}"
+                elif cmd.name == "assert":
+                    frames[-1].append(cmd)
+                elif cmd.name != "check-sat":
+                    head.append(cmd)
+                    continue
+                if cmd.name != "check-sat":
+                    continue
+                live = [a for frame in frames for a in frame]
+                check = parse_script("(check-sat)")
+                _, rs = run_commands(head + live + check, cfg)
+                assert resp.text == rs[-1].text, f"seed {seed}"
+                checks[resp.text] += 1
+                if resp.text == "sat":
+                    ints, bools = session.model_env()
+                    for a in live:
+                        assert eval_term(a.args[0], ints, bools) is True
+                else:
+                    core = set(session.unsat_core_names())
+                    kept = [a for a in live if a.args[1] in core]
+                    _, rs = run_commands(head + kept + check, cfg)
+                    assert rs[-1].text == "unsat", f"seed {seed}"
+        assert checks["sat"] > 50 and checks["unsat"] > 50
 
 
 class TestDeterminism:

@@ -397,3 +397,62 @@ class TestTheoryHooks:
         s.add_clause([1])
         s.add_clause([2])
         assert s.solve().status == "unsat"
+
+
+class LinearScan(Solver):
+    """The branching rule as a linear scan, the reference for the heap:
+    the unassigned live variable of highest activity, the lowest index
+    among equals."""
+
+    def _pick_branch(self):
+        best, besta = None, -1.0
+        released = set(self.free_vars)
+        for v in range(1, len(self.values)):
+            if self.values[v] == 0 and v not in released \
+                    and self.activity[v] > besta:
+                best, besta = v, self.activity[v]
+        return best
+
+
+class TestBranchingHeap:
+    def run(self, cls, seed, var_inc):
+        """Guarded random clause groups over shared variables and variables
+        of their own, solved under the live selectors, with a random group
+        deleted (clauses, selector, own variables) after each solve; the
+        freed slots come back as the next group's own variables. Returns
+        the picks of ``_pick_branch`` and the answers."""
+        rng = random.Random(seed)
+        s = cls()
+        s.var_inc = var_inc
+        shared = [s.new_var() for _ in range(8)]
+        picks, answers, groups = [], [], []
+        pick = s._pick_branch
+        s._pick_branch = lambda: picks.append(pick()) or picks[-1]
+        for _ in range(12):
+            sel = s.new_var()
+            own = [s.new_var() for _ in range(rng.randint(0, 4))]
+            stored = len(s.clauses)
+            for cl in random_cnf(rng, len(shared) + len(own), 10):
+                s.add_clause([-sel] + [(shared + own)[abs(l) - 1] * (l // abs(l))
+                                       for l in cl])
+            groups.append((sel, own, s.clauses[stored:]))
+            res = s.solve([g[0] for g in groups])
+            answers.append((res.status, res.model, res.failed))
+            sel, own, clauses = groups.pop(rng.randrange(len(groups)))
+            freed = s.remove(clauses, [sel, *own])
+            # only a variable fixed at level 0 keeps its slot
+            assert all(s.values[v] for v in {sel, *own} - set(freed))
+        return picks, answers, s.var_inc < var_inc
+
+    @pytest.mark.parametrize("var_inc", [1.0, 5e99], ids=["plain", "rescaled"])
+    def test_decisions_match_the_linear_scan(self, var_inc):
+        # from 5e99 a variable bumped three times passes the rescale limit,
+        # so most runs rebuild the heap on the way
+        decisions = rescaled = 0
+        for seed in range(40):
+            heap = self.run(Solver, seed, var_inc)
+            assert heap == self.run(LinearScan, seed, var_inc), f"seed {seed}"
+            decisions += len(heap[0])
+            rescaled += heap[2]
+        assert decisions > 1500
+        assert rescaled > 20 if var_inc > 1 else not rescaled
