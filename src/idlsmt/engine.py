@@ -5,17 +5,21 @@ the assumptions "all active selectors", and the failed-assumption subset of
 an unsat answer is the unsat core. Pop deletes what the popped assertions
 added: their clauses, every learned clause that holds a popped selector or
 a retired variable, and their selectors, gate variables and the atoms no
-live assertion holds any more, whose variable slots the SAT core reuses. A
-long push/check/pop session therefore stays the size of its live
-assertions. Difference atoms flow to the shortest-path engine the moment
-the SAT core asserts them; implied atoms flow back as theory propagations
-with explanations reconstructed only if conflict analysis asks.
+live assertion holds any more, whose variable slots the SAT core reuses;
+an Int constant no live atom reads gives its closure vertex back. A long
+push/check/pop session therefore stays the size of its live assertions.
+Difference atoms flow to the shortest-path engine the moment the SAT core
+asserts them; implied atoms flow back as theory propagations with
+explanations reconstructed only if conflict analysis asks. An answer keeps
+the search trail, so the next check redoes no theory work for the
+assertions it shares with the last one.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -253,6 +257,7 @@ class Session:
         self._sel2rec = {}
         self._next_index = 0
         self._next_varid = 1
+        self._free_ids = []  # retired closure vertices, the lowest reused first
         self._core_records = None
         self._core_minimized = None
         self._bool_model = {}
@@ -266,8 +271,11 @@ class Session:
     def _resolve_int(self, name):
         vid = self._int_ids.get(name)
         if vid is None:
-            vid = self._next_varid
-            self._next_varid += 1
+            if self._free_ids:
+                vid = heappop(self._free_ids)
+            else:
+                vid = self._next_varid
+                self._next_varid += 1
             self._int_ids[name] = vid
         return vid
 
@@ -387,7 +395,8 @@ class Session:
         variable and releases the retired variables for reuse, except
         those assigned at level 0, which keep their value (and an atom
         among them stays interned). The last sat answer's values of the
-        released atoms are kept for ``apsp_tsv``.
+        released atoms are kept for ``apsp_tsv``. Int constants that no
+        atom reads any more give their vertices to later new names.
         """
         unheld = self.atoms.release(held)
         freed = self.solver.remove(clauses, [*variables, *unheld])
@@ -401,6 +410,13 @@ class Session:
                 self._retired.append((var, bound, value))
             self.bridge.retire_atom(var)
             self.atoms.retire(var)
+        # a vertex no atom reads has no edge left: the solver backtracked
+        # below every atom it retired, and undo is bit-exact, so the
+        # vertex's row and column are clean for a name that takes it over
+        ids = self._int_ids
+        for name in [name for name, vid in ids.items()
+                     if not self.atoms.reads(vid)]:
+            heappush(self._free_ids, ids.pop(name))
 
     def _cmd_check_sat(self):
         return Response(self.check_sat())

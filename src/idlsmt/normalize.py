@@ -46,7 +46,8 @@ class AtomTable:
 
     Each atom counts its holders. ``hold`` makes one holder of every atom
     interned since its last call, ``release`` drops one holder of each
-    atom given, and ``retire`` forgets an atom nobody holds.
+    atom given, and ``retire`` forgets an atom nobody holds. Each vertex
+    counts the atoms that read it, for ``reads``.
     """
 
     def __init__(self, new_var):
@@ -56,6 +57,7 @@ class AtomTable:
         self.bounds = {}
         self._refs = {}  # atom var -> holders
         self._interned = set()  # atom vars interned since the last hold()
+        self._readers = {}  # vertex -> atoms over it
 
     def literal(self, x, y, c):
         """SAT literal asserting ``x - y <= c``; x and y must differ."""
@@ -75,6 +77,8 @@ class AtomTable:
             self._ids[key] = var
             self.bounds[var] = key
             self._refs[var] = 0
+            for u in key[:2]:
+                self._readers[u] = self._readers.get(u, 0) + 1
         self._interned.add(var)
         return sign * var
 
@@ -98,8 +102,17 @@ class AtomTable:
     def retire(self, var):
         """Forget an atom nobody holds; its variable may then stand for
         something else."""
-        del self._ids[self.bounds.pop(var)]
+        key = self.bounds.pop(var)
+        del self._ids[key]
         del self._refs[var]
+        for u in key[:2]:
+            self._readers[u] -= 1
+            if not self._readers[u]:
+                del self._readers[u]
+
+    def reads(self, vertex):
+        """Whether an atom over ``vertex`` is interned."""
+        return vertex in self._readers
 
     def __len__(self):
         return len(self.bounds)

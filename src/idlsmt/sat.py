@@ -12,6 +12,14 @@ grows, so a long session of additions and deletions keeps its size. One
 compaction routine renumbers the clause store after every deletion, a
 halving of the learned clauses included, so no holes remain.
 
+The trail outlives an answer (van der Tak, Ramos & Heule, "Reusing the
+assignment trail in CDCL solvers", JSAT 2011). The next ``solve``
+backtracks only to the levels of the leading assumptions both calls share,
+so a theory keeps the work of those levels; restarts still go to level 0.
+``add_clause`` keeps the trail for a clause with two free literals, and
+``remove`` backtracks only below the variables it releases and the
+literals whose reasons it deletes.
+
 A theory plugs in through five seams: every literal appended to the trail
 is forwarded to ``on_assert``, backjumps call ``on_backtrack``, implied
 literals arrive from ``propagate`` with an opaque explanation handle that
@@ -89,6 +97,7 @@ class Solver:
         self.cla_activity = {}  # learned clause index -> activity
         self.trail = []
         self.trail_lim = []
+        self.assumed = []  # the last call's assumptions; see solve
         self.qhead = 0
         self.th_head = 0
         self.ok = True
@@ -136,12 +145,15 @@ class Solver:
     def add_clause(self, lits):
         """Store and watch a clause; False signals level-0 unsatisfiability.
 
-        Tautologies are dropped, duplicate and level-0-false literals are
-        removed, units are enqueued immediately.
+        Tautologies are dropped, and literals true or false at level 0 are
+        simplified away; a unit is enqueued and propagated at once. Above
+        level 0 a clause with two free literals is watched on them and
+        keeps the trail. Any other clause is unit or false under the trail
+        or satisfied above level 0, and backtracks to level 0 first.
         """
-        assert not self.trail_lim, "clauses may only be added at level 0"
         if not self.ok:
             return False
+        values, levels = self.values, self.levels
         seen = set()
         out = []
         for l in lits:
@@ -149,21 +161,26 @@ class Solver:
                 return True
             if l in seen:
                 continue
-            val = self.value(l)
-            if val == 1:
-                return True
-            if val == -1:
+            v = abs(l)
+            if values[v] and not levels[v]:
+                if self.value(l) == 1:
+                    return True
                 continue
             seen.add(l)
             out.append(l)
-        if not out:
-            self.ok = False
-            return False
-        if len(out) == 1:
-            if not self._enqueue(out[0], None):
-                self.ok = False
-                return False
-            if self.propagate() is not None:
+        if self.trail_lim:
+            # watch two free literals and keep the trail; a clause with
+            # fewer is unit, false or satisfied under the trail, and is
+            # added at level 0
+            free = [k for k, l in enumerate(out) if not values[abs(l)]]
+            if len(free) >= 2:
+                for k, f in enumerate(free[:2]):
+                    out[k], out[f] = out[f], out[k]
+            else:
+                self._cancel_until(0)
+        if len(out) < 2:
+            if not out or not self._enqueue(out[0], None) \
+                    or self.propagate() is not None:
                 self.ok = False
                 return False
             return True
@@ -447,17 +464,27 @@ class Solver:
         release those of the ``variables`` left unassigned for ``new_var``
         to reuse; returns the released ones, in increasing order.
 
-        Level 0 only. A variable assigned there keeps its value and slot.
+        It first backtracks below the lowest level above 0 that assigns one
+        of ``variables`` or holds a literal whose reason is deleted, so the
+        kept trail keeps every reason it reads, and a released slot keeps
+        no level. A variable assigned at level 0 keeps its value and slot.
         The caller vouches that no surviving input clause mentions a
         released variable; deleting a learned clause is always sound.
         """
-        assert not self.trail_lim, "clauses may only be removed at level 0"
         gone = {id(c) for c in clauses}
         variables = set(variables)
         learned = self.cla_activity
         drop = {ci for ci, c in enumerate(self.clauses)
                 if id(c) in gone or ci in learned and
                 any(abs(l) in variables for l in c)}
+        if self.trail_lim:
+            reasons = self.reasons
+            for lit in self.trail[self.trail_lim[0]:]:  # by level
+                v = abs(lit)
+                if v in variables or isinstance(reasons[v], int) \
+                        and reasons[v] in drop:
+                    self._cancel_until(self.levels[v] - 1)
+                    break
         if drop:
             self._compact(drop)
         freed = sorted(v for v in variables if not self.values[v])
@@ -488,18 +515,30 @@ class Solver:
         Returns sat with a total model, unsat with a failed-assumption
         subset, or unknown once ``time.monotonic()`` passes ``deadline``
         (polled once per search step: before the propagation that follows
-        each assumption, decision, restart or conflict). Every answer
-        leaves the solver at level 0.
+        each assumption, decision, restart or conflict).
+
+        An answer leaves the trail where the search stopped. The next call
+        backtracks only to the levels of the leading assumptions it shares
+        with this one, and carries on from there: level ``i + 1`` holds
+        ``assumptions[i]`` while it stands, as every level up to the
+        assumption count is built in order, and ``remove`` backtracks below
+        the level of any variable it releases, so a reused slot never
+        matches.
         """
         if not self.ok:
             return SolveResult("unsat")
         assumptions = list(assumptions)
-        self._cancel_until(0)
+        shared = 0
+        for held, want in zip(self.assumed, assumptions):
+            if held != want:
+                break
+            shared += 1
+        self.assumed = assumptions
+        self._cancel_until(shared)
         since_restart = 0
         restarts = 0
         while True:
             if deadline is not None and time.monotonic() > deadline:
-                self._cancel_until(0)
                 return SolveResult("unknown")
             confl = self._propagate_full()
             if confl is not None:
@@ -534,7 +573,6 @@ class Solver:
                     self.trail_lim.append(len(self.trail))
                 elif val == -1:
                     failed = self._analyze_final(p)
-                    self._cancel_until(0)
                     return SolveResult(
                         "unsat", failed=[a for a in assumptions if a in failed])
                 else:
@@ -547,7 +585,6 @@ class Solver:
                 model = {u: val == 1 for u, val in enumerate(self.values)
                          if val}
                 self.theory.on_solution()
-                self._cancel_until(0)
                 return SolveResult("sat", model=model)
             self.stats["decisions"] += 1
             self.trail_lim.append(len(self.trail))

@@ -513,6 +513,29 @@ def machine_script(seed, tasks):
     return "\n".join(lines)
 
 
+def check_kept_trail(session):
+    """The trail an answer leaves is consistent with the theory: its
+    levels open with the kept assumptions in order, neither log of the
+    theory holds a level above the trail's, and the closure is that of
+    the bounds of the atoms the theory has seen, built from scratch."""
+    solver, bridge, apsp = session.solver, session.bridge, session.apsp
+    top = len(solver.trail_lim)
+    for level, lit in enumerate(solver.assumed[:top], 1):
+        assert solver.value(lit) == 1 and solver.levels[lit] <= level
+    assert all(level <= top for level, _ in bridge.assigned_log)
+    assert all(level <= top for level, _, _ in apsp._trail)
+    edges = []
+    for lit in solver.trail[:solver.th_head]:
+        bound = bridge._bound_of(lit)
+        if bound is not None:
+            x, y, c = bound
+            edges.append((y, x, c))
+    n = apsp.n
+    D, R = scratch_floyd_warshall(n, edges)
+    assert (apsp._r[:n, :n] == R).all()
+    assert (apsp._d[:n, :n] == D).all()
+
+
 class TestAssignmentMask:
     """The bridge's mask of asserted atoms against the solver's values."""
 
@@ -541,13 +564,14 @@ class TestAssignmentMask:
             assert bridge.position.keys() == session.atoms.bounds.keys()
             assert len(set(bridge.position.values())) == len(bridge.position)
             if cmd.name == "check-sat":
-                # back at level 0; the theory has seen trail[:th_head], all
-                # of the trail except after a conflict at level 0
-                assert not solver.trail_lim
+                # the answer keeps its trail; the theory has seen
+                # trail[:th_head], all of it except after a conflict at
+                # level 0, and the mask marks exactly those atoms
                 seen = {abs(l) for l in solver.trail[:solver.th_head]}
                 want = sorted(k for var, k in bridge.position.items()
                               if var not in seen)
                 assert free_positions() == want
+                check_kept_trail(session)
         return session.stats, calls[0]
 
     def test_mask_matches_solver_values(self):
@@ -941,6 +965,35 @@ class TestPopByDeletion:
         last = sum(per_check[-100:]) / 100
         assert abs(last - first) <= 0.1 * first
 
+    def test_popped_constants_give_back_their_vertices(self):
+        # each frame declares a fresh constant; without vertex reuse the
+        # closure grows by one vertex a cycle and passes its 1,024 limit
+        lines = ["(set-logic QF_IDL)", "(declare-fun x () Int)",
+                 "(assert (< x 5))"]
+        for k in range(1100):
+            lines += ["(push 1)", f"(declare-fun u{k} () Int)",
+                      f"(assert (< x u{k}))", "(check-sat)", "(pop 1)"]
+        session = Session()
+        apsp = session.apsp
+        got, sizes = [], set()
+        for cmd in parse_script("\n".join(lines)):
+            resp = session.execute(cmd)
+            if cmd.name == "check-sat":
+                got.append(resp.text)
+            elif cmd.name == "pop":
+                sizes.add(session.stats["max_vertices"])
+                # a vertex no name holds has no edge and no path but its own
+                n = apsp.n
+                free = sorted(set(range(1, n)) - set(session._int_ids.values()))
+                assert free == [2]
+                assert not apsp.edges[2]
+                assert all(2 not in out for out in apsp.edges)
+                assert (apsp._r[2, :n] == (np.arange(n) == 2)).all()
+                assert (apsp._r[:n, 2] == (np.arange(n) == 2)).all()
+                assert not apsp._d[2, :n].any() and not apsp._d[:n, 2].any()
+        assert got == ["sat"] * 1100
+        assert sizes == {3}
+
     def test_verdicts_match_a_fresh_replay_of_the_live_assertions(self):
         cfg = SessionConfig(produce_unsat_cores=True)
         checks = {"sat": 0, "unsat": 0}
@@ -976,6 +1029,98 @@ class TestPopByDeletion:
                     _, rs = run_commands(head + kept + check, cfg)
                     assert rs[-1].text == "unsat", f"seed {seed}"
         assert checks["sat"] > 50 and checks["unsat"] > 50
+
+
+def kept_trail_script(seed):
+    """Random push, assert, check-sat and pop commands over four base Int
+    constants and constants declared inside frames, a name coming back
+    after its frame is popped. Assertions are named clauses of one to
+    three atoms, checks repeat between assertions, and push and pop move
+    one or more levels."""
+    rng = random.Random(seed)
+    scopes = [["v0", "v1", "v2", "v3"]]  # names declared per level
+    lines = ["(set-logic QF_IDL)"]
+    lines += [f"(declare-fun {name} () Int)" for name in scopes[0]]
+
+    def atom():
+        names = [name for scope in scopes for name in scope]
+        x, y = rng.sample(names, 2)
+        op = rng.choice(["<=", "<", ">=", ">"])
+        c = _num(rng.randint(-4, 4))
+        text = (f"({op} {x} {c})" if rng.random() < 0.3
+                else f"({op} (- {x} {y}) {c})")
+        return f"(not {text})" if rng.random() < 0.3 else text
+
+    for k in range(45):
+        roll = rng.random()
+        if roll < 0.15:
+            n = rng.choice([1, 1, 2])
+            lines.append(f"(push {n})")
+            scopes += [[] for _ in range(n)]
+        elif roll < 0.27 and len(scopes) > 1:
+            n = rng.randint(1, len(scopes) - 1)
+            lines.append(f"(pop {n})")
+            del scopes[-n:]
+        elif roll < 0.35 and len(scopes) > 1:
+            name = f"w{rng.randrange(3)}"
+            if all(name not in scope for scope in scopes):
+                lines.append(f"(declare-fun {name} () Int)")
+                scopes[-1].append(name)
+        elif roll < 0.75:
+            lits = [atom() for _ in range(rng.choice([1, 1, 2, 3]))]
+            body = lits[0] if len(lits) == 1 else f"(or {' '.join(lits)})"
+            lines.append(f"(assert (! {body} :named a{k}))")
+        else:
+            lines.append("(check-sat)")
+    return "\n".join(lines + ["(check-sat)"])
+
+
+class TestKeptTrail:
+    """An answer keeps its trail, and the next check carries on from the
+    assumption levels it shares. Verdicts, models and cores stay those of
+    a fresh session that replays the live assertions."""
+
+    @pytest.mark.parametrize("minimize", [False, True],
+                             ids=["core", "minimized-core"])
+    def test_verdicts_match_a_fresh_replay(self, minimize):
+        cfg = SessionConfig(produce_unsat_cores=True, minimize_core=minimize)
+        checks = {"sat": 0, "unsat": 0}
+        kept = 0
+        for seed in range(60):
+            session = Session(SessionConfig(**vars(cfg)))
+            head, frames = [], [[]]
+            for cmd in parse_script(kept_trail_script(seed)):
+                resp = session.execute(cmd)
+                assert not resp.is_error, (seed, resp.text)
+                check_kept_trail(session)
+                if cmd.name == "push":
+                    frames += [[] for _ in range(cmd.args[0])]
+                elif cmd.name == "pop":
+                    del frames[len(frames) - cmd.args[0]:]
+                elif cmd.name == "assert":
+                    frames[-1].append(cmd)
+                elif cmd.name != "check-sat":
+                    head.append(cmd)
+                if cmd.name != "check-sat":
+                    continue
+                kept += bool(session.solver.trail_lim)
+                live = [a for frame in frames for a in frame]
+                check = parse_script("(check-sat)")
+                _, rs = run_commands(head + live + check, cfg)
+                assert resp.text == rs[-1].text, f"seed {seed}"
+                checks[resp.text] += 1
+                if resp.text == "sat":
+                    ints, bools = session.model_env()
+                    for a in live:
+                        assert eval_term(a.args[0], ints, bools) is True
+                else:
+                    core = set(session.unsat_core_names())
+                    check_kept_trail(session)
+                    kept_live = [a for a in live if a.args[1] in core]
+                    _, rs = run_commands(head + kept_live + check, cfg)
+                    assert rs[-1].text == "unsat", f"seed {seed}"
+        assert checks["sat"] > 150 and checks["unsat"] > 150
+        assert kept > 150
 
 
 class TestDeterminism:

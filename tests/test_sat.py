@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 import time
@@ -41,6 +42,29 @@ def random_cnf(rng, n_vars, n_clauses, width=3):
             clause.append(v if rng.random() < 0.5 else -v)
         out.append(clause)
     return out
+
+
+def check_trail(s):
+    """The trail is consistent with the solver's arrays and clauses: each
+    literal is assigned once, at the level of its trail position; above
+    level 0 only the literal that opens a level has no reason; a clause
+    reason holds its literal, all its other literals false no later; and
+    no clause is false on the propagated part of the trail."""
+    assert len({abs(l) for l in s.trail}) == len(s.trail)
+    assert sum(1 for v in s.values if v) == len(s.trail)
+    for pos, lit in enumerate(s.trail):
+        v = abs(lit)
+        assert s.value(lit) == 1
+        assert s.levels[v] == bisect.bisect_right(s.trail_lim, pos)
+        r = s.reasons[v]
+        if r is None and s.levels[v]:
+            assert pos == s.trail_lim[s.levels[v] - 1]  # a decision
+        if isinstance(r, int):
+            assert lit in s.clauses[r]
+            assert all(s.value(q) == -1 and s.levels[abs(q)] <= s.levels[v]
+                       for q in s.clauses[r] if q != lit)
+    done = {-l for l in s.trail[:s.qhead]}
+    assert not any(all(l in done for l in c) for c in s.clauses)
 
 
 class TestAddClause:
@@ -285,12 +309,14 @@ class TestSolve:
         res = s.solve(deadline=time.monotonic() - 1)
         assert res.status == "unknown" and not s.trail_lim
         # a clock that passes the deadline at the sixth poll stops the search
-        # after some decisions; the answer must still leave level 0
+        # after some decisions; the answer leaves the trail where the search
+        # stopped, a consistent one from which the next call carries on
         ticks = itertools.count()
         monkeypatch.setattr(sat, "time",
                             SimpleNamespace(monotonic=lambda: next(ticks)))
         res = s.solve(deadline=5.5)
-        assert res.status == "unknown" and not s.trail_lim
+        assert res.status == "unknown" and s.trail_lim
+        check_trail(s)
         assert s.stats["decisions"] > 0
         assert s.solve().status == "unsat"
 
@@ -363,7 +389,16 @@ class TestTheoryHooks:
         assert res.status == "sat"
         model_lits = {v if b else -v for v, b in res.model.items()}
         assert {l for l, _ in th.asserted} == model_lits
-        assert th.backtracks[-1] == 0
+        # the answer keeps its trail: the theory saw every literal at its
+        # level and was told of no backtrack
+        assert th.asserted == [(l, s.levels[abs(l)]) for l in s.trail]
+        assert th.backtracks == []
+        # the next call backtracks to the assumption levels it shares
+        s.solve([3])
+        assert th.backtracks == [0]
+        assert s.trail[s.trail_lim[0]] == 3
+        s.solve([3, 2])
+        assert th.backtracks == [0, 1]
 
     def test_theory_conflict_becomes_clause(self):
         class Veto:
@@ -456,3 +491,148 @@ class TestBranchingHeap:
             rescaled += heap[2]
         assert decisions > 1500
         assert rescaled > 20 if var_inc > 1 else not rescaled
+
+
+class TestKeptTrail:
+    """An answer keeps its trail. A clause over two free literals keeps
+    it too, and removal backtracks only below the variables it releases
+    and the literals whose reasons it deletes."""
+
+    def solved(self):
+        """Six variables and assumptions 1, 2, 3 answered sat: the trail
+        holds 1, 2, 3 at levels 1 to 3 and the decisions -4, -5, -6."""
+        s = fresh(6)
+        assert s.solve([1, 2, 3]).status == "sat"
+        assert s.trail == [1, 2, 3, -4, -5, -6]
+        assert s.trail_lim == [0, 1, 2, 3, 4, 5]
+        return s
+
+    def test_two_free_literals_add_no_backtrack(self):
+        s = self.solved()
+        a, b = s.new_var(), s.new_var()
+        trail, lim = list(s.trail), list(s.trail_lim)
+        assert s.add_clause([-1, a, -2, b])
+        assert s.trail == trail and s.trail_lim == lim
+        assert s.clauses[-1][:2] == [a, b]  # the watches are the free ones
+        check_trail(s)
+        res = s.solve([1, 2, 3])
+        assert res.status == "sat" and (res.model[a] or res.model[b])
+
+    def test_unit_false_or_satisfied_clause_is_added_at_level_0(self):
+        for clause, fixed in (([-2, "a", 4], None), ([4, 5], None),
+                              ([5, 1], None), ([-3], -3)):
+            s = self.solved()
+            a = s.new_var()
+            clause = [a if l == "a" else l for l in clause]
+            assert s.add_clause(clause)
+            assert not s.trail_lim
+            if fixed is None:
+                assert s.trail == [] and s.clauses[-1] == clause
+            else:
+                assert s.trail == [fixed] and s.levels[abs(fixed)] == 0
+            check_trail(s)
+            res = s.solve([1, 2, 3])
+            if fixed is None:
+                assert res.status == "sat"
+                assert any(res.model[abs(l)] == (l > 0) for l in clause)
+            else:
+                assert res.status == "unsat" and res.failed == [3]
+        s = fresh(7)
+        s.add_clause([-1, 7])
+        assert s.solve([1, 2]).status == "sat"
+        assert s.add_clause([-1, -7])
+        assert not s.trail_lim
+        res = s.solve([1, 2])
+        assert res.status == "unsat" and res.failed == [1]
+
+    def test_remove_leaves_no_level_of_a_removed_variable(self):
+        s = self.solved()
+        assert s.remove([], [5]) == [5]
+        assert s.trail_lim == [0, 1, 2, 3]
+        assert s.remove([], [2, 6]) == [2, 6]
+        assert s.trail_lim == [0] and s.trail == [1]
+        check_trail(s)
+
+    def test_remove_keeps_no_literal_whose_reason_it_deletes(self):
+        s = fresh(8)
+        s.add_clause([-8, -1, 7])
+        s.add_clause([8])
+        assert s.solve([1]).status == "sat"
+        assert s.levels[7] == 1 and s.reasons[7] == 0
+        # 8 stays at level 0 and keeps its slot, but the clause that implied
+        # 7 goes, so 7 may not stay assigned without a reason
+        assert s.remove([s.clauses[0]], [8]) == []
+        assert s.values[8] == 1 and not s.values[7]
+        check_trail(s)
+
+    def test_reused_selector_slot_matches_no_kept_level(self):
+        s = fresh(3)
+        sels = [s.new_var() for _ in range(3)]
+        guards = []
+        for sel, lit in zip(sels, (1, 2, 3)):
+            s.add_clause([-sel, lit])
+            guards.append(s.clauses[-1])
+        assert s.solve(sels).status == "sat"
+        assert s.levels[sels[2]] == 3
+        assert s.remove([guards[2]], [sels[2]]) == [sels[2]]
+        assert len(s.trail_lim) == 2
+        # the same number guards another clause now; the call below shares
+        # only the two levels left
+        assert s.new_var() == sels[2]
+        s.add_clause([-sels[2], -1])
+        res = s.solve(sels)
+        assert res.status == "unsat" and res.failed == [sels[0], sels[2]]
+
+    def test_random_sessions_match_a_fresh_solver(self):
+        """Guarded clause groups and plain clauses over six shared
+        variables, added, removed and solved under the live selectors in a
+        random order; every answer is checked against a truth table and
+        the trail after it for consistency."""
+        kinds = {"kept": 0, "backtracked": 0}
+        answers = {"sat": 0, "unsat": 0}
+        for seed in range(60):
+            rng = random.Random(seed)
+            s = fresh(6)  # the shared variables
+            plain, groups = [], []
+
+            def add(cl):
+                lim = len(s.trail_lim)
+                s.add_clause(cl)
+                if lim:
+                    kinds["kept" if len(s.trail_lim) == lim
+                          else "backtracked"] += 1
+
+            for _ in range(40):
+                roll = rng.random()
+                if roll < 0.35:
+                    sel = s.new_var()
+                    body = random_cnf(rng, 6, rng.randint(1, 3))
+                    stored = len(s.clauses)
+                    for cl in body:
+                        add([-sel] + cl)
+                    groups.append((sel, s.clauses[stored:], body))
+                elif roll < 0.5 and groups:
+                    sel, stored, _ = groups.pop(rng.randrange(len(groups)))
+                    s.remove(stored, [sel])
+                elif roll < 0.55:
+                    cl = random_cnf(rng, 6, 1)[0] + random_cnf(rng, 6, 1)[0]
+                    plain.append(cl)
+                    add(cl)
+                else:
+                    picked = [g for g in groups if rng.random() < 0.85]
+                    res = s.solve([g[0] for g in picked])
+                    answers[res.status] += 1
+                    body = plain + [cl for g in picked for cl in g[2]]
+                    want = truth_table_sat(body, 6)
+                    assert res.status == ("sat" if want else "unsat"), seed
+                    if res.status == "sat":
+                        assert all(any(res.model[abs(l)] == (l > 0)
+                                       for l in cl) for cl in body)
+                    else:
+                        core = set(res.failed)
+                        body = plain + [cl for g in picked if g[0] in core
+                                        for cl in g[2]]
+                        assert truth_table_sat(body, 6) is None, seed
+                    check_trail(s)
+        assert min(answers.values()) > 100
+        assert min(kinds.values()) > 50, kinds
