@@ -2,12 +2,14 @@
 
 Each assertion is guarded by a fresh selector variable, so checks run under
 the assumptions "all active selectors", and the failed-assumption subset of
-an unsat answer is the unsat core. Pop deletes what the popped assertions
-added: their clauses, every learned clause that holds a popped selector or
-a retired variable, and their selectors, gate variables and the atoms no
-live assertion holds any more, whose variable slots the SAT core reuses;
-an Int constant no live atom reads gives its closure vertex back. A long
-push/check/pop session therefore stays the size of its live assertions.
+an unsat answer is the unsat core. Pop deletes the popped assertions'
+clauses, then keeps a variable only while a stored clause of a live
+assertion mentions it, it is a live selector or a declared Boolean, or it
+is fixed at level 0; a failed assertion applies the same rule. The SAT core
+reuses the slots of the other variables and deletes every learned clause
+over them, a retired atom leaves the theory, and an Int constant no live
+atom reads gives its closure vertex back. A long push/check/pop session
+therefore stays the size of its live assertions.
 Difference atoms flow to the shortest-path engine the moment the SAT core
 asserts them; implied atoms flow back as theory propagations with
 explanations reconstructed only if conflict analysis asks. An answer keeps
@@ -57,10 +59,9 @@ class _Record:
     term: tuple
     name: Optional[str]
     selector: int
-    # what a pop deletes: the clauses the assertion stored (guard and
-    # gates, the very list objects) and the atoms it holds
+    # the clauses the assertion stored (guard and gates, the very list
+    # objects): what a pop deletes, and what keeps variables live
     clauses: list
-    atoms: tuple
 
 
 @dataclass
@@ -332,8 +333,8 @@ class Session:
             # normalization recurses on the term; the session stays usable
             err = "term nesting too deep"
         if err is not None:
-            # no record holds the atoms the failed assertion interned
-            self._delete([], self.atoms.hold(), [])
+            # no stored clause holds what the failed assertion allocated
+            self._delete([])
             return _error(err)
         selector = self.solver.new_var()
         stored = len(self.solver.clauses)
@@ -346,7 +347,7 @@ class Session:
         else:
             self.solver.add_clause([-selector, root])
         rec = _Record(self._next_index, term, name, selector,
-                      self.solver.clauses[stored:], self.atoms.hold())
+                      self.solver.clauses[stored:])
         self._next_index += 1
         self.frames[-1].records.append(rec)
         self._sel2rec[rec.selector] = rec
@@ -374,32 +375,31 @@ class Session:
             del self._sel2rec[rec.selector]
             if rec.name is not None:
                 del self._names[rec.name]
-        clauses = [c for rec in popped for c in rec.clauses]
-        # the variables of these clauses that are neither atoms nor declared
-        # Booleans are the popped selectors and gates. A gate none of whose
-        # clauses was stored (each satisfied or cut to a unit at level 0)
-        # has a level-0 value, which it would keep anyway.
-        bools = set(self._bool_ids.values())
-        own = {abs(l) for c in clauses for l in c}
-        own = [v for v in own if v not in self.atoms.bounds and v not in bools]
-        self._delete(clauses, [v for rec in popped for v in rec.atoms],
-                     own + [rec.selector for rec in popped])
+        self._delete([c for rec in popped for c in rec.clauses])
         self.last_status = None
         return Response()
 
-    def _delete(self, clauses, held, variables):
-        """Delete ``clauses``, drop one holder of each atom in ``held``,
-        and retire ``variables`` and the atoms nobody holds any more.
+    def _delete(self, clauses):
+        """Delete ``clauses`` and retire every variable that is not live.
 
-        The solver also deletes every learned clause over a retired
-        variable and releases the retired variables for reuse, except
-        those assigned at level 0, which keep their value (and an atom
-        among them stays interned). The last sat answer's values of the
-        released atoms are kept for ``apsp_tsv``. Int constants that no
-        atom reads any more give their vertices to later new names.
+        A variable is live while a stored clause of a live assertion
+        mentions it, it is a live selector or a declared Boolean, or it is
+        fixed at level 0. The solver deletes every learned clause over a
+        retired variable and releases the retired variables for reuse, and
+        a retired atom leaves the bridge and the table. The last sat
+        answer's values of the retired atoms are kept for ``apsp_tsv``.
+        Int constants that no atom reads any more give their vertices to
+        later new names.
         """
-        unheld = self.atoms.release(held)
-        freed = self.solver.remove(clauses, [*variables, *unheld])
+        solver = self.solver
+        live = {abs(l) for rec in self.active_records()
+                for c in rec.clauses for l in c}
+        # released slots count as live, so none is released twice
+        live.update(self._sel2rec, self._bool_ids.values(), solver.free_vars)
+        values, levels = solver.values, solver.levels
+        dead = [v for v in range(1, len(values))
+                if v not in live and (levels[v] or not values[v])]
+        freed = solver.remove(clauses, dead)
         model = self._bool_model
         for var in freed:
             value = model.pop(var, None)

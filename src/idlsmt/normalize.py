@@ -44,10 +44,11 @@ class AtomTable:
     ``(x, y, c)``; ``on_new_atom``, when set, is called with
     ``(var, x, y, c)`` for each new atom.
 
-    Each atom counts its holders. ``hold`` makes one holder of every atom
-    interned since its last call, ``release`` drops one holder of each
-    atom given, and ``retire`` forgets an atom nobody holds. Each vertex
-    counts the atoms that read it, for ``reads``.
+    The table does not decide when an atom dies. The session keeps a
+    variable only while a stored clause of a live assertion mentions it,
+    it is a live selector or a declared Boolean, or it is fixed at level
+    0; ``retire`` forgets the atom of any other. Each vertex counts the
+    atoms that read it, for ``reads``.
     """
 
     def __init__(self, new_var):
@@ -55,8 +56,6 @@ class AtomTable:
         self.on_new_atom = None
         self._ids = {}
         self.bounds = {}
-        self._refs = {}  # atom var -> holders
-        self._interned = set()  # atom vars interned since the last hold()
         self._readers = {}  # vertex -> atoms over it
 
     def literal(self, x, y, c):
@@ -70,41 +69,22 @@ class AtomTable:
         var = self._ids.get(key)
         if var is None:
             var = self._new_var()
-            # an atom the theory refuses (too many vertices) stays unknown:
-            # its variable is left a plain Boolean with no bound
+            # an atom the theory refuses (too many vertices) is not
+            # interned; the session retires its variable with the rest of
+            # the failed assertion
             if self.on_new_atom is not None:
                 self.on_new_atom(var, *key)
             self._ids[key] = var
             self.bounds[var] = key
-            self._refs[var] = 0
             for u in key[:2]:
                 self._readers[u] = self._readers.get(u, 0) + 1
-        self._interned.add(var)
         return sign * var
 
-    def hold(self):
-        """One more holder for each atom interned since the last call;
-        returns those atom variables."""
-        held = tuple(self._interned)
-        self._interned.clear()
-        for var in held:
-            self._refs[var] += 1
-        return held
-
-    def release(self, held):
-        """One holder fewer for each atom in ``held``; returns the atoms
-        that nobody holds now."""
-        refs = self._refs
-        for var in held:
-            refs[var] -= 1
-        return {var for var in held if not refs[var]}
-
     def retire(self, var):
-        """Forget an atom nobody holds; its variable may then stand for
+        """Forget the atom of a retired variable, which may then stand for
         something else."""
         key = self.bounds.pop(var)
         del self._ids[key]
-        del self._refs[var]
         for u in key[:2]:
             self._readers[u] -= 1
             if not self._readers[u]:

@@ -8,9 +8,12 @@ unsat answer is what unsat cores are built from.
 Clauses can be deleted as well as added. ``remove`` deletes given clauses
 and every learned clause over given variables, then releases those of the
 variables left unassigned; ``new_var`` reuses a released slot before it
-grows, so a long session of additions and deletions keeps its size. One
-compaction routine renumbers the clause store after every deletion, a
-halving of the learned clauses included, so no holes remain.
+grows, so a long session of additions and deletions keeps its size. A
+session passes the variables its one liveness rule retires (see
+``engine``). Watch lists and reasons refer to a clause by reference, as
+MiniSat's do (Een & Sorensson, SAT 2003), so a deletion, a halving of the
+learned clauses included, unlinks each deleted clause from its two watch
+lists and renumbers nothing.
 
 The trail outlives an answer (van der Tak, Ramos & Heule, "Reusing the
 assignment trail in CDCL solvers", JSAT 2011). The next ``solve``
@@ -83,7 +86,7 @@ class Solver:
         self.theory = theory if theory is not None else NullTheory()
         self.values = [0]  # var-indexed: 0 unassigned, 1 true, -1 false
         self.levels = [0]
-        self.reasons = [None]  # clause index, ("th", handle), or None
+        self.reasons = [None]  # clause (a list), ("th", handle), or None
         self.phase = [False]
         self.activity = [0.0]
         # (-activity, var) of every unassigned live variable, plus stale
@@ -94,7 +97,9 @@ class Solver:
         self.free_vars = []  # released slots, reused by new_var
         self.watches = [[], []]  # literal-indexed (2v / 2v+1)
         self.clauses = []
-        self.cla_activity = {}  # learned clause index -> activity
+        # id of a learned clause -> activity; the store keeps the clause,
+        # so the id stays its own
+        self.cla_activity = {}
         self.trail = []
         self.trail_lim = []
         self.assumed = []  # the last call's assumptions; see solve
@@ -184,14 +189,13 @@ class Solver:
                 self.ok = False
                 return False
             return True
-        ci = len(self.clauses)
         self.clauses.append(out)
-        self._watch(out[0], ci)
-        self._watch(out[1], ci)
+        self._watch(out[0], out)
+        self._watch(out[1], out)
         return True
 
-    def _watch(self, lit, ci):
-        self.watches[2 * abs(lit) + (lit < 0)].append(ci)
+    def _watch(self, lit, c):
+        self.watches[2 * abs(lit) + (lit < 0)].append(c)
 
     def _enqueue(self, lit, reason):
         v = abs(lit)
@@ -207,8 +211,7 @@ class Solver:
     # -- propagation ---------------------------------------------------------
 
     def propagate(self):
-        """Boolean unit propagation to fixpoint; conflict clause index or None."""
-        clauses = self.clauses
+        """Boolean unit propagation to fixpoint; the conflict clause or None."""
         while self.qhead < len(self.trail):
             lit = self.trail[self.qhead]
             self.qhead += 1
@@ -217,26 +220,25 @@ class Solver:
             i = j = 0
             nw = len(ws)
             while i < nw:
-                ci = ws[i]
+                c = ws[i]
                 i += 1
-                c = clauses[ci]
                 if c[0] == -lit:
                     c[0], c[1] = c[1], c[0]
                 first = c[0]
                 if self.value(first) == 1:
-                    ws[j] = ci
+                    ws[j] = c
                     j += 1
                     continue
                 moved = False
                 for k in range(2, len(c)):
                     if self.value(c[k]) != -1:
                         c[1], c[k] = c[k], c[1]
-                        self._watch(c[1], ci)
+                        self._watch(c[1], c)
                         moved = True
                         break
                 if moved:
                     continue
-                ws[j] = ci
+                ws[j] = c
                 j += 1
                 if self.value(first) == -1:
                     while i < nw:
@@ -245,8 +247,8 @@ class Solver:
                         i += 1
                     del ws[j:]
                     self.qhead = len(self.trail)
-                    return ci
-                self._enqueue(first, ci)
+                    return c
+                self._enqueue(first, c)
                 self.stats["propagations"] += 1
             del ws[j:]
         return None
@@ -258,9 +260,9 @@ class Solver:
         """
         theory = self.theory
         while True:
-            ci = self.propagate()
-            if ci is not None:
-                return list(self.clauses[ci])
+            c = self.propagate()
+            if c is not None:
+                return list(c)
             while self.th_head < len(self.trail):
                 lit = self.trail[self.th_head]
                 self.th_head += 1
@@ -329,23 +331,24 @@ class Solver:
                      if held]
         heapify(self.heap)
 
-    def _bump_clause(self, ci):
-        if ci in self.cla_activity:
-            act = self.cla_activity[ci] + self.cla_inc
+    def _bump_clause(self, c):
+        key = id(c)
+        if key in self.cla_activity:
+            act = self.cla_activity[key] + self.cla_inc
             if act > _RESCALE:
                 inv = 1.0 / _RESCALE
                 for k in list(self.cla_activity):
                     self.cla_activity[k] *= inv
                 self.cla_inc *= inv
-                act = self.cla_activity[ci] + self.cla_inc
-            self.cla_activity[ci] = act
+                act = self.cla_activity[key] + self.cla_inc
+            self.cla_activity[key] = act
 
     def _reason_lits(self, p):
         """False literals feeding the implication of trail literal ``p``."""
         r = self.reasons[abs(p)]
-        if isinstance(r, int):
+        if isinstance(r, list):
             self._bump_clause(r)
-            return [q for q in self.clauses[r] if q != p]
+            return [q for q in r if q != p]
         if isinstance(r, tuple) and r[0] == "th":
             ante = self.theory.explain(r[1])
             return [-a for a in ante]
@@ -420,43 +423,46 @@ class Solver:
     # -- clause database -----------------------------------------------------------
 
     def _store_learned(self, lits):
-        ci = len(self.clauses)
         self.clauses.append(lits)
-        self.cla_activity[ci] = self.cla_inc
-        self._watch(lits[0], ci)
-        self._watch(lits[1], ci)
-        return ci
+        self.cla_activity[id(lits)] = self.cla_inc
+        self._watch(lits[0], lits)
+        self._watch(lits[1], lits)
 
     def _reduce_learned(self):
-        """Activity-based halving of the learned clause store."""
-        locked = {r for r in self.reasons if isinstance(r, int)}
-        victims = sorted(
-            (ci for ci in self.cla_activity if ci not in locked and
-             len(self.clauses[ci]) > 2),
-            key=lambda ci: (self.cla_activity[ci], -ci))
-        drop = set(victims[: len(victims) // 2])
+        """Activity-based halving of the learned clause store: the lowest
+        activity goes first, the newer clause first among equals."""
+        act = self.cla_activity
+        locked = {id(r) for r in self.reasons if isinstance(r, list)}
+        victims = sorted((act[id(c)], -k, id(c))
+                         for k, c in enumerate(self.clauses)
+                         if id(c) in act and id(c) not in locked and len(c) > 2)
+        drop = {key for _, _, key in victims[: len(victims) // 2]}
         if drop:
-            self._compact(drop)
+            self._delete(drop)
 
-    def _compact(self, drop):
-        """Delete the clauses at the indices in ``drop`` and renumber the
-        rest in order. Watches, learned activities and reasons follow the
-        new numbers; a reason whose clause is gone becomes None, which only
-        a level-0 literal may lose, since nothing reads its reason."""
-        kept, remap = [], {}
-        for ci, c in enumerate(self.clauses):
-            if ci not in drop:
-                remap[ci] = len(kept)
+    def _delete(self, drop):
+        """Delete the stored clauses whose ids are in ``drop``. Each leaves
+        the store, its learned activity and, by identity, the watch lists
+        of its two watched literals, so an equal clause stays watched. A
+        reason whose clause is gone becomes None, which only a level-0
+        literal may lose, since nothing reads its reason."""
+        kept, lists = [], set()
+        for c in self.clauses:
+            if id(c) in drop:
+                lists.add(2 * abs(c[0]) + (c[0] < 0))
+                lists.add(2 * abs(c[1]) + (c[1] < 0))
+                self.cla_activity.pop(id(c), None)
+            else:
                 kept.append(c)
         self.clauses = kept
-        self.cla_activity = {remap[ci]: act for ci, act
-                             in self.cla_activity.items() if ci in remap}
-        self.reasons = [remap.get(r) if isinstance(r, int) else r
-                        for r in self.reasons]
-        self.watches = [[] for _ in self.watches]
-        for ci, c in enumerate(kept):
-            self._watch(c[0], ci)
-            self._watch(c[1], ci)
+        watches = self.watches
+        for w in lists:
+            watches[w] = [c for c in watches[w] if id(c) not in drop]
+        reasons = self.reasons
+        for lit in self.trail[:self.trail_lim[0] if self.trail_lim else None]:
+            r = reasons[abs(lit)]
+            if isinstance(r, list) and id(r) in drop:
+                reasons[abs(lit)] = None
 
     def remove(self, clauses, variables):
         """Delete the stored ``clauses`` (the list objects ``add_clause``
@@ -469,24 +475,26 @@ class Solver:
         kept trail keeps every reason it reads, and a released slot keeps
         no level. A variable assigned at level 0 keeps its value and slot.
         The caller vouches that no surviving input clause mentions a
-        released variable; deleting a learned clause is always sound.
+        released variable (the session passes every variable that no
+        stored clause of a live assertion mentions and that is not a live
+        selector, a declared Boolean or fixed at level 0); deleting a
+        learned clause is always sound.
         """
-        gone = {id(c) for c in clauses}
         variables = set(variables)
         learned = self.cla_activity
-        drop = {ci for ci, c in enumerate(self.clauses)
-                if id(c) in gone or ci in learned and
-                any(abs(l) in variables for l in c)}
+        drop = {id(c) for c in clauses}
+        drop.update(id(c) for c in self.clauses
+                    if id(c) in learned and any(abs(l) in variables for l in c))
         if self.trail_lim:
             reasons = self.reasons
             for lit in self.trail[self.trail_lim[0]:]:  # by level
                 v = abs(lit)
-                if v in variables or isinstance(reasons[v], int) \
-                        and reasons[v] in drop:
+                if v in variables or isinstance(reasons[v], list) \
+                        and id(reasons[v]) in drop:
                     self._cancel_until(self.levels[v] - 1)
                     break
         if drop:
-            self._compact(drop)
+            self._delete(drop)
         freed = sorted(v for v in variables if not self.values[v])
         for v in freed:
             self.in_heap[v] = False  # its heap entries go stale
@@ -554,8 +562,8 @@ class Solver:
                 if len(learned) == 1:
                     self._enqueue(learned[0], None)
                 else:
-                    ci = self._store_learned(learned)
-                    self._enqueue(learned[0], ci)
+                    self._store_learned(learned)
+                    self._enqueue(learned[0], learned)
                 continue
             if since_restart >= _luby(64, restarts):
                 restarts += 1

@@ -161,15 +161,27 @@ class TestCheckSat:
         assert elapsed < 0.2
 
     def test_atom_over_the_vertex_limit_is_not_kept(self):
-        # the refused atom's variable is still decided; it must not reach
-        # the theory as an atom it never registered
+        # the refused atom's variable is allocated before the theory
+        # refuses it; the failed assertion retires it, so no search
+        # decides it and it never reaches the theory as an atom
         text = "(set-logic QF_IDL)" + "".join(
             f"(declare-fun v{i} () Int)(assert (<= v{i} 5))"
-            for i in range(1, 1025)) + "(check-sat)(get-model)"
-        session, rs = run(text)
-        assert [r.text for r in rs if r.is_error] == \
-            ['(error "more than 1024 difference variables")']
-        assert answers(rs)[1] == "sat"
+            for i in range(1, 1025))
+        text += "(push 1)(assert (<= v1024 5))(check-sat)(pop 1)" * 5
+        session = Session()
+        solver = session.solver
+        rs, sizes = [], []
+        for cmd in parse_script(text + "(check-sat)(get-model)"):
+            rs.append(session.execute(cmd))
+            if rs[-1].is_error:
+                assert orphan_vars(session) == []
+                sizes.append(solver.n_vars)
+        assert {r.text for r in rs if r.is_error} == \
+            {'(error "more than 1024 difference variables")'}
+        # the refusals reuse one slot
+        assert len(sizes) == 6 and set(sizes) == {2 * 1023 + 1}
+        verdicts = [r.text for r in rs if r.text and not r.is_error]
+        assert verdicts[:-1] == ["sat"] * 6
         assert len(session.atoms) == 1023
         assert session.apsp_tsv().count("\n") == 1024
         # nor does it leave a cell for propagation to read
@@ -1029,6 +1041,30 @@ class TestPopByDeletion:
                     _, rs = run_commands(head + kept + check, cfg)
                     assert rs[-1].text == "unsat", f"seed {seed}"
         assert checks["sat"] > 50 and checks["unsat"] > 50
+
+
+class TestLiveness:
+    """A variable stays only while a stored clause of a live assertion
+    mentions it, it is a live selector or a declared Boolean, or it is
+    fixed at level 0."""
+
+    def test_an_atom_no_stored_clause_holds_is_retired(self):
+        # the disjunction folds to true once its atom is interned, so the
+        # live assertion stores no clause that mentions the atom
+        head = DECLS + "(assert (or (< x y) true))"
+        later = ("(assert (< x y))(check-sat)(get-model)"
+                 "(assert (< y x))(check-sat)")
+        cmds = parse_script(head + "(push 1)(pop 1)" + later)
+        session, _ = run_commands(cmds[:4])
+        assert len(session.atoms) == 1 and not session.solver.clauses
+        for cmd in cmds[4:6]:
+            session.execute(cmd)
+        assert len(session.atoms) == 0 and not session.bridge.position
+        assert orphan_vars(session) == []
+        got = [session.execute(cmd) for cmd in cmds[6:]]
+        _, fresh = run(head + later)
+        assert answers(got) == answers(fresh)
+        assert answers(got)[::2] == ["sat", "unsat"]
 
 
 def kept_trail_script(seed):

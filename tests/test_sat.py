@@ -44,6 +44,12 @@ def random_cnf(rng, n_vars, n_clauses, width=3):
     return out
 
 
+def stored(s, c):
+    """Whether ``c`` is one of the clauses in the solver's store, by
+    identity: an equal clause elsewhere does not count."""
+    return any(d is c for d in s.clauses)
+
+
 def check_trail(s):
     """The trail is consistent with the solver's arrays and clauses: each
     literal is assigned once, at the level of its trail position; above
@@ -59,10 +65,11 @@ def check_trail(s):
         r = s.reasons[v]
         if r is None and s.levels[v]:
             assert pos == s.trail_lim[s.levels[v] - 1]  # a decision
-        if isinstance(r, int):
-            assert lit in s.clauses[r]
+        if isinstance(r, list):
+            assert stored(s, r)
+            assert lit in r
             assert all(s.value(q) == -1 and s.levels[abs(q)] <= s.levels[v]
-                       for q in s.clauses[r] if q != lit)
+                       for q in r if q != lit)
     done = {-l for l in s.trail[:s.qhead]}
     assert not any(all(l in done for l in c) for c in s.clauses)
 
@@ -108,9 +115,9 @@ class TestPropagate:
         s.add_clause([-1, -2])
         s.trail_lim.append(len(s.trail))
         s._enqueue(1, None)
-        ci = s.propagate()
-        assert ci is not None
-        assert sorted(s.clauses[ci]) in ([-2, -1], [[-1, 2], [-2, -1]][1])
+        confl = s.propagate()
+        assert confl is not None and stored(s, confl)
+        assert sorted(confl) in ([-2, -1], [[-1, 2], [-2, -1]][1])
 
     def _watch_invariant(self, s):
         for ci, c in enumerate(s.clauses):
@@ -175,9 +182,9 @@ class TestAnalyze:
         s.add_clause([-d, -c])
         s.trail_lim.append(len(s.trail))
         s._enqueue(a, None)
-        ci = s.propagate()
-        assert ci is not None
-        learned, bj = s._analyze(list(s.clauses[ci]))
+        confl = s.propagate()
+        assert confl is not None and stored(s, confl)
+        learned, bj = s._analyze(list(confl))
         assert learned == [-a]
         assert bj == 0
 
@@ -187,8 +194,9 @@ class TestAnalyze:
         s.add_clause([-1, -2])
         s.trail_lim.append(len(s.trail))
         s._enqueue(1, None)
-        ci = s.propagate()
-        learned, bj = s._analyze(list(s.clauses[ci]))
+        confl = s.propagate()
+        assert stored(s, confl)
+        learned, bj = s._analyze(list(confl))
         assert learned == [-1] and bj == 0
 
     def test_learned_clause_is_asserting(self):
@@ -434,6 +442,32 @@ class TestTheoryHooks:
         assert s.solve().status == "unsat"
 
 
+class TestClauseReferences:
+    """Watch lists and reasons hold the clause objects themselves."""
+
+    def test_deleting_one_of_two_equal_clauses_keeps_the_other_watched(self):
+        # the same clause in a base frame and in a pushed one: deleting the
+        # pushed copy unlinks it by identity, not the first equal clause
+        s = fresh(3)
+        s.add_clause([-1, 2, 3])
+        base = s.clauses[-1]
+        s.add_clause([-1, 2, 3])
+        pushed = s.clauses[-1]
+        assert pushed == base and pushed is not base
+        s.remove([pushed], [])
+        assert len(s.clauses) == 1 and s.clauses[0] is base
+        watched = [c for ws in s.watches for c in ws]
+        assert sum(c is base for c in watched) == 2
+        assert not any(c is pushed for c in watched)
+        s.trail_lim.append(len(s.trail))
+        s._enqueue(1, None)
+        s.trail_lim.append(len(s.trail))
+        s._enqueue(-3, None)
+        assert s.propagate() is None
+        assert s.value(2) == 1 and s.reasons[2] is base
+        check_trail(s)
+
+
 class LinearScan(Solver):
     """The branching rule as a linear scan, the reference for the heap:
     the unassigned live variable of highest activity, the lowest index
@@ -558,7 +592,7 @@ class TestKeptTrail:
         s.add_clause([-8, -1, 7])
         s.add_clause([8])
         assert s.solve([1]).status == "sat"
-        assert s.levels[7] == 1 and s.reasons[7] == 0
+        assert s.levels[7] == 1 and s.reasons[7] is s.clauses[0]
         # 8 stays at level 0 and keeps its slot, but the clause that implied
         # 7 goes, so 7 may not stay assigned without a reason
         assert s.remove([s.clauses[0]], [8]) == []
