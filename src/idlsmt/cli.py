@@ -6,10 +6,11 @@ executes, and flushes one command at a time. ``--tlimit`` gives each
 check-sat one monotonic deadline, and a search that reaches it answers
 unknown.
 
-Exit codes: 0 clean (sat and unsat both count), 1 usage/parse/sort errors
-(input nested too deep for the recursive parser or normalizer included),
-2 internal invariant violations. Responses go to standard output only;
-statistics and diagnostics go to the error stream.
+Exit codes: 0 clean (sat and unsat both count), 1 usage/parse/sort errors,
+2 internal invariant violations (``InternalError``). The passes over a term
+keep explicit stacks, so input nested at any depth gets an answer. Responses
+go to standard output only; statistics and diagnostics go to the error
+stream.
 """
 
 from __future__ import annotations
@@ -158,11 +159,7 @@ def run(argv=None, stdin=None, stdout=None):
     except _UsageError as e:
         print(f"idl-smt: error: {e}", file=sys.stderr)
         return 1
-    except RecursionError:
-        # input nested too deep for a recursive pass, not a broken invariant
-        print('(error "input nesting too deep")', file=out)
-        return 1
-    except (InternalError, RuntimeError, AssertionError):
+    except InternalError:
         traceback.print_exc()
         return 2
 

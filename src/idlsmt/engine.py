@@ -27,13 +27,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import normalize, sat, theory
+from .sat import InternalError
 from .smtlib import Command, format_int, render_symbol
 
 SUPPORTED_LOGIC = "QF_IDL"
-
-
-class InternalError(Exception):
-    """An invariant the engine relies on was violated."""
 
 
 class Response(NamedTuple):
@@ -329,9 +326,6 @@ class Session:
             err = f"constant overflow: {e}"
         except (normalize.NonDifferenceTerm, theory.TooManyVertices) as e:
             err = str(e)
-        except RecursionError:
-            # normalization recurses on the term; the session stays usable
-            err = "term nesting too deep"
         if err is not None:
             # no stored clause holds what the failed assertion allocated
             self._delete([])

@@ -10,8 +10,10 @@ Formulas become clauses through the usual fresh-variable gate encoding;
 only constants are folded, the Boolean structure is kept as written. The
 parser returns a ``let``-bound subterm as one shared object, so a term is a
 DAG; both passes cache compound nodes by identity and handle each distinct
-subterm once. Every gate is a two-sided equivalence, so one gate literal
-stands for its subterm wherever it occurs, under either polarity.
+subterm once, and integer subterms are reduced once each as well. Every
+pass keeps an explicit stack, so nesting depth is bounded by memory alone.
+Every gate is a two-sided equivalence, so one gate literal stands for its
+subterm wherever it occurs, under either polarity.
 """
 
 from __future__ import annotations
@@ -98,37 +100,74 @@ class AtomTable:
         return len(self.bounds)
 
 
-def _linear(t):
-    """Coefficient map and constant of a linear integer term."""
-    tag = t[0]
-    if tag == "int":
-        return {}, t[1]
-    if tag == "ivar":
-        return {t[1]: 1}, 0
+# how much of a term an error message shows
+_SHOWN = 300
+
+
+def _operands(u, s):
+    """Operands of the integer term ``u`` taken with sign ``s``, each with
+    its own sign, the first operand last."""
+    tag = u[0]
     if tag == "neg":
-        m, c = _linear(t[1])
-        return {v: -q for v, q in m.items()}, -c
-    if tag in ("add", "sub"):
-        ma, ca = _linear(t[1])
-        mb, cb = _linear(t[2])
-        s = 1 if tag == "add" else -1
-        out = dict(ma)
-        for v, q in mb.items():
-            out[v] = out.get(v, 0) + s * q
-        return out, ca + s * cb
-    raise NonDifferenceTerm(f"non-linear subterm in {render_term(t)}")
+        return [(u[1], -s)]
+    if tag == "add":
+        return [(u[2], s), (u[1], s)]
+    if tag == "sub":
+        return [(u[2], -s), (u[1], s)]
+    raise NonDifferenceTerm(f"non-linear subterm in {render_term(u, _SHOWN)}")
 
 
-def _difference_shape(lhs, rhs, src):
+def _sum(todo, memo):
+    """Coefficient map and constant of the sum of the signed terms on the
+    stack ``todo``, expanded term by term from the stack.
+
+    ``memo`` maps the id of each compound term met before to None, or to
+    its coefficients once it is met again and reduced by :func:`_linear`,
+    so a let-shared term costs time linear in its distinct nodes. The
+    caller's term keeps every node alive, so no id is reused.
+    """
+    coeffs, k = {}, 0
+    while todo:
+        u, s = todo.pop()
+        tag = u[0]
+        if tag == "ivar":
+            v = u[1]
+            coeffs[v] = coeffs.get(v, 0) + s
+        elif tag == "int":
+            k += s * u[1]
+        elif (reduced := memo.get(id(u), False)) is False:
+            memo[id(u)] = None
+            todo += _operands(u, s)
+        else:
+            m, c = reduced or _linear(u, memo)
+            for v, q in m.items():
+                coeffs[v] = coeffs.get(v, 0) + s * q
+            k += s * c
+    return coeffs, k
+
+
+def _linear(t, memo):
+    """Coefficients of the compound integer term ``t``, reduced bottom up
+    from an explicit stack so that each node is summed once; the results
+    are kept in ``memo`` and never modified."""
+    todo = [t]
+    while todo:
+        u = todo[-1]
+        pending = [k for k, _ in _operands(u, 1)
+                   if k[0] != "int" and k[0] != "ivar" and not memo.get(id(k))]
+        if pending:
+            todo += pending
+        else:
+            memo[id(u)] = _sum(_operands(u, 1), memo)
+            todo.pop()
+    return memo[id(t)]
+
+
+def _difference_shape(lhs, rhs, src, memo):
     """Reduce ``lhs - rhs`` to ``(x, y, k)`` meaning x - y + k, with x or y
-    possibly the zero variable (None)."""
-    ml, cl = _linear(lhs)
-    mr, cr = _linear(rhs)
-    coeffs = dict(ml)
-    for v, q in mr.items():
-        coeffs[v] = coeffs.get(v, 0) - q
+    possibly the zero variable (None); ``memo`` is :func:`_sum`'s."""
+    coeffs, k = _sum([(rhs, -1), (lhs, 1)], memo)
     coeffs = {v: q for v, q in coeffs.items() if q != 0}
-    k = cl - cr
     if not coeffs:
         return None, None, k
     if len(coeffs) == 1:
@@ -143,13 +182,13 @@ def _difference_shape(lhs, rhs, src):
         if len(pos) == 1 and len(neg) == 1:
             return pos[0], neg[0], k
     raise NonDifferenceTerm(
-        f"not a difference constraint: {render_term(src)}")
+        f"not a difference constraint: {render_term(src, _SHOWN)}")
 
 
 def _checked(c, src):
     if c < CONST_MIN or c > CONST_MAX:
         raise ConstantOverflow(
-            f"constant exceeds the 62-bit limit in {render_term(src)}")
+            f"constant exceeds the 62-bit limit in {render_term(src, _SHOWN)}")
     return c
 
 
@@ -161,6 +200,8 @@ class _Normalizer:
         # id -> skeleton of each compound node; the caller's term keeps
         # every node alive, so no id is reused during the walk
         self._done = {}
+        self._reduced = {}  # the memo of _sum, for integer subterms
+        self._cmps = {}  # id -> literal or constant of each comparison
 
     def _atom(self, x_name, y_name, c, src):
         _checked(c, src)
@@ -169,7 +210,7 @@ class _Normalizer:
         return ("lit", self.atoms.literal(x, y, c))
 
     def _cmp(self, op, lhs, rhs, src):
-        x, y, k = _difference_shape(lhs, rhs, src)
+        x, y, k = _difference_shape(lhs, rhs, src, self._reduced)
         if x is None and y is None:
             truth = {"<=": 0 <= -k, "<": 0 < -k, ">=": 0 >= -k,
                      ">": 0 > -k, "=": k == 0}[op]
@@ -189,7 +230,8 @@ class _Normalizer:
         parts = []
         for i in range(len(terms)):
             for j in range(i + 1, len(terms)):
-                x, y, k = _difference_shape(terms[i], terms[j], src)
+                x, y, k = _difference_shape(terms[i], terms[j], src,
+                                            self._reduced)
                 if x is None and y is None:
                     if k == 0:
                         return ("const", False)
@@ -201,35 +243,69 @@ class _Normalizer:
             return ("const", True)
         return ("and", parts)
 
-    def walk(self, t):
+    def _leaf(self, t):
+        """Skeleton of a term that is not compound. Leaves are interned by
+        the atom table rather than cached."""
         tag = t[0]
-        if tag == "bool":
-            return ("const", t[1])
+        if tag == "cmp":
+            # a let-shared comparison is reached once per use; an equality
+            # is a fresh two-atom node each time, as it gets a gate per use
+            node = self._cmps.get(id(t))
+            if node is None:
+                node = self._cmp(t[1], t[2], t[3], t)
+                if node[0] != "and":
+                    self._cmps[id(t)] = node
+            return node
         if tag == "bvar":
             return ("lit", self.resolve_bool(t[1]))
-        if tag == "cmp":
-            return self._cmp(t[1], t[2], t[3], t)
+        if tag == "bool":
+            return ("const", t[1])
         if tag == "distinct":
             return self._distinct(t[1], t)
-        # leaves above are interned by the atom table; compound nodes are
-        # keyed by identity, since hashing a nested tuple walks it again
-        node = self._done.get(id(t))
-        if node is not None:
-            return node
-        if tag == "not":
-            node = ("not", self.walk(t[1]))
-        elif tag in ("and", "or"):
-            node = (tag, [self.walk(k) for k in t[1]])
-        elif tag == "xor":
-            node = ("xor", self.walk(t[1]), self.walk(t[2]))
-        elif tag == "implies":
-            node = ("or", [("not", self.walk(t[1])), self.walk(t[2])])
-        elif tag == "ite":
-            node = ("ite", self.walk(t[1]), self.walk(t[2]), self.walk(t[3]))
-        else:
-            raise NonDifferenceTerm(f"unexpected term {render_term(t)}")
-        self._done[id(t)] = node
-        return node
+        raise NonDifferenceTerm(f"unexpected term {render_term(t, _SHOWN)}")
+
+    def walk(self, t):
+        """Skeleton of ``t``, walked depth first and left to right from an
+        explicit stack. Compound nodes are keyed by identity, since hashing
+        a nested tuple walks it again."""
+        leaf, done = self._leaf, self._done
+        # (term, operands, their skeletons); the bottom frame holds the answer
+        stack = [(None, (t,), [])]
+        while True:
+            u, kids, got = stack[-1]
+            n = len(got)
+            while n < len(kids):
+                k = kids[n]
+                tag = k[0]
+                if tag not in _COMPOUND:
+                    node = leaf(k)
+                else:
+                    node = done.get(id(k))
+                    if node is None:
+                        break
+                got.append(node)
+                n += 1
+            else:
+                if u is None:
+                    return got[0]
+                tag = u[0]
+                if tag == "not":
+                    node = ("not", got[0])
+                elif tag == "xor" or tag == "ite":
+                    node = (tag, *got)
+                elif tag == "implies":
+                    node = ("or", [("not", got[0]), got[1]])
+                else:
+                    node = (tag, got)
+                done[id(u)] = node
+                stack.pop()
+                stack[-1][2].append(node)
+                continue
+            kids = k[1] if tag == "and" or tag == "or" else k[1:]
+            stack.append((k, kids, []))
+
+
+_COMPOUND = frozenset(["not", "and", "or", "xor", "implies", "ite"])
 
 
 def skeleton(term, resolve_int, resolve_bool, atoms):
@@ -246,9 +322,9 @@ def _neg(v):
 
 
 class _Encoder:
-    # a class rather than nested functions: a self-recursive closure is a
-    # reference cycle, which would keep ``new_var`` (and so the solver
-    # behind it) alive until the cyclic garbage collector runs
+    # a class rather than nested functions: closures that call one another
+    # form a reference cycle, which would keep ``new_var`` (and so the
+    # solver behind it) alive until the cyclic garbage collector runs
     def __init__(self, new_var):
         self.new_var = new_var
         self.clauses = []
@@ -308,32 +384,58 @@ class _Encoder:
         return g
 
     def enc(self, nd):
-        tag = nd[0]
-        if tag == "lit" or tag == "const":
-            return nd[1]
-        lit = self._done.get(id(nd))
-        if lit is not None:
-            return lit
-        if tag == "not":
-            lit = _neg(self.enc(nd[1]))
-        elif tag == "and":
-            lit = self.gate_and([self.enc(k) for k in nd[1]])
-        elif tag == "or":
-            lit = self.gate_or([self.enc(k) for k in nd[1]])
-        elif tag == "xor":
-            lit = self.gate_xor(self.enc(nd[1]), self.enc(nd[2]))
-        elif tag == "ite":
-            c = self.enc(nd[1])
-            if c is True:
-                lit = self.enc(nd[2])
-            elif c is False:
-                lit = self.enc(nd[3])
+        """Literal of skeleton node ``nd``, encoded depth first and left to
+        right from an explicit stack. An ``ite`` whose condition folds to a
+        constant encodes only the branch it selects."""
+        done = self._done
+        # [node, kids, their literals], where an ite's branches wait for its
+        # condition; the bottom frame holds the answer
+        stack = [[None, (nd,), []]]
+        while True:
+            frame = stack[-1]
+            u, kids, got = frame
+            n = len(got)
+            while n < len(kids):
+                k = kids[n]
+                tag = k[0]
+                if tag == "lit" or tag == "const":
+                    lit = k[1]
+                elif tag == "not" and k[1][0] == "lit":
+                    lit = -k[1][1]  # a negated atom needs no frame
+                else:
+                    lit = done.get(id(k))
+                    if lit is None:
+                        break
+                got.append(lit)
+                n += 1
             else:
-                lit = self.gate_ite(c, self.enc(nd[2]), self.enc(nd[3]))
-        else:
-            raise ValueError(f"unknown skeleton tag {tag!r}")
-        self._done[id(nd)] = lit
-        return lit
+                if u is None:
+                    return got[0]
+                tag = u[0]
+                if tag == "ite":
+                    if n == 1:
+                        # the condition is encoded; now the branches it keeps
+                        c = got[0]
+                        frame[1] = (kids[0], u[2]) if c is True else \
+                            (kids[0], u[3]) if c is False else u[1:]
+                        continue
+                    lit = got[1] if n == 2 else self.gate_ite(*got)
+                elif tag == "not":
+                    lit = _neg(got[0])
+                elif tag == "and":
+                    lit = self.gate_and(got)
+                elif tag == "or":
+                    lit = self.gate_or(got)
+                elif tag == "xor":
+                    lit = self.gate_xor(*got)
+                else:
+                    raise ValueError(f"unknown skeleton tag {tag!r}")
+                done[id(u)] = lit
+                stack.pop()
+                stack[-1][2].append(lit)
+                continue
+            stack.append([k, k[1] if tag == "and" or tag == "or" else
+                          k[1:2] if tag == "ite" else k[1:], []])
 
 
 def to_cnf(node, new_var):

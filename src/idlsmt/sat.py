@@ -39,6 +39,12 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 
+class InternalError(Exception):
+    """An invariant the solver relies on was violated. Every layer raises
+    this one type for its own faults, so callers can tell them from bad
+    input."""
+
+
 class NullTheory:
     """No-op hooks for purely Boolean solving."""
 
@@ -49,7 +55,7 @@ class NullTheory:
         return ()
 
     def explain(self, handle):
-        raise RuntimeError("no theory attached")
+        raise InternalError("no theory attached")
 
     def on_backtrack(self, level):
         pass
@@ -352,7 +358,7 @@ class Solver:
         if isinstance(r, tuple) and r[0] == "th":
             ante = self.theory.explain(r[1])
             return [-a for a in ante]
-        raise RuntimeError("asked for the reason of a decision")
+        raise InternalError("asked for the reason of a decision")
 
     def _analyze(self, confl_lits):
         """First-UIP learning; returns (learned clause, backjump level).
@@ -380,7 +386,7 @@ class Solver:
                 else:
                     learned.append(q)
             if first and pathc == 0:
-                raise RuntimeError("conflict without a current-level literal")
+                raise InternalError("conflict without a current-level literal")
             first = False
             while abs(self.trail[idx]) not in seen:
                 idx -= 1

@@ -6,7 +6,9 @@ set-info, declare-fun (constants only), declare-const, assert (with
 get-unsat-core, and exit. Terms are parsed into tagged tuples and
 sort-checked against the declaration table; ``let`` bindings are resolved
 while parsing, and every use of a bound name is the one parsed term object,
-so a term with shared bindings is a DAG.
+so a term with shared bindings is a DAG. The lexer makes flat token lists
+and works out a line and column only for a command's head or an error; the
+parser keeps an explicit stack, so nesting depth is bounded by memory alone.
 
 Two reading styles: :func:`parse_script` consumes a whole input eagerly,
 while :class:`CommandReader` hands out one balanced command at a time as
@@ -19,6 +21,7 @@ characters may appear only in strings and quoted symbols.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from typing import NamedTuple
 
 
@@ -61,13 +64,6 @@ class UnsupportedCommand(SmtError):
         self.command = name
 
 
-class Token(NamedTuple):
-    kind: str  # lparen rparen symbol keyword numeral string reserved eof
-    text: str
-    line: int
-    col: int
-
-
 _RESERVED = frozenset(
     ["!", "_", "as", "let", "exists", "forall", "match", "par",
      "BINARY", "DECIMAL", "HEXADECIMAL", "NUMERAL", "STRING"]
@@ -106,59 +102,100 @@ _TOKEN = re.compile("[ \t\r\f\v]*(?:" + "|".join([
 ]) + ")", re.S)
 (_LPAREN, _RPAREN, _SYMBOL, _NUMERAL, _NUMERAL_NEXT, _NEWLINE, _COMMENT,
  _STRING, _QUOTED, _KEYWORD, _OTHER, _END) = range(1, 13)
-_KINDS = {_LPAREN: "lparen", _RPAREN: "rparen", _KEYWORD: "keyword"}
 # a lone opener matched by the catch-all: nothing closes it before the end
 _UNCLOSED = {'"': "unterminated string literal",
              "|": "unterminated quoted symbol",
              ":": "expected a keyword name after ':'"}
 
 
+class Tokens:
+    """The tokens of one text as flat parallel lists, ending with ``eof``.
+
+    Token ``i`` has kind ``kinds[i]`` (lparen rparen symbol keyword numeral
+    string reserved eof), text ``texts[i]`` (the body of a string or quoted
+    symbol) and first character at offset ``starts[i]`` of the text. Lines
+    and columns are worked out only when asked for, by bisecting the
+    offsets of the text's newlines.
+    """
+
+    __slots__ = ("kinds", "texts", "starts", "_text", "_line", "_col",
+                 "_newlines")
+
+    def __init__(self, text, start_line, start_col):
+        self.kinds, self.texts, self.starts = [], [], []
+        self._text, self._line, self._col = text, start_line, start_col
+        self._newlines = None
+
+    def locate(self, offset):
+        """``(line, col)`` of a character offset."""
+        nl = self._newlines
+        if nl is None:
+            text, nl, at = self._text, [], -1
+            while (at := text.find("\n", at + 1)) >= 0:
+                nl.append(at)
+            self._newlines = nl
+        n = bisect_left(nl, offset)
+        if not n:
+            return self._line, self._col + offset
+        return self._line + n, offset - nl[n - 1]
+
+    def position(self, i):
+        """``(line, col)`` of token ``i``."""
+        return self.locate(self.starts[i])
+
+
 def tokenize(text, start_line=1, start_col=1):
-    """Lex ``text`` into a token list ending with an ``eof`` marker.
+    """Lex ``text`` into :class:`Tokens`.
 
     ``start_line``/``start_col`` position the first character, so chunks cut
     out of a larger stream keep their original coordinates.
     """
-    toks = []
-    line, base = start_line, -start_col  # column of offset i is i - base
+    toks = Tokens(text, start_line, start_col)
+    add_kind, add_text, add_start = (
+        toks.kinds.append, toks.texts.append, toks.starts.append)
     for m in _TOKEN.finditer(text):
         k = m.lastindex
-        word, col = m.group(k), m.start(k) - base
-        if k in _KINDS:
-            toks.append(Token(_KINDS[k], word, line, col))
-        elif k == _SYMBOL:
-            kind = "reserved" if word in _RESERVED else "symbol"
-            toks.append(Token(kind, word, line, col))
+        if k == _SYMBOL:
+            word = m.group(k)
+            add_kind("reserved" if word in _RESERVED else "symbol")
+        elif k <= _RPAREN:
+            word = "(" if k == _LPAREN else ")"
+            add_kind("lparen" if k == _LPAREN else "rparen")
+        elif k == _KEYWORD:
+            word = m.group(k)
+            add_kind("keyword")
         elif k == _NUMERAL:
+            word = m.group(k)
             nxt = m.group(_NUMERAL_NEXT)
-            if nxt == ".":
-                raise LexError("decimal literals are not supported", line, col)
-            if nxt:
-                raise LexError(f"malformed numeral '{word}{nxt}'", line, col)
-            if len(word) > 1 and word[0] == "0":
-                raise LexError(f"numeral with a leading zero: '{word}'",
-                               line, col)
-            toks.append(Token("numeral", word, line, col))
-        elif k == _NEWLINE:
-            line += 1
-            base = m.start(k)
+            if nxt or len(word) > 1 and word[0] == "0":
+                at = toks.locate(m.start(k))
+                if nxt == ".":
+                    raise LexError("decimal literals are not supported", *at)
+                if nxt:
+                    raise LexError(f"malformed numeral '{word}{nxt}'", *at)
+                raise LexError(f"numeral with a leading zero: '{word}'", *at)
+            add_kind("numeral")
+        elif k == _NEWLINE or k == _COMMENT:
+            continue
         elif k == _STRING or k == _QUOTED:
             # the group holds the body; the token starts at the delimiter
-            if k == _STRING:
-                toks.append(Token("string", word.replace('""', '"'), line,
-                                  col - 1))
-            else:
-                toks.append(Token("symbol", word, line, col - 1))
-            if "\n" in word:
-                line += word.count("\n")
-                base = m.start(k) + word.rindex("\n")
+            word = m.group(k)
+            add_kind("string" if k == _STRING else "symbol")
+            add_text(word.replace('""', '"') if k == _STRING else word)
+            add_start(m.start(k) - 1)
+            continue
         elif k == _OTHER:
+            word = m.group(k)
             raise LexError(_UNCLOSED.get(word, f"illegal character {word!r}"),
-                           line, col)
-        elif k == _END:
+                           *toks.locate(m.start(k)))
+        else:
             # finditer may add an empty match after trailing blanks
-            toks.append(Token("eof", "", line, col))
+            add_kind("eof")
+            add_text("")
+            add_start(m.start(k))
             return toks
+        add_text(word)
+        add_start(m.start(k))
 
 
 class Command(NamedTuple):
@@ -170,18 +207,8 @@ class Command(NamedTuple):
 
 class _Cursor:
     def __init__(self, tokens):
-        self._toks = tokens
-        self._i = 0
-
-    def peek(self, ahead=0):
-        k = min(self._i + ahead, len(self._toks) - 1)
-        return self._toks[k]
-
-    def next(self):
-        t = self._toks[self._i]
-        if t.kind != "eof":
-            self._i += 1
-        return t
+        self.toks = tokens
+        self.i = 0  # the next token
 
 
 class DeclEnv:
@@ -194,10 +221,9 @@ class DeclEnv:
     def __init__(self):
         self._scopes = [(0, {})]  # (depth of the run's top level, declarations)
 
-    def declare(self, name, sort, tok=None):
+    def declare(self, name, sort):
         if self.sort_of(name) is not None:
-            raise ParseError(f"symbol '{name}' is already declared",
-                             getattr(tok, "line", None), getattr(tok, "col", None))
+            raise ParseError(f"symbol '{name}' is already declared")
         self._scopes[-1][1][name] = sort
 
     def sort_of(self, name):
@@ -221,280 +247,349 @@ class DeclEnv:
         return self._scopes[-1][0]
 
 
-def _expect(cur, kind, what=None):
-    t = cur.next()
-    if t.kind != kind:
-        raise ParseError(f"expected {what or kind}, found '{t.text or t.kind}'",
-                         t.line, t.col)
-    return t
+def _expect(toks, i, kind, what=None):
+    """Index past token ``i``, which must be of ``kind``."""
+    if toks.kinds[i] != kind:
+        found = toks.texts[i] or toks.kinds[i]
+        raise ParseError(f"expected {what or kind}, found '{found}'",
+                         *toks.position(i))
+    return i + 1
 
 
-def _parse_attr_value(cur):
-    t = cur.next()
-    if t.kind in ("symbol", "keyword", "string", "reserved"):
-        return t.text
-    if t.kind == "numeral":
-        return int(t.text)
-    if t.kind == "lparen":
-        vals = []
-        while cur.peek().kind != "rparen":
-            if cur.peek().kind == "eof":
-                raise ParseError("unterminated attribute value", t.line, t.col)
-            vals.append(_parse_attr_value(cur))
-        cur.next()
-        return tuple(vals)
-    raise ParseError("malformed attribute value", t.line, t.col)
+_ATTR_ATOMS = frozenset(
+    ["symbol", "keyword", "string", "reserved", "numeral"])
 
 
-def _parse_sort(cur):
-    t = cur.next()
-    if t.kind == "symbol" and t.text in ("Int", "Bool"):
-        return t.text
-    raise SortError(f"unsupported sort '{t.text or t.kind}'", t.line, t.col)
+def _attr_value(toks, i):
+    """Parse the attribute value at token ``i``; returns ``(value, next)``.
+    A parenthesized value is a tuple; nesting is kept on an explicit stack."""
+    kinds, texts = toks.kinds, toks.texts
+    lists = []  # (index of the '(', values so far) of each open list
+    while True:
+        k = kinds[i]
+        if lists and (k == "rparen" or k == "eof"):
+            if k == "eof":
+                raise ParseError("unterminated attribute value",
+                                 *toks.position(lists[-1][0]))
+            val = tuple(lists.pop()[1])
+        elif k == "lparen":
+            lists.append((i, []))
+            i += 1
+            continue
+        elif k in _ATTR_ATOMS:
+            val = int(texts[i]) if k == "numeral" else texts[i]
+        else:
+            raise ParseError("malformed attribute value", *toks.position(i))
+        i += 1
+        if not lists:
+            return val, i
+        lists[-1][1].append(val)
 
 
-def parse_term(cur, env, lets=None):
-    """Parse one term; returns ``(term, sort)`` with sorts checked."""
-    lets = lets or {}
-    t = cur.next()
-    if t.kind == "numeral":
-        return ("int", int(t.text)), "Int"
-    if t.kind == "symbol":
-        nm = t.text
-        if nm == "true":
-            return ("bool", True), "Bool"
-        if nm == "false":
-            return ("bool", False), "Bool"
-        if nm in lets:
-            return lets[nm]
-        sort = env.sort_of(nm)
-        if sort is None:
-            if len(nm) > 1 and nm[0] == "-" and nm[1:].isdigit():
-                raise ParseError(
-                    f"negative integers are written (- {nm[1:]}), not {nm}",
-                    t.line, t.col)
-            raise UnknownSymbol(f"undeclared symbol '{nm}'", t.line, t.col)
-        return (("ivar", nm) if sort == "Int" else ("bvar", nm)), sort
-    if t.kind != "lparen":
-        raise ParseError(f"unexpected token '{t.text or t.kind}' in term",
-                         t.line, t.col)
-    op = cur.next()
-    if op.kind == "reserved":
-        if op.text == "let":
-            return _parse_let(cur, env, lets)
-        if op.text == "!":
-            inner = parse_term(cur, env, lets)
-            _skip_attributes(cur)
-            _expect(cur, "rparen", "')'")
-            return inner
-        raise ParseError(f"'{op.text}' terms are not supported", op.line, op.col)
-    if op.kind != "symbol":
-        raise ParseError("expected an operator", op.line, op.col)
-    o = op.text
-    args = []
-    while cur.peek().kind != "rparen":
-        if cur.peek().kind == "eof":
-            raise ParseError(f"unterminated '{o}' application", op.line, op.col)
-        args.append(parse_term(cur, env, lets))
-    cur.next()
+def _skip_attributes(toks, i):
+    kinds = toks.kinds
+    while kinds[i] == "keyword":
+        i += 1
+        if kinds[i] not in ("rparen", "keyword", "eof"):
+            i = _attr_value(toks, i)[1]
+    return i
 
-    def need_ints():
-        for _, s in args:
-            if s != "Int":
-                raise SortError(f"'{o}' expects integer operands", op.line, op.col)
 
-    def need_bools():
-        for _, s in args:
-            if s != "Bool":
-                raise SortError(f"'{o}' expects Boolean operands", op.line, op.col)
+# operator -> (least operand count, operand sort)
+_SIGNATURES = {
+    "-": (1, "Int"), "+": (1, "Int"), "distinct": (2, "Int"),
+    "<": (2, "Int"), "<=": (2, "Int"), ">": (2, "Int"), ">=": (2, "Int"),
+    "=": (2, "Int"), "not": (1, "Bool"), "and": (1, "Bool"),
+    "or": (1, "Bool"), "xor": (2, "Bool"), "=>": (2, "Bool"),
+}
+_SORT_WORDS = {"Int": "integer", "Bool": "Boolean"}
+_LEFT_FOLDS = {"-": "sub", "+": "add", "xor": "xor"}
 
-    def arity_at_least(k):
-        if len(args) < k:
-            raise ParseError(f"'{o}' needs at least {k} operand(s)", op.line, op.col)
 
-    if o == "-":
-        arity_at_least(1)
-        need_ints()
-        if len(args) == 1:
-            return ("neg", args[0][0]), "Int"
-        acc = args[0][0]
-        for tm, _ in args[1:]:
-            acc = ("sub", acc, tm)
-        return acc, "Int"
-    if o == "+":
-        arity_at_least(1)
-        need_ints()
-        acc = args[0][0]
-        for tm, _ in args[1:]:
-            acc = ("add", acc, tm)
-        return acc, "Int"
-    if o in ("<", "<=", ">", ">=", "="):
-        arity_at_least(2)
-        if o == "=" and any(s == "Bool" for _, s in args):
-            raise SortError("'=' over Bool is not supported; only integer "
-                            "difference comparisons", op.line, op.col)
-        need_ints()
-        links = [("cmp", o, args[i][0], args[i + 1][0]) for i in range(len(args) - 1)]
-        return (links[0] if len(links) == 1 else ("and", tuple(links))), "Bool"
-    if o == "distinct":
-        arity_at_least(2)
-        need_ints()
-        return ("distinct", tuple(tm for tm, _ in args)), "Bool"
-    if o == "not":
-        if len(args) != 1:
-            raise ParseError("'not' takes exactly one operand", op.line, op.col)
-        need_bools()
-        return ("not", args[0][0]), "Bool"
-    if o in ("and", "or"):
-        arity_at_least(1)
-        need_bools()
-        return (o, tuple(tm for tm, _ in args)), "Bool"
-    if o == "xor":
-        arity_at_least(2)
-        need_bools()
-        acc = args[0][0]
-        for tm, _ in args[1:]:
-            acc = ("xor", acc, tm)
-        return acc, "Bool"
+def _apply(o, args, env):
+    """Term and sort of operator ``o`` applied to ``args``, a list of
+    ``(term, sort)``, after its arity and sort checks. Errors carry no
+    position; the caller gives them the operator's."""
+    sig = _SIGNATURES.get(o)
+    if sig is None:
+        if o == "ite":
+            if len(args) != 3:
+                raise ParseError("'ite' takes exactly three operands")
+            if args[0][1] != "Bool":
+                raise SortError("'ite' condition must be Boolean")
+            if args[1][1] == "Int" or args[2][1] == "Int":
+                raise SortError("integer-valued 'ite' is not supported")
+            return ("ite", args[0][0], args[1][0], args[2][0]), "Bool"
+        if o in ("*", "div", "mod", "abs"):
+            raise ParseError(
+                f"arithmetic operator '{o}' is outside difference logic")
+        if env.sort_of(o) is not None:
+            raise ParseError(f"'{o}' is not a function")
+        raise UnknownSymbol(f"unknown operator '{o}'")
+    least, sort = sig
+    if o == "not" and len(args) != 1:
+        raise ParseError("'not' takes exactly one operand")
+    if len(args) < least:
+        raise ParseError(f"'{o}' needs at least {least} operand(s)")
+    terms = []
+    for tm, s in args:
+        if s != sort:
+            if o == "=":
+                raise SortError("'=' over Bool is not supported; only "
+                                "integer difference comparisons")
+            raise SortError(f"'{o}' expects {_SORT_WORDS[sort]} operands")
+        terms.append(tm)
+    if o == "-" and len(terms) == 1:
+        return ("neg", terms[0]), "Int"
+    tag = _LEFT_FOLDS.get(o)
+    if tag is not None:
+        acc = terms[0]
+        for tm in terms[1:]:
+            acc = (tag, acc, tm)
+        return acc, sort
     if o == "=>":
-        arity_at_least(2)
-        need_bools()
-        acc = args[-1][0]
-        for tm, _ in reversed(args[:-1]):
+        acc = terms[-1]
+        for tm in reversed(terms[:-1]):
             acc = ("implies", tm, acc)
         return acc, "Bool"
-    if o == "ite":
-        if len(args) != 3:
-            raise ParseError("'ite' takes exactly three operands", op.line, op.col)
-        if args[0][1] != "Bool":
-            raise SortError("'ite' condition must be Boolean", op.line, op.col)
-        if args[1][1] == "Int" or args[2][1] == "Int":
-            raise SortError("integer-valued 'ite' is not supported", op.line, op.col)
-        return ("ite", args[0][0], args[1][0], args[2][0]), "Bool"
-    if o in ("*", "div", "mod", "abs"):
-        raise ParseError(f"arithmetic operator '{o}' is outside difference logic",
-                         op.line, op.col)
-    if env.sort_of(o) is not None:
-        raise ParseError(f"'{o}' is not a function", op.line, op.col)
-    raise UnknownSymbol(f"unknown operator '{o}'", op.line, op.col)
+    if o in ("and", "or", "distinct"):
+        return (o, tuple(terms)), "Bool"
+    if o == "not":
+        return ("not", terms[0]), "Bool"
+    links = [("cmp", o, terms[i], terms[i + 1]) for i in range(len(terms) - 1)]
+    return (links[0] if len(links) == 1 else ("and", tuple(links))), "Bool"
 
 
-def _parse_let(cur, env, lets):
-    _expect(cur, "lparen", "'(' opening the binding list")
-    binds = {}
-    while cur.peek().kind == "lparen":
-        cur.next()
-        s = _expect(cur, "symbol", "a bound name")
-        if s.text in binds:
-            raise ParseError(f"duplicate let binding '{s.text}'", s.line, s.col)
-        binds[s.text] = parse_term(cur, env, lets)
-        _expect(cur, "rparen", "')'")
-    _expect(cur, "rparen", "')' closing the binding list")
-    body = parse_term(cur, env, {**lets, **binds})
-    _expect(cur, "rparen", "')'")
-    return body
+_CONSTANTS = {"true": (("bool", True), "Bool"),
+              "false": (("bool", False), "Bool")}
+# what an open form on the term stack still waits for
+_ARGS, _BINDING, _BODY, _NOTE = range(4)
 
 
-def _skip_attributes(cur):
-    while cur.peek().kind == "keyword":
-        cur.next()
-        if cur.peek().kind not in ("rparen", "keyword", "eof"):
-            _parse_attr_value(cur)
+def _term(toks, i, env):
+    """Parse the term at token ``i``; returns ``(term, sort, next)``.
+
+    One loop with an explicit stack of open forms, so nesting depth is
+    bounded by memory alone. ``let`` scopes map a name to the stack of its
+    bindings, innermost last, and a scope is undone when its body closes.
+    """
+    kinds, texts = toks.kinds, toks.texts
+    stack = []  # [what it waits for, token index of its head, its state]
+    lets = {}  # bound name -> bindings in force, innermost last
+    leaves = dict(_CONSTANTS)  # name -> its leaf, for names no let binds
+    while True:
+        # a term starts at token i: a leaf gives val, a form is opened
+        k = kinds[i]
+        if k == "symbol":
+            nm = texts[i]
+            if nm in lets and nm not in _CONSTANTS:
+                val = lets[nm][-1]
+            elif nm in leaves:
+                val = leaves[nm]
+            else:
+                sort = env.sort_of(nm)
+                if sort is None:
+                    if len(nm) > 1 and nm[0] == "-" and nm[1:].isdigit():
+                        raise ParseError(
+                            f"negative integers are written (- {nm[1:]}), "
+                            f"not {nm}", *toks.position(i))
+                    raise UnknownSymbol(f"undeclared symbol '{nm}'",
+                                        *toks.position(i))
+                val = leaves[nm] = ((("ivar", nm) if sort == "Int"
+                                     else ("bvar", nm)), sort)
+            i += 1
+        elif k == "numeral":
+            val = ("int", int(texts[i])), "Int"
+            i += 1
+        elif k != "lparen":
+            raise ParseError(f"unexpected token '{texts[i] or k}' in term",
+                             *toks.position(i))
+        else:
+            op = i + 1
+            if kinds[op] == "symbol":
+                stack.append([_ARGS, op, []])
+                i = op + 1
+                val = None
+            elif kinds[op] != "reserved":
+                raise ParseError("expected an operator", *toks.position(op))
+            elif texts[op] == "let":
+                i = _expect(toks, op + 1, "lparen",
+                            "'(' opening the binding list")
+                frame = [_BINDING, op, {}, None]
+                stack.append(frame)
+                i = _next_binding(toks, i, frame, lets)
+                continue
+            elif texts[op] == "!":
+                stack.append([_NOTE, op, None])
+                i = op + 1
+                continue
+            else:
+                raise ParseError(f"'{texts[op]}' terms are not supported",
+                                 *toks.position(op))
+        # hand val to the innermost open form, closing forms as they end
+        while True:
+            if not stack:
+                return val[0], val[1], i
+            frame = stack[-1]
+            what = frame[0]
+            if what == _ARGS:
+                if val is not None:
+                    frame[2].append(val)
+                k = kinds[i]
+                if k != "rparen":
+                    if k == "eof":
+                        raise ParseError(
+                            f"unterminated '{texts[frame[1]]}' application",
+                            *toks.position(frame[1]))
+                    break
+                stack.pop()
+                i += 1
+                try:
+                    val = _apply(texts[frame[1]], frame[2], env)
+                except SmtError as e:
+                    e.line, e.col = toks.position(frame[1])
+                    raise
+            elif what == _BINDING:
+                frame[2][frame[3]] = val
+                i = _next_binding(toks, _expect(toks, i, "rparen", "')'"),
+                                  frame, lets)
+                break
+            elif what == _BODY:
+                i = _expect(toks, i, "rparen", "')'")
+                stack.pop()
+                for nm in frame[2]:
+                    bound = lets[nm]
+                    bound.pop()
+                    if not bound:
+                        del lets[nm]
+            else:
+                i = _expect(toks, _skip_attributes(toks, i), "rparen", "')'")
+                stack.pop()
 
 
-def _parse_assert_body(cur, env):
-    if cur.peek().kind == "lparen" and cur.peek(1).kind == "reserved" \
-            and cur.peek(1).text == "!":
-        cur.next()
-        cur.next()
-        term, sort = parse_term(cur, env)
+def _next_binding(toks, i, frame, lets):
+    """Step an open ``let`` at token ``i``: start its next binding, or close
+    the binding list and bring the bindings into scope for the body."""
+    if toks.kinds[i] == "lparen":
+        s = i + 1
+        i = _expect(toks, s, "symbol", "a bound name")
+        name = toks.texts[s]
+        if name in frame[2]:
+            raise ParseError(f"duplicate let binding '{name}'",
+                             *toks.position(s))
+        frame[3] = name
+        return i
+    i = _expect(toks, i, "rparen", "')' closing the binding list")
+    frame[0] = _BODY
+    for name, val in frame[2].items():
+        lets.setdefault(name, []).append(val)
+    return i
+
+
+def parse_term(cur, env):
+    """Parse one term; returns ``(term, sort)`` with sorts checked."""
+    term, sort, cur.i = _term(cur.toks, cur.i, env)
+    return term, sort
+
+
+def _parse_assert_body(toks, i, env):
+    """``(term, sort, name, next)`` of an asserted term, which may carry a
+    ``:named`` annotation."""
+    kinds = toks.kinds
+    if kinds[i] == "lparen" and kinds[i + 1] == "reserved" \
+            and toks.texts[i + 1] == "!":
+        term, sort, i = _term(toks, i + 2, env)
         name = None
-        while cur.peek().kind == "keyword":
-            kw = cur.next()
-            if kw.text == ":named":
-                name = _expect(cur, "symbol", "an assertion name").text
-            elif cur.peek().kind not in ("rparen", "keyword"):
-                _parse_attr_value(cur)
-        _expect(cur, "rparen", "')'")
-        return term, sort, name
-    term, sort = parse_term(cur, env)
-    return term, sort, None
+        while kinds[i] == "keyword":
+            i += 1
+            if toks.texts[i - 1] == ":named":
+                i = _expect(toks, i, "symbol", "an assertion name")
+                name = toks.texts[i - 1]
+            elif kinds[i] not in ("rparen", "keyword"):
+                i = _attr_value(toks, i)[1]
+        return term, sort, name, _expect(toks, i, "rparen", "')'")
+    term, sort, i = _term(toks, i, env)
+    return term, sort, None, i
 
 
 def parse_command(cur, env):
     """Consume exactly one command from the cursor; None at end of input.
 
-    Terms and attribute values are parsed recursively, so nesting deeper
-    than the interpreter's recursion limit is a ParseError at the command.
+    Terms and attribute values are parsed with explicit stacks, so any
+    nesting depth parses. Lines and columns are computed for the command's
+    head and for errors only; an error raised without a position is
+    reported at the command's name, or at the symbol a declaration clashes
+    on.
     """
-    t0 = cur.peek()
-    try:
-        return _parse_command(cur, env, t0)
-    except RecursionError:
-        raise ParseError("term nesting too deep", t0.line, t0.col) from None
-
-
-def _parse_command(cur, env, t0):
-    if t0.kind == "eof":
+    toks = cur.toks
+    kinds, texts = toks.kinds, toks.texts
+    i = cur.i
+    if kinds[i] == "eof":
         return None
-    if t0.kind != "lparen":
-        raise ParseError(f"expected '(' to start a command, found '{t0.text}'",
-                         t0.line, t0.col)
-    cur.next()
-    h = cur.next()
-    if h.kind not in ("symbol", "reserved"):
-        raise ParseError("expected a command name", h.line, h.col)
-    name = h.text
-    if name == "set-logic":
-        s = _expect(cur, "symbol", "a logic name")
-        _expect(cur, "rparen", "')'")
-        return Command("set-logic", (s.text,), h.line, h.col)
-    if name in ("set-option", "set-info"):
-        k = _expect(cur, "keyword", "a keyword")
-        val = None
-        if cur.peek().kind != "rparen":
-            val = _parse_attr_value(cur)
-        _expect(cur, "rparen", "')'")
-        return Command(name, (k.text, val), h.line, h.col)
-    if name in ("declare-fun", "declare-const"):
-        s = _expect(cur, "symbol", "a symbol")
-        if name == "declare-fun":
-            _expect(cur, "lparen", "'('")
-            if cur.peek().kind != "rparen":
-                raise UnsupportedCommand("declare-fun with a non-empty argument list",
-                                         h.line, h.col)
-            cur.next()
-        sort = _parse_sort(cur)
-        _expect(cur, "rparen", "')'")
-        env.declare(s.text, sort, s)
-        return Command(name, (s.text, sort), h.line, h.col)
-    if name == "assert":
-        term, sort, aname = _parse_assert_body(cur, env)
-        if sort != "Bool":
-            raise SortError("asserted term must be Boolean", h.line, h.col)
-        _expect(cur, "rparen", "')'")
-        return Command("assert", (term, aname), h.line, h.col)
-    if name in ("push", "pop"):
-        k = 1
-        if cur.peek().kind == "numeral":
-            k = int(cur.next().text)
-        if k < 1:
-            raise ParseError(f"{name} count must be at least 1", h.line, h.col)
-        _expect(cur, "rparen", "')'")
-        if name == "push":
-            env.push(k)
+    if kinds[i] != "lparen":
+        raise ParseError(f"expected '(' to start a command, found '{texts[i]}'",
+                         *toks.position(i))
+    at = h = i + 1
+    if kinds[h] not in ("symbol", "reserved"):
+        raise ParseError("expected a command name", *toks.position(h))
+    name, i = texts[h], h + 1
+    try:
+        if name == "set-logic":
+            i = _expect(toks, i, "symbol", "a logic name")
+            args = (texts[i - 1],)
+        elif name in ("set-option", "set-info"):
+            i = _expect(toks, i, "keyword", "a keyword")
+            val = None
+            if kinds[i] != "rparen":
+                val, i = _attr_value(toks, i)
+            args = (texts[h + 1], val)
+        elif name in ("declare-fun", "declare-const"):
+            i = _expect(toks, i, "symbol", "a symbol")
+            if name == "declare-fun":
+                i = _expect(toks, i, "lparen", "'('")
+                if kinds[i] != "rparen":
+                    raise UnsupportedCommand(
+                        "declare-fun with a non-empty argument list")
+                i += 1
+            if kinds[i] != "symbol" or texts[i] not in ("Int", "Bool"):
+                raise SortError(
+                    f"unsupported sort '{texts[i] or kinds[i]}'",
+                    *toks.position(i))
+            args = (texts[h + 1], texts[i])
+            i += 1
+        elif name == "assert":
+            term, sort, aname, i = _parse_assert_body(toks, i, env)
+            if sort != "Bool":
+                raise SortError("asserted term must be Boolean")
+            args = (term, aname)
+        elif name in ("push", "pop"):
+            args = (1,)
+            if kinds[i] == "numeral":
+                args = (int(texts[i]),)
+                i += 1
+            if args[0] < 1:
+                raise ParseError(f"{name} count must be at least 1")
+        elif name in ("check-sat", "get-model", "get-unsat-core", "exit"):
+            args = ()
+        elif name in _UNSUPPORTED_COMMANDS:
+            raise UnsupportedCommand(name)
         else:
-            if k > env.depth():
-                raise ParseError("pop below the bottom of the assertion stack",
-                                 h.line, h.col)
-            env.pop(k)
-        return Command(name, (k,), h.line, h.col)
-    if name in ("check-sat", "get-model", "get-unsat-core", "exit"):
-        _expect(cur, "rparen", "')'")
-        return Command(name, (), h.line, h.col)
-    if name in _UNSUPPORTED_COMMANDS:
-        raise UnsupportedCommand(name, h.line, h.col)
-    raise ParseError(f"unknown command '{name}'", h.line, h.col)
+            raise ParseError(f"unknown command '{name}'")
+        cur.i = _expect(toks, i, "rparen", "')'")
+        if name == "push":
+            env.push(args[0])
+        elif name == "pop":
+            if args[0] > env.depth():
+                raise ParseError("pop below the bottom of the assertion stack")
+            env.pop(args[0])
+        elif name in ("declare-fun", "declare-const"):
+            at = h + 1
+            env.declare(*args)
+    except SmtError as e:
+        if e.line is None:
+            e.line, e.col = toks.position(at)
+        raise
+    return Command(name, args, *toks.position(h))
 
 
 def parse_script(text, env=None):
@@ -611,37 +706,50 @@ def format_int(v):
     return str(v) if v >= 0 else f"(- {-v})"
 
 
-def render_term(t):
-    """Concrete-syntax rendering of a parsed term (for messages and files)."""
-    tag = t[0]
-    if tag == "int":
-        return format_int(t[1])
-    if tag in ("ivar", "bvar"):
-        return render_symbol(t[1])
-    if tag == "bool":
-        return "true" if t[1] else "false"
-    if tag == "neg":
-        return f"(- {render_term(t[1])})"
-    if tag == "add":
-        return f"(+ {render_term(t[1])} {render_term(t[2])})"
-    if tag == "sub":
-        return f"(- {render_term(t[1])} {render_term(t[2])})"
-    if tag == "cmp":
-        return f"({t[1]} {render_term(t[2])} {render_term(t[3])})"
-    if tag == "distinct":
-        return "(distinct " + " ".join(render_term(x) for x in t[1]) + ")"
-    if tag == "not":
-        return f"(not {render_term(t[1])})"
-    if tag in ("and", "or"):
-        return f"({tag} " + " ".join(render_term(x) for x in t[1]) + ")"
-    if tag == "xor":
-        return f"(xor {render_term(t[1])} {render_term(t[2])})"
-    if tag == "implies":
-        return f"(=> {render_term(t[1])} {render_term(t[2])})"
-    if tag == "ite":
-        return (f"(ite {render_term(t[1])} {render_term(t[2])} "
-                f"{render_term(t[3])})")
-    raise ValueError(f"unknown term tag {tag!r}")
+# the operator word of each compound term tag
+_HEADS = {"neg": "-", "add": "+", "sub": "-", "not": "not", "xor": "xor",
+          "implies": "=>", "ite": "ite"}
+
+
+def render_term(t, limit=None):
+    """Concrete-syntax rendering of a parsed term.
+
+    Written from an explicit stack. With ``limit``, the text stops after
+    that many characters and ends with ``...``, so a message about a deep
+    or let-shared term costs no more than its first characters.
+    """
+    out, size = [], 0
+    todo = [t]  # terms and literal pieces, the next one last
+    while todo:
+        x = todo.pop()
+        if type(x) is str:
+            piece = x
+        else:
+            tag = x[0]
+            if tag == "int":
+                piece = format_int(x[1])
+            elif tag in ("ivar", "bvar"):
+                piece = render_symbol(x[1])
+            elif tag == "bool":
+                piece = "true" if x[1] else "false"
+            else:
+                if tag == "cmp":
+                    head, kids = x[1], x[2:]
+                elif tag in ("distinct", "and", "or"):
+                    head, kids = tag, x[1]
+                elif tag in _HEADS:
+                    head, kids = _HEADS[tag], x[1:]
+                else:
+                    raise ValueError(f"unknown term tag {tag!r}")
+                todo.append(")")
+                for kid in reversed(kids):
+                    todo += (kid, " ")
+                piece = "(" + head
+        out.append(piece)
+        size += len(piece)
+        if limit is not None and size > limit:
+            return "".join(out)[:limit] + "..."
+    return "".join(out)
 
 
 def cursor(tokens):

@@ -28,6 +28,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .kernels import relax_edge
+from .sat import InternalError
 
 MAX_VERTICES = 1024  # keeps n-term int64 path sums clear of overflow
 
@@ -194,8 +195,8 @@ class DifferenceEngine:
                     pred[v] = (u, lit)
                     heappush(heap, (dv + h[v], v))
         if dst not in dist or dist[dst] > bound:
-            raise RuntimeError("shortest-path witness lost; engine state is "
-                               "inconsistent")
+            raise InternalError("shortest-path witness lost; engine state "
+                                "is inconsistent")
         lits = []
         v = dst
         while v != src:
@@ -237,7 +238,7 @@ class DifferenceEngine:
         for u, out in enumerate(self.edges):
             for v, hist in out.items():
                 if dist[u] + hist[-1][0] < dist[v]:
-                    raise RuntimeError(
+                    raise InternalError(
                         "closure model violates a committed bound")
         base = dist[ZERO_VAR]
         return {v: dv - base for v, dv in enumerate(dist)}
@@ -259,15 +260,15 @@ class DifferenceEngine:
         d = self._d[:n, :n]
         r = self._r[:n, :n]
         if not all(r[i, i] and d[i, i] == 0 for i in range(n)):
-            raise AssertionError("diagonal must be exactly zero")
+            raise InternalError("diagonal must be exactly zero")
         for k in range(n):
             via = r[:, k][:, None] & r[k, :][None, :]
             cand = d[:, k][:, None] + d[k, :][None, :]
             bad = via & (~r | (cand < d))
             if bad.any():
-                raise AssertionError("triangle inequality violated")
+                raise InternalError("triangle inequality violated")
         if (d[~r] != 0).any():
-            raise AssertionError("unreachable cells must hold 0")
+            raise InternalError("unreachable cells must hold 0")
 
     def snapshot(self):
         """Comparable copy of the visible state (for undo-exactness tests)."""

@@ -146,23 +146,58 @@ def nested_and(depth):
             "(check-sat)\n")
 
 
+def let_chain(depth, unsat=False):
+    # t0 = x, t_i = t_{i-1} + 1, asserting x + depth < y: a chain of
+    # single-binding lets, as SMT-LIB generators emit them
+    lets = "(let ((t0 x)) " + "".join(
+        f"(let ((t{i} (+ t{i - 1} 1))) " for i in range(1, depth + 1))
+    text = ("(set-logic QF_IDL)\n(declare-fun x () Int)\n"
+            "(declare-fun y () Int)\n(assert " + lets + f"(< t{depth} y)"
+            + ")" * (depth + 1) + ")\n")
+    if unsat:
+        text += f"(assert (<= y (+ x {depth})))\n"
+    return text + "(check-sat)\n"
+
+
 class TestDeepNesting:
-    # 600 levels overflowed the recursive normalizer, 2000 the parser; both
-    # must answer an error response rather than exit as an internal fault
+    # 600 levels once overflowed the recursive normalizer and 2000 the
+    # parser; every pass keeps an explicit stack now, so both answer
     @pytest.mark.parametrize("depth", [600, 2000])
-    def test_batch_answers_an_error(self, tmp_path, depth):
+    def test_batch_answers(self, tmp_path, depth):
         code, out = cli([write(tmp_path, "deep.smt2", nested_and(depth))])
-        assert code != 2
-        assert out.startswith("(error ") and "too deep" in out
+        assert (code, out) == (0, "sat\n")
 
     @pytest.mark.parametrize("depth", [600, 2000])
     def test_incremental_session_survives(self, depth):
         text = nested_and(depth) + "(assert (< y 0))\n(check-sat)\n"
         code, out = cli(["--incremental", "-"], text=text)
-        assert code != 2
-        lines = out.splitlines()
-        assert lines[0].startswith("(error ") and "too deep" in lines[0]
-        assert lines[1:] == ["sat", "sat"]
+        assert (code, out.splitlines()) == (0, ["sat", "sat"])
+
+    @pytest.mark.parametrize("shape", ["wide", "doubling"])
+    def test_non_difference_term_is_a_clean_error(self, shape):
+        # the message renders the term from a stack and stops early, so a
+        # 2,000-operand sum or a 40-level doubling let chain costs little
+        decls = "(set-logic QF_IDL)\n(declare-fun x () Int)\n"
+        if shape == "wide":
+            names = [f"z{i}" for i in range(2000)]
+            decls += "".join(f"(declare-fun {z} () Int)" for z in names)
+            term = "(<= (+ " + " ".join(names) + ") 3)"
+        else:
+            term = "(let ((a0 x)) " + "".join(
+                f"(let ((a{i} (+ a{i - 1} a{i - 1}))) " for i in range(1, 41))
+            term += "(<= a40 3)" + ")" * 41
+        code, out = cli(["-"], text=decls + f"(assert {term})\n(check-sat)\n")
+        assert code == 1 and len(out) < 400
+        assert out.startswith('(error "not a difference constraint: (<= ')
+        assert out.endswith('...")\n')
+
+    @pytest.mark.parametrize("incremental", [False, True],
+                             ids=["batch", "incremental"])
+    def test_let_chain_answers(self, incremental):
+        flags = ["--incremental"] if incremental else []
+        for unsat in (False, True):
+            code, out = cli(flags + ["-"], text=let_chain(10000, unsat))
+            assert (code, out) == (0, "unsat\n" if unsat else "sat\n")
 
 
 class TestFlags:
@@ -337,6 +372,16 @@ class TestFlags:
         path = write(tmp_path, "s.smt2", SAT_TEXT)
         out = io.StringIO()
         assert cli_mod.run([path], stdout=out) == 2
+
+    def test_sat_core_fault_exit_code(self, tmp_path, monkeypatch):
+        # every layer raises the one internal-fault type that run() maps
+        from idlsmt import cli as cli_mod
+        from idlsmt.sat import NullTheory
+
+        monkeypatch.setattr("idlsmt.engine.Session.execute",
+                            lambda self, cmd: NullTheory().explain(None))
+        path = write(tmp_path, "s.smt2", SAT_TEXT)
+        assert cli_mod.run([path], stdout=io.StringIO()) == 2
 
 
 class TestSubprocess:

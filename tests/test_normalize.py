@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -390,3 +391,42 @@ class TestSharedSubterms:
         n60, clauses60, _ = self.encode(let_chain(60))
         assert n60 <= 2.2 * n30
         assert len(clauses60) <= 2.2 * len(clauses30)
+
+
+def doubling_chain(depth, op):
+    # a_i = (op a_{i-1} a_{i-1}): a DAG of depth + 1 nodes whose tree
+    # expansion has 2^depth leaves
+    return ("(let ((a0 x)) " + "".join(
+        f"(let ((a{i} ({op} a{i - 1} a{i - 1}))) " for i in range(1, depth + 1)))
+
+
+class TestDeepIntegerTerms:
+    def test_wide_flat_sum(self):
+        # the parser left-folds the operands into a 2,000-deep add chain
+        h = Harness()
+        node = h.norm("(<= (+ x" + " 1" * 1999 + ") y)")
+        assert node[0] == "lit"
+        assert h.bound_of(node[1]) == (h.int_ids["x"], h.int_ids["y"], -1999)
+
+    def test_shared_chain_is_reduced_once_per_node(self):
+        # a_i = a_{i-1} - a_{i-1} = 0; reducing the tree would take 2^60 steps
+        h = Harness()
+        text = doubling_chain(60, "-") + "(<= (+ a60 x) y)" + ")" * 61
+        start = time.perf_counter()
+        node = h.norm(text)
+        assert time.perf_counter() - start < 5
+        assert h.bound_of(node[1]) == (h.int_ids["x"], h.int_ids["y"], 0)
+
+    def test_messages_show_a_bounded_prefix(self):
+        h = Harness()
+        names = [f"z{i}" for i in range(2000)]
+        with pytest.raises(NonDifferenceTerm) as e:
+            h.norm("(<= (+ " + " ".join(names) + ") 3)", decls=names)
+        msg = str(e.value)
+        assert msg.startswith("not a difference constraint: (<= (+ (+ (+ ")
+        assert msg.endswith("...") and len(msg) < 400
+        h = Harness()
+        text = doubling_chain(40, "+") + "(<= a40 y)" + ")" * 41
+        with pytest.raises(NonDifferenceTerm) as e:
+            h.norm(text)
+        assert str(e.value).endswith("...") and len(str(e.value)) < 400

@@ -1,4 +1,5 @@
 import io
+import random
 import time
 
 import pytest
@@ -8,15 +9,21 @@ from idlsmt.smtlib import (
     UnknownSymbol, UnsupportedCommand, cursor, parse_command, parse_script,
     parse_term, render_symbol, render_term, tokenize,
 )
+from idlsmt import smtlib
 from idlsmt.testkit import emit_benchmark
 
 
 def kinds(text):
-    return [t.kind for t in tokenize(text)][:-1]
+    return tokenize(text).kinds[:-1]
 
 
 def texts(text):
-    return [t.text for t in tokenize(text)][:-1]
+    return tokenize(text).texts[:-1]
+
+
+def pairs(text):
+    toks = tokenize(text)
+    return list(zip(toks.kinds, toks.texts))[:-1]
 
 
 class TestTokenize:
@@ -26,14 +33,14 @@ class TestTokenize:
 
     def test_comment_dropped(self):
         toks = tokenize("(assert (<= (- x y) 3)) ; c")
-        assert [t.text for t in toks[:-1]] == [
+        assert toks.texts[:-1] == [
             "(", "assert", "(", "<=", "(", "-", "x", "y", ")", "3", ")", ")"]
-        assert all(t.text != "c" for t in toks)
+        assert "c" not in toks.texts
 
     def test_keyword_token(self):
         toks = tokenize("(set-info :status unsat)")
-        kw = [t for t in toks if t.kind == "keyword"]
-        assert len(kw) == 1 and kw[0].text == ":status"
+        kw = [t for k, t in zip(toks.kinds, toks.texts) if k == "keyword"]
+        assert kw == [":status"]
 
     def test_hand_tokenized_preamble(self):
         # a typical benchmark preamble, transcribed token by token
@@ -48,13 +55,11 @@ class TestTokenize:
             # 2.6 would be a decimal, the preamble really carries "2.6" -
             # see the decimal test below; here we use the integer form
         ]
-        toks = tokenize('(set-info :smt-lib-version 2)\n')
-        got = [(t.kind, t.text) for t in toks[:-1]]
+        got = pairs('(set-info :smt-lib-version 2)\n')
         assert got[:4] == expected[:4]
         with pytest.raises(LexError):
             tokenize(text)  # "2.6" is a decimal literal, rejected
         sane = text.replace(" 2.6", " |2.6|")
-        toks = tokenize(sane)
         expected_full = [
             ("lparen", "("), ("symbol", "set-info"),
             ("keyword", ":smt-lib-version"), ("symbol", "2.6"),
@@ -70,23 +75,21 @@ class TestTokenize:
             ("lparen", "("), ("rparen", ")"), ("symbol", "Int"),
             ("rparen", ")"),
         ]
-        assert [(t.kind, t.text) for t in toks[:-1]] == expected_full
+        assert pairs(sane) == expected_full
 
     def test_positions(self):
         toks = tokenize("(a\n  b)")
-        a = next(t for t in toks if t.text == "a")
-        b = next(t for t in toks if t.text == "b")
-        assert (a.line, a.col) == (1, 2)
-        assert (b.line, b.col) == (2, 3)
+        assert toks.position(toks.texts.index("a")) == (1, 2)
+        assert toks.position(toks.texts.index("b")) == (2, 3)
+        assert toks.starts == [0, 1, 5, 6, 7]
 
     def test_offset_positions(self):
         toks = tokenize("(b)", start_line=7, start_col=12)
-        assert toks[0].line == 7 and toks[0].col == 12
+        assert toks.position(0) == (7, 12) and toks.position(3) == (7, 15)
 
     def test_string_literals(self):
         toks = tokenize('(echo "he said ""hi""")')
-        s = next(t for t in toks if t.kind == "string")
-        assert s.text == 'he said "hi"'
+        assert toks.texts[toks.kinds.index("string")] == 'he said "hi"'
 
     def test_unterminated_string(self):
         with pytest.raises(LexError) as e:
@@ -116,8 +119,9 @@ class TestTokenize:
 
     def test_end_of_text(self):
         toks = tokenize("12")
-        assert [(t.kind, t.text, t.col) for t in toks] == [
-            ("numeral", "12", 1), ("eof", "", 3)]
+        assert [(k, t, toks.position(i)) for i, (k, t)
+                in enumerate(zip(toks.kinds, toks.texts))] == [
+            ("numeral", "12", (1, 1)), ("eof", "", (1, 3))]
         assert kinds("x \t") == ["symbol"]  # one eof after trailing blanks
 
     def test_odd_quote_run_is_unterminated(self):
@@ -129,17 +133,114 @@ class TestTokenize:
 
     def test_multi_line_quoted_symbol(self):
         toks = tokenize("(declare-fun |a\nb| () Int)")
-        assert toks[2] == ("symbol", "a\nb", 1, 14)
-        assert (toks[3].line, toks[3].col) == (2, 4)
+        assert (toks.kinds[2], toks.texts[2]) == ("symbol", "a\nb")
+        assert toks.position(2) == (1, 14) and toks.position(3) == (2, 4)
 
     def test_roundtrip_with_spaces(self):
         text = "(assert (<= (- x y) 3))"
-        joined = " ".join(t.text for t in tokenize(text)[:-1])
+        joined = " ".join(texts(text))
         assert kinds(joined) == kinds(text)
 
     def test_determinism(self):
         text = '(set-info :x "s") (assert (< a b)) ; note'
-        assert tokenize(text) == tokenize(text)
+        a, b = tokenize(text), tokenize(text)
+        assert (a.kinds, a.texts, a.starts) == (b.kinds, b.texts, b.starts)
+
+
+def reference_tokenize(text, start_line=1, start_col=1):
+    """The lexer as it was before tokens became flat lists: one
+    ``(kind, text, line, col)`` per token, the position tracked line by line
+    as the text is matched. Kept to check the flat lexer against."""
+    g = smtlib
+    kinds = {g._LPAREN: "lparen", g._RPAREN: "rparen", g._KEYWORD: "keyword"}
+    toks = []
+    line, base = start_line, -start_col  # column of offset i is i - base
+    for m in g._TOKEN.finditer(text):
+        k = m.lastindex
+        word, col = m.group(k), m.start(k) - base
+        if k in kinds:
+            toks.append((kinds[k], word, line, col))
+        elif k == g._SYMBOL:
+            kind = "reserved" if word in g._RESERVED else "symbol"
+            toks.append((kind, word, line, col))
+        elif k == g._NUMERAL:
+            nxt = m.group(g._NUMERAL_NEXT)
+            if nxt == ".":
+                raise LexError("decimal literals are not supported", line, col)
+            if nxt:
+                raise LexError(f"malformed numeral '{word}{nxt}'", line, col)
+            if len(word) > 1 and word[0] == "0":
+                raise LexError(f"numeral with a leading zero: '{word}'",
+                               line, col)
+            toks.append(("numeral", word, line, col))
+        elif k == g._NEWLINE:
+            line += 1
+            base = m.start(k)
+        elif k == g._STRING or k == g._QUOTED:
+            if k == g._STRING:
+                toks.append(("string", word.replace('""', '"'), line, col - 1))
+            else:
+                toks.append(("symbol", word, line, col - 1))
+            if "\n" in word:
+                line += word.count("\n")
+                base = m.start(k) + word.rindex("\n")
+        elif k == g._OTHER:
+            raise LexError(g._UNCLOSED.get(word, f"illegal character {word!r}"),
+                           line, col)
+        elif k == g._END:
+            toks.append(("eof", "", line, col))
+            return toks
+
+
+# pieces of random SMT-LIB text, one character class each; the rarer ones
+# are what a lexer gets wrong: quotes, bars, comments, "" runs, numerals
+# running into letters or a dot, and non-ASCII characters
+_COMMON = ["(", ")", " ", "  ", "\n", "x", "ab", "<=", "-", "+", "let", "!",
+           ":named", "12", "0", "|q r|", '"s t"', "\t"]
+_RARE = ['"', '""', '"""', "|", "||", ";", "; c (\n", "1.5", "12a", "01",
+         "3.", "9_", ":", ": ", "\r", "\f", "é", "²", "٣", "|é\n|",
+         '"a\n""b"', "é\n", "\n\n", "|a\nb\n|", "x.y", "-3", "~@$%^&*"]
+
+
+def random_text(rng):
+    out = []
+    for _ in range(rng.randint(0, 30)):
+        pool = _RARE if rng.random() < 0.1 else _COMMON
+        out.append(rng.choice(pool))
+    return "".join(out)
+
+
+def flat_tokens(text, line=1, col=1):
+    toks = tokenize(text, line, col)
+    return [(k, t, *toks.position(i))
+            for i, (k, t) in enumerate(zip(toks.kinds, toks.texts))]
+
+
+def lexed(lex, text, line, col):
+    try:
+        return lex(text, line, col)
+    except LexError as e:
+        return (type(e), e.message, e.line, e.col)
+
+
+class TestLexerDifferential:
+    def test_flat_lexer_matches_the_reference(self):
+        rng = random.Random(9)
+        errors = 0
+        for _ in range(3000):
+            text = random_text(rng)
+            line, col = rng.choice([(1, 1), (1, 1), (7, 12), (40, 1)])
+            want = lexed(reference_tokenize, text, line, col)
+            assert lexed(flat_tokens, text, line, col) == want, repr(text)
+            errors += isinstance(want, tuple)
+        # both outcomes are well represented
+        assert 600 < errors < 2400
+
+    def test_benchmark_corpus_matches_the_reference(self):
+        for family, n in [("negative-cycle-chain", 6), ("diamond-grid", 5),
+                          ("window-scheduling", 5)]:
+            text, _ = emit_benchmark(family, n, seed=3)
+            assert flat_tokens(text) == reference_tokenize(text)
 
 
 def _parse_one(text, env=None):
@@ -279,14 +380,87 @@ class TestTerms:
     def test_render_symbol_reads_back(self):
         for name in ["x", "a.b", "+", "1x", "let", "café", "a b", "a\nb",
                      'say "hi"', "a;b", ""]:
-            [tok, _] = tokenize(render_symbol(name))
-            assert (tok.kind, tok.text) == ("symbol", name)
+            assert pairs(render_symbol(name)) == [("symbol", name)]
         assert render_symbol("x") == "x"
         assert render_symbol("let") == "|let|"
         env = _int_env("café", "a b")
         text = "(<= (- |café| |a b|) (- 3))"
         term, _ = parse_term(cursor(tokenize(text)), env)
         assert render_term(term) == text
+
+
+class TestDepth:
+    """Every pass keeps an explicit stack, so depth is bounded by memory."""
+
+    def test_let_scope_ends_with_its_body(self):
+        env = _int_env("x", "y")
+        env.declare("p", "Bool")
+        term, _ = parse_term(cursor(tokenize(
+            "(let ((p (< x y))) (and (let ((p (< y x))) p) p))")), env)
+        assert term == ("and", (("cmp", "<", ("ivar", "y"), ("ivar", "x")),
+                                ("cmp", "<", ("ivar", "x"), ("ivar", "y"))))
+        term, _ = parse_term(cursor(tokenize(
+            "(and (let ((p (< x y))) p) p)")), env)
+        assert term[1][1] == ("bvar", "p")
+
+    def test_let_binding_errors_keep_their_positions(self):
+        env = _int_env("x")
+        for text, msg, col in [
+                ("(let ((a 1) (a 2)) (< a x))", "duplicate let binding 'a'", 14),
+                ("(let (a 1) (< a x))", "expected ')' closing the binding "
+                 "list, found 'a'", 7),
+                ("(let ((a 1 2)) (< a x))", "expected ')', found '2'", 12),
+                ("(let ((a 1)) (< a x) x)", "expected ')', found 'x'", 22)]:
+            with pytest.raises(ParseError) as e:
+                parse_term(cursor(tokenize(text)), env)
+            assert (e.value.message, e.value.line, e.value.col) == (msg, 1, col)
+
+    def test_nested_ands(self):
+        env = _int_env("x", "y")
+        n = 30000
+        text = "(and (< x y) " * n + "(< x 5)" + ")" * n
+        term, sort = parse_term(cursor(tokenize(text)), env)
+        depth = 0
+        while term[0] == "and":
+            term, depth = term[1][1], depth + 1
+        assert (sort, depth, term) == ("Bool", n, ("cmp", "<", ("ivar", "x"),
+                                                   ("int", 5)))
+
+    def test_let_chain_parses_in_linear_time(self):
+        # a copied binding map per level took 3.6 s at 8,000 levels
+        env = _int_env("x", "y")
+        n = 20000
+        text = ("(let ((t0 x)) " + "".join(
+            f"(let ((t{i} (+ t{i - 1} 1))) " for i in range(1, n + 1))
+            + f"(< t{n} y)" + ")" * (n + 1))
+        start = time.perf_counter()
+        term, _ = parse_term(cursor(tokenize(text)), env)
+        assert time.perf_counter() - start < 5
+        assert term[0] == "cmp" and term[3] == ("ivar", "y")
+
+    def test_deep_attribute_value(self):
+        n = 100000
+        cmd = _parse_one("(set-info :x " + "(" * n + "1" + ")" * n + ")")
+        value, depth = cmd.args[1], 0
+        while isinstance(value, tuple):
+            value, depth = value[0], depth + 1
+        assert (value, depth) == (1, n)
+
+    def test_annotations_inside_terms_are_skipped(self):
+        env = _int_env("x", "y")
+        term, _ = parse_term(cursor(tokenize(
+            "(! (and (! (< x y) :a (1 (2)) :b) (< y 3)) :named n)")), env)
+        assert term == ("and", (("cmp", "<", ("ivar", "x"), ("ivar", "y")),
+                                ("cmp", "<", ("ivar", "y"), ("int", 3))))
+
+    def test_render_is_iterative_and_can_stop(self):
+        term = ("bvar", "p")
+        for _ in range(100000):
+            term = ("not", term)
+        text = render_term(term)
+        assert text == "(not " * 100000 + "p" + ")" * 100000
+        assert render_term(term, 12) == "(not (not (n..."
+        assert render_term(("bvar", "p"), 12) == "p"
 
 
 class TestParseScript:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from idlsmt.kernels import BLOCK_MIN_N
+from idlsmt.sat import InternalError
 from idlsmt.theory import MAX_VERTICES, DifferenceEngine, TooManyVertices
 from idlsmt.testkit import bellman_ford_consistent, scratch_floyd_warshall
 
@@ -390,7 +391,7 @@ class TestExplain:
                         at = v
                         total += w
                     assert at == dst and total == want
-                    with pytest.raises(RuntimeError):
+                    with pytest.raises(InternalError):
                         e.explain_path(src, dst, want - 1, stamp=t)
         assert restricted > 50
 
@@ -479,8 +480,16 @@ class TestModel:
         e = engine(2)
         e.assert_atom(1, 0, -3, lit=5, level=1)  # edge 0 -> 1 weight -3
         e._r[0, 1] = False  # the closure loses the path the edge gives
-        with pytest.raises(RuntimeError):
+        with pytest.raises(InternalError):
             e.extract_model()
+
+    def test_invariant_check_raises_an_internal_error(self):
+        e = engine(3)
+        e.assert_atom(1, 0, -3, lit=5, level=1)
+        e.check_invariants()
+        e._d[0, 0] = -1
+        with pytest.raises(InternalError, match="diagonal"):
+            e.check_invariants()
 
     def test_random_consistent_sets_are_satisfied(self):
         rng = random.Random(19)
