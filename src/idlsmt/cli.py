@@ -19,7 +19,7 @@ import argparse
 import sys
 import traceback
 
-from .engine import InternalError, Session, SessionConfig
+from .engine import InternalError, Session, SessionConfig, error_text
 from .smtlib import CommandReader, DeclEnv, SmtError, cursor, parse_command, \
     parse_script, tokenize
 
@@ -94,7 +94,7 @@ def _run_interactive(opts, stream, out):
         try:
             cmd = parse_command(cursor(tokenize(text, line, col)), env)
         except SmtError as e:
-            print(f'(error "{e}")', file=out, flush=True)
+            print(error_text(str(e)), file=out, flush=True)
             continue
         if cmd is None:
             continue
@@ -116,7 +116,7 @@ def _run_batch(opts, text, out):
     try:
         commands = parse_script(text)
     except SmtError as e:
-        print(f'(error "{e}")', file=out)
+        print(error_text(str(e)), file=out)
         commands, code = [], 1
     for cmd in commands:
         resp = session.execute(cmd)

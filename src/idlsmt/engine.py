@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import normalize, sat, theory
+from . import kernels, normalize, sat, theory
 from .sat import InternalError
 from .smtlib import Command, format_int, render_symbol
 
@@ -38,8 +38,14 @@ class Response(NamedTuple):
     is_error: bool = False
 
 
+def error_text(msg):
+    """The ``(error "msg")`` response line, each ``"`` of ``msg`` doubled
+    so that the message reads back as one SMT-LIB string."""
+    return '(error "' + msg.replace('"', '""') + '")'
+
+
 def _error(msg):
-    return Response(f'(error "{msg}")', is_error=True)
+    return Response(error_text(msg), is_error=True)
 
 
 @dataclass
@@ -543,12 +549,17 @@ class Session:
         out["prop_atoms_tested"] = self.bridge.atoms_tested
         out["live_clauses"] = len(self.solver.clauses)
         out["live_atoms"] = len(self.atoms)
+        out["undo_cells"] = self.apsp.undo_cells
+        out["undo_bytes"] = self.apsp.undo_cells * kernels.UNDO_CELL_BYTES
         return out
 
     def dimacs_text(self):
-        """Current clause store in DIMACS, selectors and gates included."""
+        """Current clause store in DIMACS, selectors and gates included.
+        The header counts up to the highest variable a clause mentions;
+        released variable slots past it are left out."""
         clauses = self.solver.clauses
-        lines = [f"p cnf {self.solver.n_vars} {len(clauses)}"]
+        top = max((abs(l) for c in clauses for l in c), default=0)
+        lines = [f"p cnf {top} {len(clauses)}"]
         for c in clauses:
             lines.append(" ".join(str(l) for l in c) + " 0")
         return "\n".join(lines) + "\n"

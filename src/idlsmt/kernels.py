@@ -15,6 +15,11 @@ Matrices come as a pair of C-contiguous arrays: `D` (int64 distances) and
 is kept at 0 so sums never overflow. All candidate sums skip unreachable
 cells, which is what makes "no path" absorbing without a sentinel taking
 part in arithmetic.
+
+The undo log names a cell by its row and column as `INDEX` (int16), which
+`theory.MAX_VERTICES` keeps in range, so a logged cell costs
+`UNDO_CELL_BYTES` = 13 bytes: two int16 indices, the int64 old distance
+and the bool old reachability.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ import numpy as np
 # forms even at n = 40-48 and the block form ahead from 56 on.
 BLOCK_MIN_N = 48
 
+# row and column dtype of the undo log; `theory` refuses to import if its
+# MAX_VERTICES does not fit it
+INDEX = np.int16
+UNDO_CELL_BYTES = 2 * np.dtype(INDEX).itemsize + 8 + 1
+
 
 def _relax_full(D, R, n, x, y, c):
     Dv = D[:n, :n]
@@ -37,11 +47,11 @@ def _relax_full(D, R, n, x, y, c):
     valid = Rv[:, y][:, None] & Rv[x, :][None, :]
     better = valid & (~Rv | (cand < Dv))
     ii, jj = np.nonzero(better)
-    old_d = Dv[ii, jj].copy()
-    old_r = Rv[ii, jj].copy()
+    old_d = Dv[ii, jj]
+    old_r = Rv[ii, jj]
     Dv[ii, jj] = cand[ii, jj]
     Rv[ii, jj] = True
-    return ii, jj, old_d, old_r
+    return ii.astype(INDEX), jj.astype(INDEX), old_d, old_r
 
 
 def _relax_block(D, R, n, x, y, c):
@@ -57,7 +67,8 @@ def _relax_block(D, R, n, x, y, c):
     cols = np.flatnonzero(Rv[x, :] & (~Rv[y, :] | (Dv[x, :] + c < Dv[y, :])))
     # flat indices into the whole matrices: 1-D take and put cost about
     # half of 2-D fancy indexing; rows and cols ascend, so the block and
-    # the undo log are in row-major order
+    # the undo log are in row-major order. They run to N * N, past INDEX,
+    # so they stay intp until split into row and column.
     N = D.shape[1]
     flat = ((rows * N)[:, None] + cols).reshape(-1)
     Df = D.reshape(-1)
@@ -70,7 +81,7 @@ def _relax_block(D, R, n, x, y, c):
     Df[changed] = cand[better]
     Rf[changed] = True
     ii, jj = np.divmod(changed, N)
-    return ii, jj, old_d[better], old_r[better]
+    return ii.astype(INDEX), jj.astype(INDEX), old_d[better], old_r[better]
 
 
 def relax_edge(D, R, n, x, y, c):
@@ -78,7 +89,9 @@ def relax_edge(D, R, n, x, y, c):
 
     Mutates ``D``/``R`` (C-contiguous) in place over the leading n x n
     block and returns the undo log ``(rows, cols, old_dist, old_reach)`` of
-    every changed cell, in row-major order. From ``BLOCK_MIN_N`` vertices
+    every changed cell, in row-major order: rows and columns as `INDEX`
+    (int16), old distances as int64 and old reachability as bool, 13 bytes
+    a cell (`UNDO_CELL_BYTES`). From ``BLOCK_MIN_N`` vertices
     on, only the rows that reach x more cheaply through the new edge and
     the columns that y reaches more cheaply through it are computed; the
     result is the same.

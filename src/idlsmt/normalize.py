@@ -22,10 +22,13 @@ from .smtlib import render_term
 
 ZERO_VAR = 0
 
-# |c| must fit a signed 62-bit slot so path sums stay inside int64 at the
-# documented vertex limit; see theory.MAX_VERTICES.
-CONST_MAX = 2 ** 61 - 1
-CONST_MIN = -(2 ** 61)
+# The range of an atom's final constant c. It is closed under the
+# complement -c-1, so every edge weight the engine sees lies in it. A
+# closure cell holds a simple path of at most theory.MAX_VERTICES - 1 =
+# 1,023 edges, and the relax kernel adds two cells and an edge weight, so
+# every sum has magnitude at most 2,047 * 2^52 <= 2^63 - 2^52: int64 holds it.
+CONST_MAX = 2 ** 52 - 1
+CONST_MIN = -(2 ** 52)
 
 
 class NonDifferenceTerm(Exception):
@@ -33,7 +36,8 @@ class NonDifferenceTerm(Exception):
 
 
 class ConstantOverflow(NonDifferenceTerm):
-    """A folded constant outside the supported 62-bit range."""
+    """A folded constant outside [CONST_MIN, CONST_MAX], the 53-bit range
+    that keeps path sums inside int64."""
 
 
 class AtomTable:
@@ -188,7 +192,7 @@ def _difference_shape(lhs, rhs, src, memo):
 def _checked(c, src):
     if c < CONST_MIN or c > CONST_MAX:
         raise ConstantOverflow(
-            f"constant exceeds the 62-bit limit in {render_term(src, _SHOWN)}")
+            f"constant exceeds the 53-bit limit in {render_term(src, _SHOWN)}")
     return c
 
 

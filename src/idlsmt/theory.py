@@ -13,7 +13,9 @@ more cheaply, the one block that can change. A bound the closure already
 entails, as every theory propagation is when it comes back asserted, is
 recorded as an edge for explanations but skips the kernel: it cannot
 shorten any pair. Every overwritten cell and replaced edge is logged per
-decision level so retraction replays to a bit-identical state. Models are
+decision level so retraction replays to a bit-identical state. A logged
+cell is its int16 row and column, old int64 distance and old bool
+reachability, 13 bytes (`kernels.UNDO_CELL_BYTES`). Models are
 read off the closure: a variable's value is its column minimum, the
 shortest distance from a virtual source. The explanation of a conflict or
 propagation is searched on demand, goal directed by the closure's
@@ -27,10 +29,24 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .kernels import relax_edge
+from .kernels import INDEX, relax_edge
+from .normalize import CONST_MIN
 from .sat import InternalError
 
-MAX_VERTICES = 1024  # keeps n-term int64 path sums clear of overflow
+# The vertex limit guards two bounds, both checked here. The undo log stores
+# cell indices as kernels.INDEX (int16), so every vertex must fit it. And
+# with every edge weight in [normalize.CONST_MIN, normalize.CONST_MAX] =
+# [-2^52, 2^52 - 1], a closure cell holds a simple path of at most
+# MAX_VERTICES - 1 edges, so a kernel sum D[i,y] + c + D[x,j] has magnitude
+# at most (2 * MAX_VERTICES - 1) * 2^52 = 2,047 * 2^52 <= 2^63 - 2^52,
+# which int64 holds.
+MAX_VERTICES = 1024
+if MAX_VERTICES > np.iinfo(INDEX).max:
+    raise ImportError(f"MAX_VERTICES = {MAX_VERTICES} does not fit the "
+                      f"{np.dtype(INDEX).name} undo-log indices")
+if (2 * MAX_VERTICES - 1) * -CONST_MIN > np.iinfo(np.int64).max:
+    raise ImportError(f"MAX_VERTICES = {MAX_VERTICES} lets path sums "
+                      f"overflow int64")
 
 ZERO_VAR = 0
 
@@ -55,6 +71,7 @@ class DifferenceEngine:
         self._trail = []  # (level, edge key or None, undo cells or None)
         self.stamp = 0  # edges recorded, entailed ones too (edge_commits)
         self.cell_updates = 0
+        self.undo_cells = 0  # cells the trail holds, for undo_bytes
 
     # -- vertices ----------------------------------------------------------
 
@@ -119,6 +136,7 @@ class DifferenceEngine:
         else:
             cells = relax_edge(self._d, self._r, self.n, x, y, c)
             self.cell_updates += len(cells[0])
+            self.undo_cells += len(cells[0])
         self._trail.append((level, (y, x), cells))
         return None
 
@@ -139,8 +157,12 @@ class DifferenceEngine:
             _, key, cells = trail.pop()
             if cells is not None:
                 ui, uj, ud, ur = cells
-                self._d[ui, uj] = ud
-                self._r[ui, uj] = ur
+                # one flat intp index for both matrices: 2-D indexing
+                # would convert each int16 index array for each of them
+                flat = np.ravel_multi_index((ui, uj), self._d.shape)
+                self._d.reshape(-1)[flat] = ud
+                self._r.reshape(-1)[flat] = ur
+                self.undo_cells -= len(ui)
             if key is not None:
                 u, v = key
                 hist = self.edges[u][v]

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from idlsmt.cli import run
+from idlsmt.smtlib import tokenize
 from idlsmt.testkit import emit_benchmark
 
 SAT_TEXT = ("(set-logic QF_IDL)\n(declare-fun x () Int)\n"
@@ -94,6 +95,16 @@ class TestIncremental:
         lines = out.splitlines()
         assert lines[0] == '(error "unsupported logic QF_BV")'
         assert lines[-1] == "sat"
+
+    @pytest.mark.parametrize("flags", [[], ["--incremental"]],
+                             ids=["batch", "incremental"])
+    def test_parse_error_message_reads_back_as_one_string(self, flags):
+        text = '(set-logic QF_IDL)\n(assert (< |a"b| 1))\n'
+        code, out = cli(flags + ["-"], text=text)
+        assert code == (0 if flags else 1)
+        tokens = tokenize(out)
+        assert tokens.kinds == ["lparen", "symbol", "string", "rparen", "eof"]
+        assert tokens.texts[2] == """2:12: undeclared symbol 'a"b'"""
 
     def test_parse_error_reported_inline(self):
         text = "(assert (< q 1))\n(set-logic QF_IDL)\n(check-sat)\n"
@@ -272,7 +283,11 @@ class TestFlags:
             lines = cnf.read_text().splitlines()
             clauses = [[int(l) for l in c.split()[:-1]] for c in lines[1:]]
             assert int(lines[0].split()[3]) == len(clauses)
-            return out, clauses, {abs(l) for c in clauses for l in c}
+            used = {abs(l) for c in clauses for l in c}
+            # the header counts to the highest variable a clause mentions,
+            # not to the slots the frame's pop released
+            assert int(lines[0].split()[2]) == max(used)
+            return out, clauses, used
 
         out, _, base_vars = dump(base + "(check-sat)")
         assert out == "sat\n"

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import time
 import types
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from idlsmt.engine import Session, SessionConfig, _TheoryBridge
-from idlsmt.kernels import BLOCK_MIN_N
+from idlsmt.kernels import BLOCK_MIN_N, UNDO_CELL_BYTES
+from idlsmt.normalize import CONST_MAX, CONST_MIN
 from idlsmt.smtlib import Command, ParseError, parse_script, tokenize
 from idlsmt.testkit import (
     bellman_ford_consistent, emit_benchmark, enumerate_verdict, eval_term,
@@ -42,6 +44,13 @@ class TestDispatch:
         session, rs = run("(set-logic QF_LIA)")
         assert rs[0].is_error
         assert rs[0].text == '(error "unsupported logic QF_LIA")'
+
+    def test_error_message_reads_back_as_one_string(self):
+        _, rs = run('(declare-fun |a"b| () Int)(assert (<= (+ |a"b| |a"b|) 1))')
+        tokens = tokenize(rs[-1].text)
+        assert tokens.kinds == ["lparen", "symbol", "string", "rparen", "eof"]
+        assert tokens.texts[1:3] == [
+            "error", 'not a difference constraint: (<= (+ |a"b| |a"b|) 1)']
 
     def test_logic_can_only_be_set_once(self):
         session, rs = run("(set-logic QF_IDL)(set-logic QF_IDL)")
@@ -1190,3 +1199,128 @@ class TestStats:
         # x, y plus the always-present zero vertex
         assert stats["max_vertices"] == 3
         assert stats["fw_cell_updates"] >= 1
+
+    def test_undo_log_size_returns_after_a_frame(self):
+        # the frame's bound is neither entailed nor refuted at the base
+        # frame's levels, so the pop keeps those levels and their cells
+        text = ("(set-logic QF_IDL)(declare-fun x () Int)(declare-fun y () Int)"
+                "(declare-fun z () Int)(assert (<= (- x y) 3))"
+                "(assert (<= (- y z) 2))(check-sat)"
+                "(push 1)(assert (<= (- z x) 1))(check-sat)(pop 1)")
+        session = Session()
+        sizes = []
+        for cmd in parse_script(text):
+            session.execute(cmd)
+            stats = session.stats
+            assert stats["undo_bytes"] == stats["undo_cells"] * UNDO_CELL_BYTES
+            sizes.append(stats["undo_cells"])
+        assert UNDO_CELL_BYTES == 13
+        assert sizes[5] == 0 < sizes[6]  # before and after the first check
+        assert sizes[9] > sizes[6]  # the frame's check
+        assert sizes[10] == sizes[6]  # the pop
+
+
+def chain_script(n, c, up=True):
+    """Bounds x{i+1} - x{i} <= c (``up``) or >= c over x0 .. x{n}, each its
+    own assertion, ending at x{n} - x0 >= 1 (``up``) or <= 0."""
+    op, last = (("<=", f">= (- x{n} x0) 1") if up
+                else (">=", f"<= (- x{n} x0) 0"))
+    text = "(set-logic QF_IDL)" + "".join(
+        f"(declare-fun x{i} () Int)" for i in range(n + 1))
+    text += "".join(f"(assert ({op} (- x{i + 1} x{i}) {c}))" for i in range(n))
+    return text + f"(assert ({last}))(check-sat)"
+
+
+class TestPathSums:
+    """Constants are capped at 53 bits so that no closure sum leaves int64
+    at the vertex limit; a constant past the cap is a clean error."""
+
+    @pytest.mark.parametrize("up", [True, False], ids=["sat", "unsat"])
+    def test_chains_at_and_past_the_bound(self, up):
+        c = 2 ** 61 - 1
+        _, rs = run(chain_script(5, c, up))
+        # each of the five refused bounds answers an error, and the session
+        # goes on: the last bound alone is sat
+        op = "<=" if up else ">="
+        assert answers(rs) == [
+            f'(error "constant overflow: constant exceeds the 53-bit limit '
+            f'in ({op} (- x{i + 1} x{i}) {c})")' for i in range(5)] + ["sat"]
+        session, rs = run(chain_script(5, CONST_MAX, up))
+        assert answers(rs) == ["sat" if up else "unsat"]
+        if up:
+            model = session.model_env()[0]
+            assert model["x5"] - model["x0"] >= 1
+            assert all(model[f"x{i + 1}"] - model[f"x{i}"] <= CONST_MAX
+                       for i in range(5))
+
+    @staticmethod
+    def full_chain(op, tail):
+        """``x1 op C`` and ``x{i+1} - x{i} op C`` at C = CONST_MAX: 1,023
+        edges over all 1,024 vertices the limit allows, the zero vertex
+        included, so closure cells hold sums of up to 1,023 such C."""
+        text = "(set-logic QF_IDL)" + "".join(
+            f"(declare-fun x{i} () Int)" for i in range(1, 1024))
+        text += f"(assert ({op} x1 {CONST_MAX}))" + "".join(
+            f"(assert ({op} (- x{i + 1} x{i}) {CONST_MAX}))"
+            for i in range(1, 1023))
+        return text + tail + "(check-sat)"
+
+    def test_chain_over_every_vertex_at_the_bound(self):
+        # x1023 >= -C closes a cycle through the zero vertex, so the kernel
+        # adds two cells of about 1,022 C each and C once more
+        session, rs = run(self.full_chain(
+            "<=", f"(assert (>= x1023 (- {CONST_MAX})))"
+                  "(assert (>= (- x1023 x1) 1))"))
+        assert answers(rs) == ["sat"]
+        assert session.stats["max_vertices"] == 1024
+        m = session.model_env()[0]
+        assert m["x1"] <= CONST_MAX and m["x1023"] >= -CONST_MAX
+        assert m["x1023"] - m["x1"] >= 1
+        assert all(m[f"x{i + 1}"] - m[f"x{i}"] <= CONST_MAX
+                   for i in range(1, 1023))
+        session, rs = run(self.full_chain(">=", ""))
+        assert answers(rs) == ["sat"]
+        assert session.model_env()[0]["x1023"] >= 1023 * CONST_MAX
+        _, rs = run(self.full_chain(">=", "(assert (<= x1023 0))"))
+        assert answers(rs) == ["unsat"]
+
+    @pytest.mark.parametrize("prop", [True, False], ids=["prop", "no-prop"])
+    def test_random_bounds_near_the_cap_agree_with_bellman_ford(self, prop):
+        # conjunctions of bounds whose constants sit at or near the cap, plus
+        # binary disjunctions, so that the search meets theory conflicts
+        # (more of them without theory propagation); the oracle tries every
+        # choice of disjuncts in Python ints
+        cfg = SessionConfig(theory_propagation=prop)
+        verdicts = []
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.choice([4, 6, 8])
+
+            def bound():
+                x, y = rng.sample(range(1, n + 1), 2)
+                c = rng.choice([CONST_MAX - rng.randint(0, 3),
+                                CONST_MIN + rng.randint(0, 3),
+                                rng.randint(-3, 3)])
+                return x, y, c
+
+            def render(b):
+                return f"(<= (- x{b[0]} x{b[1]}) {_num(b[2])})"
+
+            units = [bound() for _ in range(rng.randint(n // 2, n))]
+            ors = [(bound(), bound()) for _ in range(rng.randint(2, 5))]
+            text = "(set-logic QF_IDL)" + "".join(
+                f"(declare-fun x{i} () Int)" for i in range(1, n + 1))
+            text += "".join(f"(assert {render(b)})" for b in units)
+            text += "".join(f"(assert (or {render(a)} {render(b)}))"
+                            for a, b in ors)
+            session, rs = run(text + "(check-sat)", cfg)
+            want = any(bellman_ford_consistent(units + list(pick)) is not None
+                       for pick in itertools.product(*ors))
+            assert answers(rs) == ["sat" if want else "unsat"], seed
+            if want:
+                m = session.model_env()[0]
+                holds = lambda b: m[f"x{b[0]}"] - m[f"x{b[1]}"] <= b[2]
+                assert all(map(holds, units)), seed
+                assert all(holds(a) or holds(b) for a, b in ors), seed
+            verdicts.append(want)
+        assert 10 <= sum(verdicts) <= 30

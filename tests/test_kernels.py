@@ -1,9 +1,10 @@
 import random
+import types
 
 import numpy as np
 import pytest
 
-from idlsmt import kernels
+from idlsmt import kernels, theory
 
 
 def fresh_state(n):
@@ -57,9 +58,19 @@ class TestNumpyKernel:
             R[ii, jj] = orr
         assert np.array_equal(D, before[0]) and np.array_equal(R, before[1])
 
+    @pytest.mark.parametrize("n", [5, kernels.BLOCK_MIN_N])
+    def test_undo_log_cell_is_13_bytes(self, n):
+        # both the full and the block form log int16 indices
+        D, R = fresh_state(n)
+        log = kernels.relax_edge(D, R, n, 1, 0, 5)
+        assert [a.dtype for a in log] == [np.int16, np.int16, np.int64,
+                                          np.bool_]
+        assert sum(a.itemsize for a in log) == kernels.UNDO_CELL_BYTES == 13
+
 
 def reference_relax(D, R, n, x, y, c):
-    """Plain full-block relaxation, the contract of relax_edge."""
+    """Plain full-block relaxation, the contract of relax_edge: int16 rows
+    and columns, int64 old distances, bool old reachability."""
     Dv, Rv = D[:n, :n], R[:n, :n]
     cand = (Dv[:, y] + c)[:, None] + Dv[x, :][None, :]
     valid = Rv[:, y][:, None] & Rv[x, :][None, :]
@@ -67,7 +78,7 @@ def reference_relax(D, R, n, x, y, c):
     old_d, old_r = Dv[ii, jj].copy(), Rv[ii, jj].copy()
     Dv[ii, jj] = cand[ii, jj]
     Rv[ii, jj] = True
-    return ii, jj, old_d, old_r
+    return ii.astype(np.int16), jj.astype(np.int16), old_d, old_r
 
 
 def tightening_stream(seed, n, count):
@@ -116,3 +127,33 @@ class TestBlockSwitch:
                 R1[ii, jj] = orr
             D0, R0 = fresh_state(cap)
             assert np.array_equal(D1, D0) and np.array_equal(R1, R0)
+
+
+def load_theory(max_vertices):
+    """Execute theory.py as a fresh module with another vertex limit."""
+    with open(theory.__file__) as f:
+        source = f.read()
+    line = f"MAX_VERTICES = {theory.MAX_VERTICES}\n"
+    assert source.count(line) == 1
+    source = source.replace(line, f"MAX_VERTICES = {max_vertices}\n")
+    module = types.ModuleType("idlsmt.theory_probe")
+    module.__package__ = "idlsmt"
+    exec(compile(source, theory.__file__, "exec"), module.__dict__)
+    return module
+
+
+class TestVertexLimitGuard:
+    """Raising MAX_VERTICES fails at import time where the int16 undo-log
+    indices or the int64 path sums would no longer hold, never silently."""
+
+    def test_current_limit_loads(self):
+        assert load_theory(theory.MAX_VERTICES).MAX_VERTICES == 1024
+
+    def test_indices_past_int16_fail_at_import(self):
+        with pytest.raises(ImportError, match="int16 undo-log indices"):
+            load_theory(np.iinfo(np.int16).max + 1)
+
+    def test_path_sums_past_int64_fail_at_import(self):
+        # (2n - 1) * 2^52 outgrows int64 from n = 1,025 on
+        with pytest.raises(ImportError, match="path sums overflow int64"):
+            load_theory(1025)

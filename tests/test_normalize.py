@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from idlsmt.normalize import (
-    AtomTable, ConstantOverflow, NonDifferenceTerm, ZERO_VAR, skeleton,
-    to_cnf,
+    CONST_MAX, CONST_MIN, AtomTable, ConstantOverflow, NonDifferenceTerm,
+    ZERO_VAR, skeleton, to_cnf,
 )
 from idlsmt.smtlib import DeclEnv, cursor, parse_term, tokenize
 from idlsmt.testkit import eval_term, let_chain, truth_table_sat
@@ -122,13 +122,23 @@ class TestRewrites:
 
     def test_constant_overflow(self):
         h = Harness()
-        big = 2 ** 61
-        with pytest.raises(ConstantOverflow):
-            h.norm(f"(<= (- x y) {big})")
+        big = 2 ** 52
+        for c in (big, 2 ** 61):
+            with pytest.raises(ConstantOverflow):
+                h.norm(f"(<= (- x y) {c})")
         # the strict shift can push a boundary constant out of range
         with pytest.raises(ConstantOverflow):
-            h.norm(f"(< (- x y) (- {2 ** 61}))")
-        h.norm(f"(<= (- x y) {big - 1})")  # in range
+            h.norm(f"(< (- x y) (- {big}))")
+        # so can the flip of >=, which bounds y - x by -c
+        with pytest.raises(ConstantOverflow):
+            h.norm(f"(>= (- x y) (- {big}))")
+        # in range: the final constant, and with it its complement -c-1
+        for text in (f"(<= (- x y) {big - 1})", f"(<= (- x y) (- {big}))",
+                     f"(>= (- x y) (- {big - 1}))"):
+            x, y, c = h.bound_of(h.norm(text)[1])
+            assert (CONST_MIN <= c <= CONST_MAX
+                    and CONST_MIN <= -c - 1 <= CONST_MAX)
+        assert (CONST_MIN, CONST_MAX) == (-big, big - 1)
 
 
 class TestInterning:
