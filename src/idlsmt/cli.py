@@ -41,8 +41,6 @@ def _build_parser():
                    help="read, execute, and flush one command at a time")
     p.add_argument("--produce-unsat-cores", action="store_true",
                    help="enable (get-unsat-core)")
-    p.add_argument("--no-theory-prop", action="store_true",
-                   help="disable exhaustive theory propagation")
     p.add_argument("--minimize-core", action="store_true",
                    help="shrink reported cores with a deletion loop")
     p.add_argument("--tlimit", type=int, default=None, metavar="MS",
@@ -59,7 +57,6 @@ def _build_parser():
 def _make_config(opts):
     return SessionConfig(
         produce_unsat_cores=opts.produce_unsat_cores,
-        theory_propagation=not opts.no_theory_prop,
         minimize_core=opts.minimize_core,
         time_budget_ms=opts.tlimit,
     )

@@ -5,16 +5,17 @@ the assumptions "all active selectors", and the failed-assumption subset of
 an unsat answer is the unsat core. Pop deletes the popped assertions'
 clauses, then keeps a variable only while a stored clause of a live
 assertion mentions it, it is a live selector or a declared Boolean, or it
-is fixed at level 0; a failed assertion applies the same rule. The SAT core
-reuses the slots of the other variables and deletes every learned clause
-over them, a retired atom leaves the theory, and an Int constant no live
-atom reads gives its closure vertex back. A long push/check/pop session
-therefore stays the size of its live assertions.
+is an atom fixed at level 0, whose bound the closure keeps; a failed
+assertion applies the same rule. The SAT core reuses the slots of the other
+variables and deletes every learned clause over them, a retired atom leaves
+the theory, and an Int constant no live atom reads gives its closure vertex
+back, so a long push/check/pop session stays the size of its live ones.
 Difference atoms flow to the shortest-path engine the moment the SAT core
-asserts them; implied atoms flow back as theory propagations with
-explanations reconstructed only if conflict analysis asks. An answer keeps
-the search trail, so the next check redoes no theory work for the
-assertions it shares with the last one.
+asserts them. Implied atoms flow back as theory propagations once every
+selector is assumed (a conflict among the selectors' levels is the unsat
+answer), with explanations reconstructed only if conflict analysis asks.
+An answer keeps the search trail, so the next check redoes no theory work
+for the assertions it shares with the last one.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ def _error(msg):
 @dataclass
 class SessionConfig:
     produce_unsat_cores: bool = False
-    theory_propagation: bool = True
     minimize_core: bool = False
     time_budget_ms: Optional[int] = None
 
@@ -80,35 +80,35 @@ class _TheoryBridge:
     """Adapter between the SAT core's hook seams and the shortest-path engine.
 
     It holds only what the hooks read: the solver's trail list (not the
-    solver, which holds the bridge), the engine, the atom bounds, the
-    config, and the live atoms as numpy columns (var, x, y, c) with a mask
-    of those the SAT core has asserted. ``on_assert`` sets a mask entry and
-    logs ``(level, position)``; ``on_backtrack`` clears the entries logged
-    above its level. The trail's levels never decrease, so neither do the
-    log's. ``retire_atom`` takes a popped atom out of both scans; its
-    column stays marked assigned until a new atom takes it, so the columns
-    in use stay as many as the most atoms live at once. Each atom also
-    reads two closure cells: ``(y, x)`` entails it,
-    ``(x, y)`` refutes it; ``readers`` lists the atoms by cell and
-    ``watched`` marks the cells that have any. After a backtrack or a new
-    atom, ``propagate`` tests every free atom at once. Otherwise it tests
-    only the free readers of the watched cells that the commits since its
-    last call changed, read off the engine's undo trail: the SAT core
-    asserted all that call returned, so no other atom can be newly
-    implied. When more than 32 such cells changed, it runs the full scan
-    instead, which is then cheaper. Both paths return the implied atoms
-    by position, then the refuted ones. ``on_solution`` checks the
-    trail's bounds against the closure and keeps the integer model,
-    nothing else: the closure itself is not copied. Nothing here refers
-    back to the session, so a dropped session is freed at once, undo
-    trail included, without waiting for the cyclic garbage collector.
+    solver, which holds the bridge), the engine, the atom bounds, and the
+    live atoms as numpy columns (var, x, y, c) with a mask of those the SAT
+    core has asserted. ``on_assert`` sets a mask entry and logs ``(level,
+    position)``; ``on_backtrack`` clears the entries logged above its
+    level. The trail's levels never decrease, so neither do the log's.
+    ``retire_atom`` takes a popped atom out of both scans; its column stays
+    marked assigned until a new atom takes it, so the columns in use stay
+    as many as the most atoms live at once. Each atom also reads two
+    closure cells: ``(y, x)`` entails it, ``(x, y)`` refutes it;
+    ``readers`` lists the atoms by cell and ``watched`` marks the cells
+    that have any. After a backtrack or a new atom, ``propagate`` tests
+    every free atom at once. Otherwise it tests only the free readers of
+    the watched cells that the commits since its last call changed, read
+    off the engine's undo trail: the SAT core asserted all that call
+    returned, so no other atom can be newly implied. The SAT core calls it
+    once its last assumption is placed, so those commits may span every
+    assumption level. When more than 32 such cells changed, it runs the
+    full scan instead, which is then cheaper. Both paths return the implied
+    atoms by position, then the refuted ones. ``on_solution`` checks the
+    trail's bounds against the closure and keeps the integer model, nothing
+    else: the closure itself is not copied. Nothing here refers back to the
+    session, so a dropped session is freed at once, undo trail included,
+    without waiting for the cyclic garbage collector.
     """
 
-    def __init__(self, solver, apsp, bounds, cfg):
+    def __init__(self, solver, apsp, bounds):
         self.trail = solver.trail
         self.apsp = apsp
         self.bounds = bounds
-        self.cfg = cfg
         self.position = {}  # live atom var -> column index
         self.columns = np.zeros((4, 16), dtype=np.int64)  # var, x, y, c
         self.assigned = np.zeros(16, dtype=bool)
@@ -182,8 +182,6 @@ class _TheoryBridge:
         return self.apsp.assert_atom(*bound, lit, level)
 
     def propagate(self):
-        if not self.cfg.theory_propagation:
-            return ()
         full = self.scanned is None
         self.scanned, changed = self.apsp.changes_since(self.scanned)
         cells = []
@@ -247,8 +245,7 @@ class Session:
         self.solver = sat.Solver()
         self.apsp = theory.DifferenceEngine()
         self.atoms = normalize.AtomTable(self.solver.new_var)
-        self.bridge = _TheoryBridge(self.solver, self.apsp,
-                                    self.atoms.bounds, self.cfg)
+        self.bridge = _TheoryBridge(self.solver, self.apsp, self.atoms.bounds)
         self.solver.theory = self.bridge
         self.atoms.on_new_atom = self.bridge.register_atom
         self.frames = [_Frame(0)]
@@ -384,9 +381,9 @@ class Session:
 
         A variable is live while a stored clause of a live assertion
         mentions it, it is a live selector or a declared Boolean, or it is
-        fixed at level 0. The solver deletes every learned clause over a
-        retired variable and releases the retired variables for reuse, and
-        a retired atom leaves the bridge and the table. The last sat
+        an atom fixed at level 0. The solver deletes every learned clause
+        over a retired variable and releases the retired variables for
+        reuse, and a retired atom leaves the bridge and the table. The last sat
         answer's values of the retired atoms are kept for ``apsp_tsv``.
         Int constants that no atom reads any more give their vertices to
         later new names.
@@ -397,8 +394,9 @@ class Session:
         # released slots count as live, so none is released twice
         live.update(self._sel2rec, self._bool_ids.values(), solver.free_vars)
         values, levels = solver.values, solver.levels
-        dead = [v for v in range(1, len(values))
-                if v not in live and (levels[v] or not values[v])]
+        bounds = self.atoms.bounds
+        dead = [v for v in range(1, len(values)) if v not in live
+                and (levels[v] or not values[v] or v not in bounds)]
         freed = solver.remove(clauses, dead)
         model = self._bool_model
         for var in freed:

@@ -6,9 +6,9 @@ saving, and solving under assumptions; the failed-assumption subset of an
 unsat answer is what unsat cores are built from.
 
 Clauses can be deleted as well as added. ``remove`` deletes given clauses
-and every learned clause over given variables, then releases those of the
-variables left unassigned; ``new_var`` reuses a released slot before it
-grows, so a long session of additions and deletions keeps its size. A
+and every learned clause over given variables, then releases the variables,
+level-0 facts over them included; ``new_var`` reuses a released slot before
+it grows, so a long session of additions and deletions keeps its size. A
 session passes the variables its one liveness rule retires (see
 ``engine``). Watch lists and reasons refer to a clause by reference, as
 MiniSat's do (Een & Sorensson, SAT 2003), so a deletion, a halving of the
@@ -28,13 +28,18 @@ is forwarded to ``on_assert``, backjumps call ``on_backtrack``, implied
 literals arrive from ``propagate`` with an opaque explanation handle that
 is only cashed in (via ``explain``) if conflict analysis needs it, and
 ``on_solution`` runs on a full assignment. There is no final check: the
-theory vetted each literal as it was asserted. Literals are signed ints,
-clauses are lists of them.
+theory vetted each literal as it was asserted. ``propagate`` waits until
+the last assumption is placed, where an implication can steer the search
+(Nieuwenhuis, Oliveras & Tinelli, JACM 2006). A conflict at an assumption
+level is final, as in MiniSat: the assumptions alone refute, so the answer
+is unsat with the assumptions that its literals rest on, with nothing
+learned. Literals are signed ints, clauses are lists of them.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
@@ -276,6 +281,8 @@ class Solver:
                 if confl is not None:
                     self.stats["theory_conflicts"] += 1
                     return [-l for l in confl]
+            if len(self.trail_lim) < len(self.assumed):
+                return None  # implications wait for the last assumption
             progressed = False
             for lit, handle in theory.propagate():
                 val = self.value(lit)
@@ -406,13 +413,13 @@ class Solver:
             backjump = self.levels[abs(learned[1])]
         return learned, backjump
 
-    def _analyze_final(self, p):
-        """Assumptions responsible for assumption literal ``p`` being false."""
-        failed = {p}
-        if not self.trail_lim:
-            return failed
-        seen = {abs(p)}
-        for pos in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
+    def _analyze_final(self, lits):
+        """The assumptions on the trail that make every literal of ``lits``
+        false, each of which sits at level 0 or an assumption level."""
+        failed = set()
+        seen = {abs(q) for q in lits if self.levels[abs(q)] > 0}
+        stop = self.trail_lim[0] if self.trail_lim else len(self.trail)
+        for pos in range(len(self.trail) - 1, stop - 1, -1):
             lit = self.trail[pos]
             v = abs(lit)
             if v not in seen:
@@ -473,18 +480,18 @@ class Solver:
     def remove(self, clauses, variables):
         """Delete the stored ``clauses`` (the list objects ``add_clause``
         stored) and every learned clause over one of ``variables``, then
-        release those of the ``variables`` left unassigned for ``new_var``
-        to reuse; returns the released ones, in increasing order.
+        release the ``variables`` for ``new_var`` to reuse; returns them in
+        increasing order.
 
         It first backtracks below the lowest level above 0 that assigns one
         of ``variables`` or holds a literal whose reason is deleted, so the
         kept trail keeps every reason it reads, and a released slot keeps
-        no level. A variable assigned at level 0 keeps its value and slot.
+        no level. A variable fixed at level 0 leaves the level-0 trail.
         The caller vouches that no surviving input clause mentions a
         released variable (the session passes every variable that no
         stored clause of a live assertion mentions and that is not a live
-        selector, a declared Boolean or fixed at level 0); deleting a
-        learned clause is always sound.
+        selector, a declared Boolean or an atom fixed at level 0, whose
+        bound the theory keeps); deleting a learned clause is always sound.
         """
         variables = set(variables)
         learned = self.cla_activity
@@ -501,7 +508,14 @@ class Solver:
                     break
         if drop:
             self._delete(drop)
-        freed = sorted(v for v in variables if not self.values[v])
+        end = self.trail_lim[0] if self.trail_lim else len(self.trail)
+        gone = [k for k in range(end) if abs(self.trail[k]) in variables]
+        for k in reversed(gone):  # in place: the theory holds the list
+            self.values[abs(self.trail.pop(k))] = 0
+        self.trail_lim = [b - len(gone) for b in self.trail_lim]
+        self.qhead -= bisect_left(gone, self.qhead)
+        self.th_head -= bisect_left(gone, self.th_head)
+        freed = sorted(variables)
         for v in freed:
             self.in_heap[v] = False  # its heap entries go stale
         self.free_vars += reversed(freed)  # the lowest slot is reused first
@@ -556,9 +570,17 @@ class Solver:
                 return SolveResult("unknown")
             confl = self._propagate_full()
             if confl is not None:
-                if not self.trail_lim:
+                level = len(self.trail_lim)
+                if not level:
                     self.ok = False
                     return SolveResult("unsat")
+                if level <= len(assumptions):
+                    # final: its level goes, so the kept trail holds no
+                    # conflict that the theory has already passed
+                    failed = self._analyze_final(confl)
+                    self._cancel_until(level - 1)
+                    return SolveResult(
+                        "unsat", failed=[a for a in assumptions if a in failed])
                 self.stats["conflicts"] += 1
                 since_restart += 1
                 learned, bj = self._analyze(confl)
@@ -586,7 +608,7 @@ class Solver:
                 if val == 1:
                     self.trail_lim.append(len(self.trail))
                 elif val == -1:
-                    failed = self._analyze_final(p)
+                    failed = self._analyze_final([p]) | {p}
                     return SolveResult(
                         "unsat", failed=[a for a in assumptions if a in failed])
                 else:

@@ -9,6 +9,7 @@ solver is checked against.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -88,60 +89,52 @@ def bellman_ford_consistent(atoms):
 # -- exhaustive ground truth -----------------------------------------------------
 
 
-def _eval_skeleton(node, cols, memo):
-    # memo maps id(node) to its column; a let-shared node is evaluated once
-    key = id(node)
-    if key in memo:
-        return memo[key]
+def _postorder(root, kids, done):
+    """Each node under ``root`` whose id is not in ``done``, once and after
+    its ``kids``, from an explicit stack; ``done`` gains the ids yielded,
+    so a node shared by reference is visited once."""
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in done:
+            continue
+        if ready:
+            done.add(id(node))
+            yield node
+        else:
+            stack.append((node, True))
+            stack += [(k, False) for k in reversed(kids(node))]
+
+
+def _skeleton_kids(node):
     tag = node[0]
-    if tag == "lit":
-        col = cols[abs(node[1])]
-        val = col if node[1] > 0 else ~col
-    elif tag == "const":
-        some = next(iter(cols.values()))
-        val = np.full(some.shape, node[1], dtype=np.bool_)
-    elif tag == "not":
-        val = ~_eval_skeleton(node[1], cols, memo)
-    elif tag == "and":
-        val = None
-        for k in node[1]:
-            v = _eval_skeleton(k, cols, memo)
-            val = v if val is None else val & v
-    elif tag == "or":
-        val = None
-        for k in node[1]:
-            v = _eval_skeleton(k, cols, memo)
-            val = v if val is None else val | v
-    elif tag == "xor":
-        val = _eval_skeleton(node[1], cols, memo) \
-            ^ _eval_skeleton(node[2], cols, memo)
-    elif tag == "ite":
-        c = _eval_skeleton(node[1], cols, memo)
-        val = (c & _eval_skeleton(node[2], cols, memo)) \
-            | (~c & _eval_skeleton(node[3], cols, memo))
-    else:
+    if tag == "lit" or tag == "const":
+        return ()
+    if tag not in _SKELETON_OPS:
         raise ValueError(f"unknown skeleton tag {tag!r}")
-    memo[key] = val
-    return val
+    return node[1] if tag == "and" or tag == "or" else node[1:]
 
 
-def _skeleton_vars(node, acc, seen):
-    # seen holds the ids of nodes already walked, so shared nodes are
-    # walked once
-    if id(node) in seen:
-        return
-    seen.add(id(node))
-    tag = node[0]
-    if tag == "lit":
-        acc.add(abs(node[1]))
-    elif tag == "not":
-        _skeleton_vars(node[1], acc, seen)
-    elif tag in ("and", "or"):
-        for k in node[1]:
-            _skeleton_vars(k, acc, seen)
-    elif tag in ("xor", "ite"):
-        for k in node[1:]:
-            _skeleton_vars(k, acc, seen)
+_SKELETON_OPS = {
+    "not": lambda v: ~v[0], "xor": lambda v: v[0] ^ v[1],
+    "and": np.logical_and.reduce, "or": np.logical_or.reduce,
+    "ite": lambda v: (v[0] & v[1]) | (~v[0] & v[2]),
+}
+
+
+def _eval_skeleton(root, cols, memo):
+    # memo maps id(node) to its column; a let-shared node is evaluated once
+    for node in _postorder(root, _skeleton_kids, set(memo)):
+        tag, arg = node[0], node[1]
+        if tag == "lit":
+            val = cols[abs(arg)] if arg > 0 else ~cols[abs(arg)]
+        elif tag == "const":
+            val = np.full(len(next(iter(cols.values()))), arg, dtype=np.bool_)
+        else:
+            val = _SKELETON_OPS[tag](
+                [memo[id(k)] for k in _skeleton_kids(node)])
+        memo[id(node)] = val
+    return memo[id(root)]
 
 
 def enumerate_verdict(skeletons, atom_meta, max_atoms=12):
@@ -154,7 +147,8 @@ def enumerate_verdict(skeletons, atom_meta, max_atoms=12):
     """
     leaves, seen = set(), set()
     for sk in skeletons:
-        _skeleton_vars(sk, leaves, seen)
+        leaves.update(abs(node[1]) for node in
+                      _postorder(sk, _skeleton_kids, seen) if node[0] == "lit")
     avars = sorted(v for v in leaves if v in atom_meta)
     bvars = sorted(v for v in leaves if v not in atom_meta)
     if len(avars) > max_atoms:
@@ -194,60 +188,48 @@ def eval_term(term, int_env, bool_env):
     """Direct evaluation of a parsed term under name-to-value maps.
 
     A let-bound subterm is one object shared by reference; each distinct
-    node is evaluated once, so a doubling let chain costs linear time.
+    node is evaluated once, from an explicit stack, so a doubling let chain
+    costs linear time and a term nested at any depth gets a value.
     """
-    return _Evaluator(int_env, bool_env).ev(term)
-
-
-class _Evaluator:
-    def __init__(self, int_env, bool_env):
-        self.int_env = int_env
-        self.bool_env = bool_env
-        self.memo = {}  # id -> value; the root keeps every node alive
-
-    def ev(self, term):
-        key = id(term)
-        if key in self.memo:
-            return self.memo[key]
-        ev = self.ev
-        tag = term[0]
-        if tag == "int":
-            val = term[1]
+    memo = {}  # id -> value; the term keeps every node alive
+    for t in _postorder(term, _term_kids, set()):
+        tag = t[0]
+        if tag == "int" or tag == "bool":
+            val = t[1]
         elif tag == "ivar":
-            val = self.int_env.get(term[1], 0)
+            val = int_env.get(t[1], 0)
         elif tag == "bvar":
-            val = self.bool_env.get(term[1], False)
-        elif tag == "bool":
-            val = term[1]
-        elif tag == "neg":
-            val = -ev(term[1])
-        elif tag == "add":
-            val = ev(term[1]) + ev(term[2])
-        elif tag == "sub":
-            val = ev(term[1]) - ev(term[2])
+            val = bool_env.get(t[1], False)
         elif tag == "cmp":
-            a, b = ev(term[2]), ev(term[3])
-            val = {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
-                   "=": a == b}[term[1]]
-        elif tag == "distinct":
-            vals = [ev(t) for t in term[1]]
-            val = len(set(vals)) == len(vals)
-        elif tag == "not":
-            val = not ev(term[1])
-        elif tag == "and":
-            val = all(ev(t) for t in term[1])
-        elif tag == "or":
-            val = any(ev(t) for t in term[1])
-        elif tag == "xor":
-            val = ev(term[1]) != ev(term[2])
-        elif tag == "implies":
-            val = (not ev(term[1])) or ev(term[2])
-        elif tag == "ite":
-            val = ev(term[2]) if ev(term[1]) else ev(term[3])
+            val = _COMPARE[t[1]](memo[id(t[2])], memo[id(t[3])])
         else:
-            raise ValueError(f"unknown term tag {tag!r}")
-        self.memo[key] = val
-        return val
+            val = _TERM_OPS[tag]([memo[id(k)] for k in _term_kids(t)])
+        memo[id(t)] = val
+    return memo[id(term)]
+
+
+def _term_kids(t):
+    tag = t[0]
+    if tag == "and" or tag == "or" or tag == "distinct":
+        return t[1]
+    if tag == "cmp":
+        return t[2:]
+    if tag in _TERM_OPS:
+        return t[1:]
+    if tag in ("int", "ivar", "bvar", "bool"):
+        return ()
+    raise ValueError(f"unknown term tag {tag!r}")
+
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "=": operator.eq}
+_TERM_OPS = {
+    "neg": lambda v: -v[0], "add": lambda v: v[0] + v[1],
+    "sub": lambda v: v[0] - v[1], "not": lambda v: not v[0],
+    "and": all, "or": any, "distinct": lambda v: len(set(v)) == len(v),
+    "xor": lambda v: v[0] != v[1], "implies": lambda v: not v[0] or v[1],
+    "ite": lambda v: v[1] if v[0] else v[2],
+}
 
 
 # -- Boolean reference checks ------------------------------------------------------

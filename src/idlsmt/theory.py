@@ -81,7 +81,7 @@ class DifferenceEngine:
             return
         if v >= MAX_VERTICES:
             raise TooManyVertices(
-                f"more than {MAX_VERTICES} difference variables")
+                f"more than {MAX_VERTICES - 1} difference variables")
         if v >= self._d.shape[0]:
             cap = self._d.shape[0]
             while cap <= v:

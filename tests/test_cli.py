@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from idlsmt.cli import run
+from idlsmt.engine import _TheoryBridge
 from idlsmt.smtlib import tokenize
 from idlsmt.testkit import emit_benchmark
 
@@ -244,10 +245,12 @@ class TestFlags:
         cells = [c for r in rows for c in r.split("\t")]
         assert "inf" in cells and "3" in cells
 
-    @pytest.mark.parametrize("prop", [[], ["--no-theory-prop"]],
-                             ids=["prop", "no-prop"])
-    def test_dumps_match_incremental(self, tmp_path, prop):
-        # a sat check, an unsat check, then asserts no check-sat follows
+    @pytest.mark.parametrize("prop", [True, False], ids=["prop", "no-prop"])
+    def test_dumps_match_incremental(self, tmp_path, monkeypatch, prop):
+        # a sat check, an unsat check, then asserts no check-sat follows;
+        # with theory propagation stubbed out, only conflicts refute
+        if not prop:
+            monkeypatch.setattr(_TheoryBridge, "propagate", lambda self: ())
         text, _ = emit_benchmark("negative-cycle-chain", 6)
         text = text.replace("(assert (! (<= (- x5 x0)",
                             "(check-sat)\n(assert (! (<= (- x5 x0)")
@@ -257,7 +260,7 @@ class TestFlags:
         for mode, extra in (("batch", []), ("incremental", ["--incremental"])):
             cnf, tsv = tmp_path / f"{mode}.cnf", tmp_path / f"{mode}.tsv"
             code, out = cli(["--produce-unsat-cores", "--dump-dimacs",
-                             str(cnf), "--dump-apsp", str(tsv)] + prop
+                             str(cnf), "--dump-apsp", str(tsv)]
                             + extra + [path])
             assert code == 0 and out.splitlines()[:2] == ["sat", "unsat"]
             dumps[mode] = cnf.read_bytes(), tsv.read_bytes()
@@ -332,10 +335,6 @@ class TestFlags:
         err = capsys.readouterr().err
         assert (code, out) == (1, "sat\n")
         assert err.startswith("idl-smt: error: ") and "Traceback" not in err
-
-    def test_no_theory_prop_same_answer(self, tmp_path):
-        path = write(tmp_path, "s.smt2", UNSAT_TEXT)
-        assert cli(["--no-theory-prop", path]) == (1 - 1, "unsat\n")
 
     def test_unknown_flag_is_usage_error(self):
         code, _ = cli(["--frobnicate", "-"], text="")

@@ -134,22 +134,71 @@ class TestCheckSat:
         _, rs = run(text)
         assert answers(rs) == ["unsat"]
 
-    def test_theory_propagation_switch_changes_the_search(self):
-        from idlsmt.testkit import emit_benchmark
+    def test_implications_wait_for_the_last_assumption(self):
+        # the bridge is asked for implications only once every selector is
+        # placed; below that, atoms reach the closure and conflicts are
+        # caught at each commit, but nothing is implied
+        calls = []
 
-        # exhaustive propagation refutes the chain without any conflict;
-        # with the switch off no atom is implied and a conflict is needed
+        def watched_session():
+            session = Session()
+            solver, propagate = session.solver, session.bridge.propagate
+
+            def watched():
+                out = propagate()
+                calls.append((len(solver.trail_lim), len(solver.assumed)))
+                return out
+
+            session.bridge.propagate = watched
+            return session
+
         text, _ = emit_benchmark("negative-cycle-chain", 6)
-        on = Session()
-        off = Session(SessionConfig(theory_propagation=False))
-        for session in (on, off):
-            outs = [(cmd.name, session.execute(cmd).text)
-                    for cmd in parse_script(text)]
-            assert [t for name, t in outs if name == "check-sat"] == ["unsat"]
-        assert on.stats["conflicts"] == 0
-        assert on.stats["theory_propagations"] > 0
-        assert off.stats["theory_propagations"] == 0
-        assert off.stats["conflicts"] >= 1
+        session = watched_session()
+        outs = [session.execute(cmd).text for cmd in parse_script(text)]
+        # the cycle closes at the last selector's commit: a final conflict
+        assert outs[-2:] == ["unsat", "(a1 a2 a3 a4 a5 a6)"]
+        assert session.stats["theory_propagations"] == 0
+        assert session.stats["conflicts"] == 0
+        assert session.stats["theory_conflicts"] == 1
+        assert calls == []
+        text = (DECLS + "(declare-fun z () Int)(declare-fun p () Bool)"
+                "(assert (<= (- x y) 0))(assert (<= (- y z) 0))"
+                "(assert (or (<= (- x z) 0) p))"
+                "(assert (or (<= (- z x) (- 1)) p))(check-sat)")
+        session = watched_session()
+        outs = [session.execute(cmd).text for cmd in parse_script(text)]
+        assert outs[-1] == "sat"
+        # x - z <= 0 is implied; z - x <= -1 is its negation, so p is forced
+        assert session.stats["theory_propagations"] == 1
+        assert session.stats["decisions"] == 0
+        assert session.bool_value("p") is True
+        assert calls and calls[0] == (4, 4)
+        assert all(level >= assumed for level, assumed in calls)
+
+    def test_final_conflict_learns_nothing_and_repeats(self):
+        # the cycle closes among the selectors' levels; the assertion
+        # between its links is off the cycle and stays out of the core.
+        # The answer learns nothing and drops the conflicting level from
+        # the kept trail, so each later check meets the same conflict
+        text, _ = emit_benchmark("negative-cycle-chain", 6)
+        text = text.replace(
+            "(assert (! (<= (- x3 x4)",
+            "(assert (! (<= (- x0 x3) 10) :named extra))\n"
+            "(assert (! (<= (- x3 x4)")
+        text = text.replace("(check-sat)\n(get-unsat-core)\n",
+                            "(check-sat)(get-unsat-core)" * 3)
+        session = Session()
+        outs = []
+        for cmd in parse_script(text):
+            outs.append(session.execute(cmd).text)
+            if cmd.name == "check-sat":
+                check_kept_trail(session)
+        assert [t for t in outs if t] == \
+            ["unsat", "(a1 a2 a3 a4 a5 a6)"] * 3
+        assert session.stats["conflicts"] == 0
+        assert session.stats["theory_conflicts"] == 3
+        assert not session.solver.cla_activity
+        assert len(session.solver.clauses) == 7
 
     def test_time_budget_holds_without_conflicts(self):
         import time
@@ -186,7 +235,7 @@ class TestCheckSat:
                 assert orphan_vars(session) == []
                 sizes.append(solver.n_vars)
         assert {r.text for r in rs if r.is_error} == \
-            {'(error "more than 1024 difference variables")'}
+            {'(error "more than 1023 difference variables")'}
         # the refusals reuse one slot
         assert len(sizes) == 6 and set(sizes) == {2 * 1023 + 1}
         verdicts = [r.text for r in rs if r.text and not r.is_error]
@@ -197,15 +246,6 @@ class TestCheckSat:
         bridge = session.bridge
         assert len(bridge.readers) == bridge.watched.sum() == 2 * 1023
         assert bridge.watched.shape == (1024, 1024)
-
-    def test_theory_propagation_toggle_same_verdicts(self):
-        for seed in range(15):
-            spec = RandomInstanceSpec(vars=4, atoms=7, seed=seed,
-                                      structure=("cnf", 3, 6))
-            text = random_script(spec)
-            _, rs_on = run(text)
-            _, rs_off = run(text, SessionConfig(theory_propagation=False))
-            assert answers(rs_on) == answers(rs_off)
 
 
 class TestModel:
@@ -705,7 +745,7 @@ class TestPropagationOracle:
             vertices = pools(rng)
             bounds = {}
             bridge = _TheoryBridge(types.SimpleNamespace(trail=[]),
-                                   DifferenceEngine(), bounds, SessionConfig())
+                                   DifferenceEngine(), bounds)
             asserted = []  # (level, literal)
             level = 0
             dropped = False  # the last scan's implications were backtracked
@@ -788,7 +828,7 @@ class TestPropagationCount:
     def test_commit_off_the_free_atoms_tests_nothing(self):
         bounds = {1: (1, 0, 5), 2: (3, 2, 0), 3: (4, 3, 1), 4: (4, 2, 3)}
         bridge = _TheoryBridge(types.SimpleNamespace(trail=[]),
-                               DifferenceEngine(), bounds, SessionConfig())
+                               DifferenceEngine(), bounds)
         for var, bound in bounds.items():
             bridge.register_atom(var, *bound)
         scans = []
@@ -938,9 +978,10 @@ def window_session(seed, n_vars, cycles):
 
 
 def orphan_vars(session):
-    """Unassigned variables that are neither released slots nor used by a
-    live assertion as an atom, declared Boolean, selector or variable of a
-    stored clause: variables a pop should have released."""
+    """Variables unassigned or fixed at level 0 that are neither released
+    slots nor used by a live assertion as an atom, declared Boolean,
+    selector or variable of a stored clause: variables a pop should have
+    released."""
     solver = session.solver
     live = set(session.atoms.bounds) | set(session._bool_ids.values())
     for rec in session.active_records():
@@ -948,7 +989,8 @@ def orphan_vars(session):
         live.update(abs(l) for c in rec.clauses for l in c)
     free = set(solver.free_vars)
     return [v for v in range(1, solver.n_vars + 1)
-            if not solver.values[v] and v not in free and v not in live]
+            if not (solver.values[v] and solver.levels[v])
+            and v not in free and v not in live]
 
 
 class TestPopByDeletion:
@@ -1057,8 +1099,24 @@ class TestPopByDeletion:
 
 class TestLiveness:
     """A variable stays only while a stored clause of a live assertion
-    mentions it, it is a live selector or a declared Boolean, or it is
-    fixed at level 0."""
+    mentions it, it is a live selector or a declared Boolean, or it is an
+    atom fixed at level 0."""
+
+    def test_false_assertion_cycles_stay_flat(self):
+        # (assert false) fixes its selector false at level 0; the pop
+        # releases that slot and drops the fact from the level-0 trail
+        session, _ = run(DECLS + "(assert (<= (- x y) 3))")
+        solver = session.solver
+        cycle = parse_script("(push 1)(assert false)(check-sat)(pop 1)")
+        sizes = set()
+        for _ in range(100):
+            assert answers(map(session.execute, cycle)) == ["unsat"]
+            assert orphan_vars(session) == []
+            level0 = solver.trail_lim[0] if solver.trail_lim else None
+            sizes.add((solver.n_vars, len(solver.trail[:level0])))
+        # the base atom and selector, and the one slot each frame reuses
+        assert sizes == {(3, 0)}
+        assert answers([session.execute(Command("check-sat", ()))]) == ["sat"]
 
     def test_an_atom_no_stored_clause_holds_is_retired(self):
         # the disjunction folds to true once its atom is interned, so the
@@ -1288,9 +1346,8 @@ class TestPathSums:
     def test_random_bounds_near_the_cap_agree_with_bellman_ford(self, prop):
         # conjunctions of bounds whose constants sit at or near the cap, plus
         # binary disjunctions, so that the search meets theory conflicts
-        # (more of them without theory propagation); the oracle tries every
-        # choice of disjuncts in Python ints
-        cfg = SessionConfig(theory_propagation=prop)
+        # (more of them with theory propagation stubbed out); the oracle
+        # tries every choice of disjuncts in Python ints
         verdicts = []
         for seed in range(40):
             rng = random.Random(seed)
@@ -1313,7 +1370,11 @@ class TestPathSums:
             text += "".join(f"(assert {render(b)})" for b in units)
             text += "".join(f"(assert (or {render(a)} {render(b)}))"
                             for a, b in ors)
-            session, rs = run(text + "(check-sat)", cfg)
+            session = Session()
+            if not prop:
+                session.bridge.propagate = lambda: ()
+            rs = [session.execute(cmd) for cmd in parse_script(
+                text + "(check-sat)")]
             want = any(bellman_ford_consistent(units + list(pick)) is not None
                        for pick in itertools.product(*ors))
             assert answers(rs) == ["sat" if want else "unsat"], seed

@@ -32,10 +32,10 @@ def record_learned(s):
     return log
 
 
-def random_cnf(rng, n_vars, n_clauses, width=3):
+def random_cnf(rng, n_vars, n_clauses, width=3, least=1):
     out = []
     for _ in range(n_clauses):
-        k = rng.randint(1, width)
+        k = rng.randint(least, width)
         clause = []
         for _ in range(k):
             v = rng.randint(1, n_vars)
@@ -245,6 +245,22 @@ class TestSolve:
         assert res.status == "unsat"
         assert set(res.failed) <= {1, 2, 4}
         assert set(res.failed) == {1, 2}
+
+    def test_conflict_among_assumptions_is_final(self):
+        # 4 implies 1, and 1 and 2 imply 3 both ways, at level 3: the
+        # answer comes from that conflict, with nothing learned, and level
+        # 3 goes, so the next call meets the same conflict
+        s = fresh(4)
+        s.add_clause([-1, -2, 3])
+        s.add_clause([-1, -2, -3])
+        s.add_clause([-4, 1])
+        for _ in range(3):
+            res = s.solve(assumptions=[4, 1, 2])
+            assert (res.status, res.failed) == ("unsat", [4, 2])
+            assert s.stats["conflicts"] == 0 and not s.cla_activity
+            assert len(s.trail_lim) == 2
+            check_trail(s)
+        assert s.solve(assumptions=[4, 1]).status == "sat"
 
     def test_failed_assumptions_resolve_unsat(self):
         rng = random.Random(21)
@@ -488,8 +504,10 @@ class TestBranchingHeap:
         """Guarded random clause groups over shared variables and variables
         of their own, solved under the live selectors, with a random group
         deleted (clauses, selector, own variables) after each solve; the
-        freed slots come back as the next group's own variables. Returns
-        the picks of ``_pick_branch`` and the answers."""
+        freed slots come back as the next group's own variables. The
+        clauses have three literals, so the search meets conflicts above
+        the assumption levels, which learn and bump. Returns the picks of
+        ``_pick_branch`` and the answers."""
         rng = random.Random(seed)
         s = cls()
         s.var_inc = var_inc
@@ -501,7 +519,7 @@ class TestBranchingHeap:
             sel = s.new_var()
             own = [s.new_var() for _ in range(rng.randint(0, 4))]
             stored = len(s.clauses)
-            for cl in random_cnf(rng, len(shared) + len(own), 10):
+            for cl in random_cnf(rng, len(shared) + len(own), 20, least=3):
                 s.add_clause([-sel] + [(shared + own)[abs(l) - 1] * (l // abs(l))
                                        for l in cl])
             groups.append((sel, own, s.clauses[stored:]))
@@ -593,11 +611,25 @@ class TestKeptTrail:
         s.add_clause([8])
         assert s.solve([1]).status == "sat"
         assert s.levels[7] == 1 and s.reasons[7] is s.clauses[0]
-        # 8 stays at level 0 and keeps its slot, but the clause that implied
-        # 7 goes, so 7 may not stay assigned without a reason
-        assert s.remove([s.clauses[0]], [8]) == []
-        assert s.values[8] == 1 and not s.values[7]
+        # the clause that implied 7 goes, so 7 may not stay assigned
+        # without a reason; 8, fixed at level 0, leaves the trail
+        assert s.remove([s.clauses[0]], [8]) == [8]
+        assert not s.values[8] and not s.values[7] and s.trail == []
         check_trail(s)
+
+    def test_remove_drops_level_0_facts_below_the_kept_levels(self):
+        s = fresh(8)
+        s.add_clause([7])
+        s.add_clause([-8])
+        assert s.solve([1, 2]).status == "sat"
+        assert s.trail[:4] == [7, -8, 1, 2] and s.trail_lim[:2] == [2, 3]
+        kept = s.trail[3:]
+        assert s.remove([], [7]) == [7]
+        assert s.trail == [-8, 1] + kept and s.trail_lim[:2] == [1, 2]
+        assert s.qhead == s.th_head == len(s.trail)
+        check_trail(s)
+        res = s.solve([1, 2])
+        assert res.status == "sat" and 7 not in res.model
 
     def test_reused_selector_slot_matches_no_kept_level(self):
         s = fresh(3)

@@ -10,7 +10,8 @@ from idlsmt.smtlib import (
     parse_term, render_symbol, render_term, tokenize,
 )
 from idlsmt import smtlib
-from idlsmt.testkit import emit_benchmark
+from idlsmt.engine import Session
+from idlsmt.testkit import emit_benchmark, eval_term
 
 
 def kinds(text):
@@ -425,6 +426,18 @@ class TestDepth:
             term, depth = term[1][1], depth + 1
         assert (sort, depth, term) == ("Bool", n, ("cmp", "<", ("ivar", "x"),
                                                    ("int", 5)))
+
+    def test_model_of_nested_ands_holds(self):
+        n = 30000
+        text = ("(set-logic QF_IDL)(declare-fun x () Int)(declare-fun y () Int)"
+                "(assert " + "(and (< x y) " * n + "(< x 5)" + ")" * n + ")"
+                "(check-sat)(get-model)")
+        session = Session()
+        cmds = parse_script(text)
+        assert [session.execute(cmd).text for cmd in cmds][-2] == "sat"
+        ints, bools = session.model_env()
+        assert eval_term(cmds[3].args[0], ints, bools) is True
+        assert eval_term(cmds[3].args[0], {"x": 5, "y": 6}, bools) is False
 
     def test_let_chain_parses_in_linear_time(self):
         # a copied binding map per level took 3.6 s at 8,000 levels

@@ -32,7 +32,10 @@ class TestLazyExplanations:
     def test_explanations_fire_and_answers_stay_correct(self):
         total_explains = 0
         for seed in range(300):
-            structure = ("cnf", 2, 8) if seed % 2 else ("tree", 4)
+            # clauses of up to three atoms and trees of depth 5 leave
+            # choices after the assertions' selectors are placed, so the
+            # search meets conflicts above those levels, which learn
+            structure = ("cnf", 3, 8) if seed % 2 else ("tree", 5)
             spec = RandomInstanceSpec(vars=3, atoms=10, lo=-6, hi=6,
                                       structure=structure, seed=seed)
             commands = parse_script(random_script(spec))

@@ -129,6 +129,15 @@ class TestEnumerate:
         assert enumerate_verdict(sk, meta) == "sat"  # x - y >= 2
         assert time.perf_counter() - start < 1
 
+    def test_deep_skeleton_is_enumerated(self):
+        # 30,000 nested ands over two atoms; the walks keep explicit stacks
+        n = 30000
+        text = ("(declare-fun x () Int)(declare-fun y () Int)(assert "
+                + "(and (< x y) " * n + "(< x 5)" + ")" * n + ")")
+        sk, meta = self.from_script(text + "(assert (>= x y))")
+        assert enumerate_verdict(sk[:1], meta) == "sat"
+        assert enumerate_verdict(sk, meta) == "unsat"
+
     def test_free_booleans_enumerated(self):
         text = ("(declare-fun p () Bool)(declare-fun x () Int)"
                 "(assert (xor p (<= x 0)))(assert (not p))")
@@ -144,6 +153,17 @@ class TestEvalTerm:
         ite = ("ite", ("bvar", "p"), term, ("bool", False))
         assert eval_term(ite, {"x": 5, "y": 2}, {"p": True}) is True
         assert eval_term(ite, {"x": 5, "y": 2}, {"p": False}) is False
+
+    def test_deep_term(self):
+        term = ("bvar", "p")
+        for k in range(30000):
+            term = ("not", term) if k % 2 else ("and", (term, ("bool", True)))
+        assert eval_term(term, {}, {"p": True}) is True
+        assert eval_term(term, {}, {"p": False}) is False
+
+    def test_unknown_tag_is_refused(self):
+        with pytest.raises(ValueError, match="unknown term tag"):
+            eval_term(("not", ("mul", ("int", 2), ("int", 3))), {}, {})
 
     def test_distinct(self):
         term = ("distinct", (("ivar", "a"), ("ivar", "b"), ("int", 0)))
