@@ -14,6 +14,8 @@ Difference atoms flow to the shortest-path engine the moment the SAT core
 asserts them. Implied atoms flow back as theory propagations once every
 selector is assumed (a conflict among the selectors' levels is the unsat
 answer), with explanations reconstructed only if conflict analysis asks.
+An atom's first decision takes the polarity the closure's model satisfies,
+which rewrites few cells and never conflicts; later ones keep their phase.
 An answer keeps the search trail, so the next check redoes no theory work
 for the assertions it shares with the last one.
 """
@@ -227,6 +229,12 @@ class _TheoryBridge:
         while log and log[-1][0] > level:
             self.assigned[log.pop()[1]] = False
         self.apsp.backtrack_to(level)
+
+    def phase(self, var):
+        """An atom is first decided the way the closure's model satisfies
+        it, which closes no negative cycle; any other variable False."""
+        bound = self.bounds.get(var)
+        return bound is not None and self.apsp.model_satisfies(*bound)
 
     def on_solution(self):
         # eager assertion makes this a re-scan of what is already committed

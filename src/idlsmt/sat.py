@@ -3,7 +3,9 @@
 Two-watched-literal propagation, first-UIP learning, exponential variable
 activities kept in a heap (ties to the lowest index), Luby restarts, phase
 saving, and solving under assumptions; the failed-assumption subset of an
-unsat answer is what unsat cores are built from.
+unsat answer is what unsat cores are built from. A variable saves no phase
+until it is first unassigned; a decision without one asks the theory's
+``phase``.
 
 Clauses can be deleted as well as added. ``remove`` deletes given clauses
 and every learned clause over given variables, then releases the variables,
@@ -23,16 +25,17 @@ so a theory keeps the work of those levels; restarts still go to level 0.
 ``remove`` backtracks only below the variables it releases and the
 literals whose reasons it deletes.
 
-A theory plugs in through five seams: every literal appended to the trail
+A theory plugs in through six seams: every literal appended to the trail
 is forwarded to ``on_assert``, backjumps call ``on_backtrack``, implied
 literals arrive from ``propagate`` with an opaque explanation handle that
-is only cashed in (via ``explain``) if conflict analysis needs it, and
-``on_solution`` runs on a full assignment. There is no final check: the
-theory vetted each literal as it was asserted. ``propagate`` waits until
-the last assumption is placed, where an implication can steer the search
-(Nieuwenhuis, Oliveras & Tinelli, JACM 2006). A conflict at an assumption
-level is final, as in MiniSat: the assumptions alone refute, so the answer
-is unsat with the assumptions that its literals rest on, with nothing
+is only cashed in (via ``explain``) if conflict analysis needs it,
+``phase`` names a first decision's polarity, and ``on_solution`` runs on
+a full assignment. There is no final check: the theory vetted each
+literal as it was asserted. ``propagate`` waits until the last assumption
+is placed, where an implication can steer the search (Nieuwenhuis,
+Oliveras & Tinelli, JACM 2006). A conflict at an assumption level is
+final, as in MiniSat: the assumptions alone refute, so the answer is
+unsat with the assumptions that its literals rest on, with nothing
 learned. Literals are signed ints, clauses are lists of them.
 """
 
@@ -68,6 +71,9 @@ class NullTheory:
     def on_solution(self):
         pass
 
+    def phase(self, var):
+        return False
+
 
 @dataclass
 class SolveResult:
@@ -98,7 +104,7 @@ class Solver:
         self.values = [0]  # var-indexed: 0 unassigned, 1 true, -1 false
         self.levels = [0]
         self.reasons = [None]  # clause (a list), ("th", handle), or None
-        self.phase = [False]
+        self.phase = [None]  # saved polarity; None until first unassigned
         self.activity = [0.0]
         # (-activity, var) of every unassigned live variable, plus stale
         # entries: an entry counts only while ``in_heap[var]`` holds and its
@@ -131,7 +137,7 @@ class Solver:
     def new_var(self):
         if self.free_vars:
             v = self.free_vars.pop()
-            self.phase[v] = False
+            self.phase[v] = None
             self.activity[v] = 0.0
             self.in_heap[v] = True
             heappush(self.heap, (-0.0, v))
@@ -139,7 +145,7 @@ class Solver:
         self.values.append(0)
         self.levels.append(0)
         self.reasons.append(None)
-        self.phase.append(False)
+        self.phase.append(None)
         self.activity.append(0.0)
         self.in_heap.append(True)
         self.watches.append([])
@@ -624,4 +630,7 @@ class Solver:
                 return SolveResult("sat", model=model)
             self.stats["decisions"] += 1
             self.trail_lim.append(len(self.trail))
-            self._enqueue(v if self.phase[v] else -v, None)
+            phase = self.phase[v]
+            if phase is None:
+                phase = self.theory.phase(v)
+            self._enqueue(v if phase else -v, None)

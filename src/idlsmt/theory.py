@@ -17,7 +17,8 @@ decision level so retraction replays to a bit-identical state. A logged
 cell is its int16 row and column, old int64 distance and old bool
 reachability, 13 bytes (`kernels.UNDO_CELL_BYTES`). Models are
 read off the closure: a variable's value is its column minimum, the
-shortest distance from a virtual source. The explanation of a conflict or
+shortest distance from a virtual source; an atom's first decision takes
+the polarity this model satisfies. The explanation of a conflict or
 propagation is searched on demand, goal directed by the closure's
 distances to the target, so the hot loop carries no witness bookkeeping.
 The undo cells also tell theory propagation which cells changed.
@@ -244,19 +245,24 @@ class DifferenceEngine:
 
     # -- models ---------------------------------------------------------------
 
-    def extract_model(self):
-        """Integer values satisfying every committed bound.
+    def _potential(self, cols):
+        """Unshifted model values of the vertices ``cols``: each one's
+        shortest distance from a virtual source with zero-weight edges to
+        every vertex, the minimum of its closure column (an unreachable
+        cell holds 0, as the diagonal does)."""
+        return self._d[:self.n, cols].min(axis=0).tolist()
 
-        A vertex's shortest distance from a virtual source with zero-weight
-        edges to every vertex is the minimum of its closure column over the
-        reachable cells (the diagonal supplies the 0); values are shifted so
-        the zero variable gets 0.
-        """
-        n = self.n
-        if n == 0:
+    def model_satisfies(self, x, y, c):
+        """Whether the closure's model satisfies ``x - y <= c``."""
+        vx, vy = self._potential([x, y])
+        return vx - vy <= c
+
+    def extract_model(self):
+        """Integer values satisfying every committed bound: the column
+        minima, shifted so the zero variable gets 0."""
+        if self.n == 0:
             return {}
-        dist = np.where(self._r[:n, :n], self._d[:n, :n], 0).min(axis=0)
-        dist = dist.tolist()
+        dist = self._potential(slice(self.n))
         for u, out in enumerate(self.edges):
             for v, hist in out.items():
                 if dist[u] + hist[-1][0] < dist[v]:

@@ -205,18 +205,25 @@ class TestCheckSat:
 
         from idlsmt.testkit import emit_benchmark
 
-        # conflict-free, and seconds of theory commits unbounded: the
-        # deadline has to be polled between conflicts to hold
-        text, _ = emit_benchmark("diamond-grid", 400)
+        # no decisions and no conflicts, and about a second of theory
+        # commits unbounded: the deadline has to be polled between
+        # conflicts to hold
+        text, _ = emit_benchmark("window-scheduling", 1000)
         session = Session(SessionConfig(time_budget_ms=100))
         for cmd in parse_script(text):
             if cmd.name != "check-sat":
                 session.execute(cmd)
+        # a full collection over what the earlier tests of this process
+        # left alive takes about 0.2 s, and the setup above can leave one
+        # due; collect before the clock starts so the bound times the search
+        gc.collect()
         start = time.perf_counter()
         status = session.check_sat()
         elapsed = time.perf_counter() - start
         assert status == "unknown"
         assert elapsed < 0.2
+        assert session.solver.stats["decisions"] == 0
+        assert session.solver.stats["conflicts"] == 0
 
     def test_atom_over_the_vertex_limit_is_not_kept(self):
         # the refused atom's variable is allocated before the theory
@@ -880,6 +887,69 @@ class TestPropagationCount:
             assert session.last_status == "sat"
             tested += session.stats["prop_atoms_tested"]
         assert 0 < 5 * tested <= full
+
+
+class TestFirstPhase:
+    """The first decision on an atom takes the polarity that the closure's
+    model satisfies; later decisions keep the saved phase."""
+
+    def test_a_fresh_atom_takes_the_polarity_the_model_satisfies(self):
+        # with no bound asserted the model is all zero: x - y <= 5 holds
+        # and z - w <= -1 does not, so the first is decided true, which
+        # leaves the second free, and the second is decided false
+        session, rs = run(
+            "(set-logic QF_IDL)"
+            + "".join(f"(declare-fun {v} () Int)" for v in "xyzw")
+            + "(assert (or (<= (- x y) 5) (<= (- z w) (- 1))))(check-sat)")
+        assert answers(rs) == ["sat"]
+        var = {c: v for v, (_, _, c) in session.atoms.bounds.items()}
+        solver = session.solver
+        decided = [solver.trail[k] for k in solver.trail_lim[1:]]
+        assert decided == [var[5], -var[-1]]
+
+    def test_a_first_decision_keeps_the_model_and_never_conflicts(self):
+        # the model satisfies the decided bound, so relaxing it changes no
+        # column minimum; no decision, first or saved, closes a cycle. The
+        # second check redoes the decisions of the first in saved phases.
+        first = saved = 0
+        for seed in range(30):
+            spec = RandomInstanceSpec(vars=8, atoms=30, lo=-40, hi=40,
+                                      seed=seed, structure=("cnf", 4, 20))
+            session = Session()
+            bridge, solver, apsp = session.bridge, session.solver, session.apsp
+            asked = []
+            phase, on_assert = bridge.phase, bridge.on_assert
+
+            def recording_phase(var):
+                asked.append(var)
+                return phase(var)
+
+            def checked(lit, level):
+                nonlocal first, saved
+                if level <= len(solver.assumed) \
+                        or solver.reasons[abs(lit)] is not None:
+                    return on_assert(lit, level)
+                is_first = asked[-1:] == [abs(lit)]
+                before = apsp.extract_model()
+                assert on_assert(lit, level) is None, f"seed {seed}"
+                if is_first:
+                    assert apsp.extract_model() == before, f"seed {seed}"
+                    asked.pop()
+                first += is_first
+                saved += not is_first
+                return None
+
+            bridge.phase, bridge.on_assert = recording_phase, checked
+            for cmd in parse_script(random_script(spec) + "(check-sat)"):
+                session.execute(cmd)
+        assert first > 150 and saved > 150
+
+    def test_diamond_grid_relaxes_a_small_share_of_the_closure(self):
+        # each disjunct decided false rewrote a row-by-column block of the
+        # closure: 3,742,219 cells before the first phase followed the model
+        session, rs = run(emit_benchmark("diamond-grid", 400)[0])
+        assert answers(rs) == ["sat"]
+        assert session.stats["fw_cell_updates"] < 2 * 400 ** 2
 
 
 class TestApspDump:

@@ -385,6 +385,8 @@ class TestTheoryHooks:
         def __init__(self):
             self.asserted = []
             self.backtracks = []
+            self.phases = []  # the variables asked for a first phase
+            self.polarity = False
 
         def on_assert(self, lit, level):
             self.asserted.append((lit, level))
@@ -401,6 +403,10 @@ class TestTheoryHooks:
 
         def on_solution(self):
             pass
+
+        def phase(self, var):
+            self.phases.append(var)
+            return self.polarity
 
     def test_every_trail_literal_is_forwarded(self):
         th = self.Recorder()
@@ -423,6 +429,26 @@ class TestTheoryHooks:
         assert s.trail[s.trail_lim[0]] == 3
         s.solve([3, 2])
         assert th.backtracks == [0, 1]
+
+    def test_the_theory_names_only_a_first_phase(self):
+        th = self.Recorder()
+        th.polarity = True
+        s = Solver(theory=th)
+        for _ in range(3):
+            s.new_var()
+        assert s.solve().status == "sat"
+        assert s.trail == [1, 2, 3] and th.phases == [1, 2, 3]
+        # after a backtrack the saved phase wins, an assumption's included
+        th.polarity = False
+        s.solve([-2])
+        assert s.trail == [-2, 1, 3] and th.phases == [1, 2, 3]
+        s.solve()
+        assert s.trail == [1, -2, 3] and th.phases == [1, 2, 3]
+        # a released slot forgets its phase
+        s.remove([], [3])
+        assert s.new_var() == 3
+        s.solve()
+        assert s.trail == [1, -2, -3] and th.phases == [1, 2, 3, 3]
 
     def test_theory_conflict_becomes_clause(self):
         class Veto:

@@ -479,7 +479,10 @@ class TestModel:
     def test_model_check_catches_a_corrupted_closure(self):
         e = engine(2)
         e.assert_atom(1, 0, -3, lit=5, level=1)  # edge 0 -> 1 weight -3
-        e._r[0, 1] = False  # the closure loses the path the edge gives
+        # the closure loses the path the edge gives; an unreachable cell
+        # holds 0, which the model reads
+        e._r[0, 1] = False
+        e._d[0, 1] = 0
         with pytest.raises(InternalError):
             e.extract_model()
 
