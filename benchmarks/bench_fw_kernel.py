@@ -24,7 +24,9 @@ from idlsmt import kernels
 
 
 def fresh(n):
-    return np.zeros((n, n), dtype=np.int64), np.eye(n, dtype=np.bool_)
+    D = np.full((n, n), kernels.NO_PATH, dtype=np.int64)
+    np.fill_diagonal(D, 0)
+    return D
 
 
 def stream(seed, n, count):
@@ -37,14 +39,15 @@ def stream(seed, n, count):
 
 
 def drive(relax, n, edges):
-    D, R = fresh(n)
+    D = fresh(n)
+    Df = D.reshape(-1)
     t0 = time.perf_counter()
     updates = 0
     for x, y, c in edges:
-        if R[x, y] and D[x, y] + c < 0:
+        if D[x, y] + c < 0:
             continue
-        updates += len(relax(D, R, n, x, y, c)[0])
-    return time.perf_counter() - t0, updates, D, R
+        updates += len(relax(D, Df, n, x, y, c)[0])
+    return time.perf_counter() - t0, updates, D
 
 
 def main():
@@ -67,13 +70,11 @@ def main():
         results = [None] * len(forms)
         for _ in range(args.repeats):
             for k, (_, relax) in enumerate(forms):
-                dt, updates, D, R = drive(relax, n, edges)
+                dt, updates, D = drive(relax, n, edges)
                 best[k] = min(best[k], dt)
-                results[k] = (D, R)
-        for D, R in results[1:]:
-            if not (np.array_equal(D, results[0][0])
-                    and np.array_equal(R, results[0][1])):
-                raise SystemExit("kernel forms disagree; kernel bug")
+                results[k] = D
+        if not all(np.array_equal(D, results[0]) for D in results[1:]):
+            raise SystemExit("kernel forms disagree; kernel bug")
         chosen = "block" if n >= kernels.BLOCK_MIN_N else "full"
         row = f"{n:>6} {len(edges):>6} {updates:>10}"
         for (name, _), dt in zip(forms, best):

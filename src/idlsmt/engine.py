@@ -186,16 +186,20 @@ class _TheoryBridge:
     def propagate(self):
         full = self.scanned is None
         self.scanned, changed = self.apsp.changes_since(self.scanned)
-        cells = []
-        for ii, jj in changed:
-            hit, = self.watched[ii, jj].nonzero()
-            if hit.size:
-                cells += zip(ii[hit].tolist(), jj[hit].tolist())
+        if full:
+            return self._scan_all()
+        if not changed:
+            return []
+        # one lookup over the cells of every commit: each fancy index
+        # converts its int16 index arrays anew
+        ii, jj = (np.concatenate(a) for a in zip(*changed))
+        hit, = self.watched[ii, jj].nonzero()
         # testing the readers of about 32 changed cells costs as much as
         # the vectorized scan of every free atom (measured per call on the
         # jobshop, diamond and incremental workloads)
-        if full or len(cells) > 32:
+        if hit.size > 32:
             return self._scan_all()
+        cells = zip(ii[hit].tolist(), jj[hit].tolist())
         # by side, then position: the order of a full scan's answer
         readers, assigned = self.readers, self.assigned
         tests = sorted({test for cell in cells for test in readers[cell]
@@ -418,7 +422,8 @@ class Session:
             self.atoms.retire(var)
         # a vertex no atom reads has no edge left: the solver backtracked
         # below every atom it retired, and undo is bit-exact, so the
-        # vertex's row and column are clean for a name that takes it over
+        # vertex's row and column hold no path again (its diagonal 0) for
+        # a name that takes it over
         ids = self._int_ids
         for name in [name for name, vid in ids.items()
                      if not self.atoms.reads(vid)]:

@@ -13,10 +13,12 @@ more cheaply, the one block that can change. A bound the closure already
 entails, as every theory propagation is when it comes back asserted, is
 recorded as an edge for explanations but skips the kernel: it cannot
 shorten any pair. Every overwritten cell and replaced edge is logged per
-decision level so retraction replays to a bit-identical state. A logged
-cell is its int16 row and column, old int64 distance and old bool
-reachability, 13 bytes (`kernels.UNDO_CELL_BYTES`). Models are
-read off the closure: a variable's value is its column minimum, the
+decision level so retraction replays to a bit-identical state. The
+closure is one int64 matrix: a pair with no path holds
+`kernels.NO_PATH`, above every finite distance, so every entailment test
+is one comparison. A logged cell is its int16 row and column and old
+int64 distance, 12 bytes (`kernels.UNDO_CELL_BYTES`). Models are read off
+the closure: a variable's value is its column minimum, the
 shortest distance from a virtual source; an atom's first decision takes
 the polarity this model satisfies. The explanation of a conflict or
 propagation is searched on demand, goal directed by the closure's
@@ -30,24 +32,28 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .kernels import INDEX, relax_edge
-from .normalize import CONST_MIN
+from .kernels import INDEX, NO_PATH, relax_edge
+from .normalize import CONST_MAX, CONST_MIN
 from .sat import InternalError
 
-# The vertex limit guards two bounds, both checked here. The undo log stores
-# cell indices as kernels.INDEX (int16), so every vertex must fit it. And
-# with every edge weight in [normalize.CONST_MIN, normalize.CONST_MAX] =
-# [-2^52, 2^52 - 1], a closure cell holds a simple path of at most
-# MAX_VERTICES - 1 edges, so a kernel sum D[i,y] + c + D[x,j] has magnitude
-# at most (2 * MAX_VERTICES - 1) * 2^52 = 2,047 * 2^52 <= 2^63 - 2^52,
-# which int64 holds.
+# The vertex limit guards the closure's arithmetic, checked here. The undo
+# log stores cell indices as kernels.INDEX (int16), so every vertex must
+# fit it. With every edge weight in [normalize.CONST_MIN,
+# normalize.CONST_MAX] = [-2^52, 2^52 - 1], a finite closure cell holds a
+# simple path of at most MAX_VERTICES - 1 edges, so its magnitude is at
+# most 1,023 * 2^52, below kernels.NO_PATH = 2^62 - 2^51. A cell the kernel
+# makes reachable gets a shortest, hence simple, path too. And the largest
+# sum the kernel forms, D[i,y] + c + D[x,j] over two no-path cells, is
+# 2 * NO_PATH + CONST_MAX = 2^63 - 1, which int64 holds.
 MAX_VERTICES = 1024
 if MAX_VERTICES > np.iinfo(INDEX).max:
     raise ImportError(f"MAX_VERTICES = {MAX_VERTICES} does not fit the "
                       f"{np.dtype(INDEX).name} undo-log indices")
-if (2 * MAX_VERTICES - 1) * -CONST_MIN > np.iinfo(np.int64).max:
+if (MAX_VERTICES - 1) * -CONST_MIN >= NO_PATH:
     raise ImportError(f"MAX_VERTICES = {MAX_VERTICES} lets path sums "
-                      f"overflow int64")
+                      f"reach the no-path sentinel")
+if 2 * NO_PATH + CONST_MAX > np.iinfo(np.int64).max:
+    raise ImportError("sums over no-path cells overflow int64")
 
 ZERO_VAR = 0
 
@@ -62,8 +68,8 @@ class DifferenceEngine:
     def __init__(self, capacity=8):
         capacity = max(capacity, 2)
         self.n = 0
-        self._d = np.zeros((capacity, capacity), dtype=np.int64)
-        self._r = np.zeros((capacity, capacity), dtype=np.bool_)
+        self._d = np.full((capacity, capacity), NO_PATH, dtype=np.int64)
+        self._flat = self._d.reshape(-1)  # flat view: 1-D take and put
         # edges[u][v] is the stack of (weight, supporting literal, stamp) of
         # the edge u -> v; the live weight is the last entry, older entries
         # are the still-asserted weaker bounds needed for time-restricted
@@ -87,13 +93,11 @@ class DifferenceEngine:
             cap = self._d.shape[0]
             while cap <= v:
                 cap *= 2
-            nd = np.zeros((cap, cap), dtype=np.int64)
-            nr = np.zeros((cap, cap), dtype=np.bool_)
+            nd = np.full((cap, cap), NO_PATH, dtype=np.int64)
             nd[: self.n, : self.n] = self._d[: self.n, : self.n]
-            nr[: self.n, : self.n] = self._r[: self.n, : self.n]
-            self._d, self._r = nd, nr
+            self._d, self._flat = nd, nd.reshape(-1)
         for k in range(self.n, v + 1):
-            self._r[k, k] = True
+            self._d[k, k] = 0
             self.edges.append({})
         self.n = v + 1
 
@@ -101,13 +105,14 @@ class DifferenceEngine:
 
     def dist(self, u, v):
         """Shortest path weight u to v, or None when unreachable."""
-        if u >= self.n or v >= self.n or not self._r[u, v]:
+        if u >= self.n or v >= self.n:
             return None
-        return int(self._d[u, v])
+        d = int(self._d[u, v])
+        return d if d < NO_PATH else None
 
     def holds(self, x, y, c):
         """Whether the closure already entails x - y <= c."""
-        return x < self.n and y < self.n and self._r[y, x] and self._d[y, x] <= c
+        return x < self.n and y < self.n and self._d[y, x] <= c
 
     # -- assertion and retraction -------------------------------------------
 
@@ -119,7 +124,7 @@ class DifferenceEngine:
         touched. A bound the closure already entails is logged as an edge
         with a new stamp, but without a kernel call and with no undo cells.
         """
-        if self._r[x, y] and self._d[x, y] + c < 0:
+        if self._d[x, y] + c < 0:
             path = self.explain_path(x, y, int(self._d[x, y]))
             return path + [lit]
         out = self.edges[y]
@@ -132,10 +137,10 @@ class DifferenceEngine:
             out[x] = [(c, lit, self.stamp)]
         else:
             hist.append((c, lit, self.stamp))
-        if self._r[y, x] and self._d[y, x] <= c:
+        if self._d[y, x] <= c:
             cells = None  # entailed: D[i,y] + c + D[x,j] >= D[i,j] everywhere
         else:
-            cells = relax_edge(self._d, self._r, self.n, x, y, c)
+            cells = relax_edge(self._d, self._flat, self.n, x, y, c)
             self.cell_updates += len(cells[0])
             self.undo_cells += len(cells[0])
         self._trail.append((level, (y, x), cells))
@@ -157,12 +162,10 @@ class DifferenceEngine:
         while trail and trail[-1][0] > level:
             _, key, cells = trail.pop()
             if cells is not None:
-                ui, uj, ud, ur = cells
-                # one flat intp index for both matrices: 2-D indexing
-                # would convert each int16 index array for each of them
-                flat = np.ravel_multi_index((ui, uj), self._d.shape)
-                self._d.reshape(-1)[flat] = ud
-                self._r.reshape(-1)[flat] = ur
+                ui, uj, ud = cells
+                # a flat intp index: 2-D indexing converts each int16
+                # index array on its own, which costs more
+                self._flat[np.ravel_multi_index((ui, uj), self._d.shape)] = ud
                 self.undo_cells -= len(ui)
             if key is not None:
                 u, v = key
@@ -191,7 +194,6 @@ class DifferenceEngine:
         """
         n = self.n
         h = self._d[:n, dst].tolist()
-        reaches = self._r[:n, dst].tolist()
         dist = {src: 0}
         pred = {}
         heap = [(h[src], src)]
@@ -203,7 +205,7 @@ class DifferenceEngine:
             if f > du + h[u]:
                 continue  # superseded by a shorter path to u
             for v, hist in self.edges[u].items():
-                if not reaches[v]:
+                if h[v] == NO_PATH:
                     continue
                 w, lit, st = hist[-1]
                 if stamp is not None and st > stamp:
@@ -238,18 +240,15 @@ class DifferenceEngine:
         implied false when its integer complement is entailed.
         """
         d = self._d[: self.n, : self.n]
-        r = self._r[: self.n, : self.n]
-        pos = r[ys, xs] & (d[ys, xs] <= cs)
-        neg = r[xs, ys] & (d[xs, ys] <= -cs - 1)
-        return pos, neg
+        return d[ys, xs] <= cs, d[xs, ys] <= -cs - 1
 
     # -- models ---------------------------------------------------------------
 
     def _potential(self, cols):
         """Unshifted model values of the vertices ``cols``: each one's
         shortest distance from a virtual source with zero-weight edges to
-        every vertex, the minimum of its closure column (an unreachable
-        cell holds 0, as the diagonal does)."""
+        every vertex, the minimum of its closure column (its diagonal
+        cell holds 0, a no-path cell more than any distance)."""
         return self._d[:self.n, cols].min(axis=0).tolist()
 
     def model_satisfies(self, x, y, c):
@@ -278,29 +277,13 @@ class DifferenceEngine:
         rows = []
         for i in range(self.n):
             rows.append("\t".join(
-                str(int(self._d[i, j])) if self._r[i, j] else "inf"
-                for j in range(self.n)))
+                str(d) if d < NO_PATH else "inf"
+                for d in self._d[i, :self.n].tolist()))
         return "\n".join(rows) + ("\n" if rows else "")
-
-    def check_invariants(self):
-        """Full-scan diagonal and triangle checks; raises on violation."""
-        n = self.n
-        d = self._d[:n, :n]
-        r = self._r[:n, :n]
-        if not all(r[i, i] and d[i, i] == 0 for i in range(n)):
-            raise InternalError("diagonal must be exactly zero")
-        for k in range(n):
-            via = r[:, k][:, None] & r[k, :][None, :]
-            cand = d[:, k][:, None] + d[k, :][None, :]
-            bad = via & (~r | (cand < d))
-            if bad.any():
-                raise InternalError("triangle inequality violated")
-        if (d[~r] != 0).any():
-            raise InternalError("unreachable cells must hold 0")
 
     def snapshot(self):
         """Comparable copy of the visible state (for undo-exactness tests)."""
         n = self.n
-        return (self._d[:n, :n].tobytes(), self._r[:n, :n].tobytes(),
+        return (self._d[:n, :n].tobytes(),
                 {(u, v): tuple(hist) for u, out in enumerate(self.edges)
                  for v, hist in out.items()})

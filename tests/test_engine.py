@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from idlsmt.engine import Session, SessionConfig, _TheoryBridge
-from idlsmt.kernels import BLOCK_MIN_N, UNDO_CELL_BYTES
+from idlsmt.kernels import BLOCK_MIN_N, NO_PATH, UNDO_CELL_BYTES
 from idlsmt.normalize import CONST_MAX, CONST_MIN
 from idlsmt.smtlib import Command, ParseError, parse_script, tokenize
 from idlsmt.testkit import (
@@ -603,8 +603,7 @@ def check_kept_trail(session):
             edges.append((y, x, c))
     n = apsp.n
     D, R = scratch_floyd_warshall(n, edges)
-    assert (apsp._r[:n, :n] == R).all()
-    assert (apsp._d[:n, :n] == D).all()
+    assert (apsp._d[:n, :n] == np.where(R, D, NO_PATH)).all()
 
 
 class TestAssignmentMask:
@@ -1124,9 +1123,9 @@ class TestPopByDeletion:
                 assert free == [2]
                 assert not apsp.edges[2]
                 assert all(2 not in out for out in apsp.edges)
-                assert (apsp._r[2, :n] == (np.arange(n) == 2)).all()
-                assert (apsp._r[:n, 2] == (np.arange(n) == 2)).all()
-                assert not apsp._d[2, :n].any() and not apsp._d[:n, 2].any()
+                clean = np.where(np.arange(n) == 2, 0, NO_PATH)
+                assert (apsp._d[2, :n] == clean).all()
+                assert (apsp._d[:n, 2] == clean).all()
         assert got == ["sat"] * 1100
         assert sizes == {3}
 
@@ -1342,7 +1341,7 @@ class TestStats:
             stats = session.stats
             assert stats["undo_bytes"] == stats["undo_cells"] * UNDO_CELL_BYTES
             sizes.append(stats["undo_cells"])
-        assert UNDO_CELL_BYTES == 13
+        assert UNDO_CELL_BYTES == 12
         assert sizes[5] == 0 < sizes[6]  # before and after the first check
         assert sizes[9] > sizes[6]  # the frame's check
         assert sizes[10] == sizes[6]  # the pop

@@ -5,12 +5,18 @@ import numpy as np
 import pytest
 
 from idlsmt import kernels, theory
+from idlsmt.kernels import NO_PATH
+from idlsmt.normalize import CONST_MAX, CONST_MIN
 
 
 def fresh_state(n):
-    D = np.zeros((n, n), dtype=np.int64)
-    R = np.eye(n, dtype=np.bool_)
-    return D, R
+    D = np.full((n, n), NO_PATH, dtype=np.int64)
+    np.fill_diagonal(D, 0)
+    return D
+
+
+def relax(D, n, x, y, c):
+    return kernels.relax_edge(D, D.reshape(-1), n, x, y, c)
 
 
 def random_stream(seed, n, count):
@@ -24,61 +30,62 @@ def random_stream(seed, n, count):
 
 class TestNumpyKernel:
     def test_edge_itself_enters(self):
-        D, R = fresh_state(3)
-        ii, jj, od, orr = kernels.relax_edge(D, R, 3, 1, 0, 5)
+        D = fresh_state(3)
+        ii, jj, od = relax(D, 3, 1, 0, 5)
         assert list(zip(ii.tolist(), jj.tolist())) == [(0, 1)]
-        assert D[0, 1] == 5 and R[0, 1]
-        assert not orr[0]
+        assert D[0, 1] == 5
+        assert od.tolist() == [NO_PATH]
 
     def test_no_path_is_absorbing(self):
-        # unreachable intermediate cells contribute no candidates
-        D, R = fresh_state(3)
-        kernels.relax_edge(D, R, 3, 1, 0, -7)
-        assert not R[1, 0] and not R[2, 0] and not R[0, 2]
-        assert D[1, 0] == 0  # untouched storage under a no-path cell
+        # unreachable intermediate cells contribute no candidates, although
+        # NO_PATH plus the negative weight is below NO_PATH
+        D = fresh_state(3)
+        ii, jj, _ = relax(D, 3, 1, 0, -7)
+        assert list(zip(ii.tolist(), jj.tolist())) == [(0, 1)]
+        want = fresh_state(3)
+        want[0, 1] = -7
+        assert np.array_equal(D, want)
 
     def test_tightening_updates_and_logs_previous(self):
-        D, R = fresh_state(2)
-        kernels.relax_edge(D, R, 2, 1, 0, 9)
-        ii, jj, od, orr = kernels.relax_edge(D, R, 2, 1, 0, 4)
+        D = fresh_state(2)
+        relax(D, 2, 1, 0, 9)
+        ii, jj, od = relax(D, 2, 1, 0, 4)
         assert D[0, 1] == 4
-        assert od.tolist() == [9] and orr.tolist() == [True]
+        assert od.tolist() == [9]
 
     def test_undo_restores_exactly(self):
-        D, R = fresh_state(5)
+        D = fresh_state(5)
         stream = random_stream(3, 5, 12)
-        before = (D.copy(), R.copy())
+        before = D.copy()
         log = []
         for x, y, c in stream:
-            if R[x, y] and D[x, y] + c < 0:
+            if D[x, y] + c < 0:
                 continue
-            log.append(kernels.relax_edge(D, R, 5, x, y, c))
-        for ii, jj, od, orr in reversed(log):
+            log.append(relax(D, 5, x, y, c))
+        for ii, jj, od in reversed(log):
             D[ii, jj] = od
-            R[ii, jj] = orr
-        assert np.array_equal(D, before[0]) and np.array_equal(R, before[1])
+        assert np.array_equal(D, before)
 
     @pytest.mark.parametrize("n", [5, kernels.BLOCK_MIN_N])
-    def test_undo_log_cell_is_13_bytes(self, n):
+    def test_undo_log_cell_is_12_bytes(self, n):
         # both the full and the block form log int16 indices
-        D, R = fresh_state(n)
-        log = kernels.relax_edge(D, R, n, 1, 0, 5)
-        assert [a.dtype for a in log] == [np.int16, np.int16, np.int64,
-                                          np.bool_]
-        assert sum(a.itemsize for a in log) == kernels.UNDO_CELL_BYTES == 13
+        D = fresh_state(n)
+        log = relax(D, n, 1, 0, 5)
+        assert [a.dtype for a in log] == [np.int16, np.int16, np.int64]
+        assert sum(a.itemsize for a in log) == kernels.UNDO_CELL_BYTES == 12
 
 
-def reference_relax(D, R, n, x, y, c):
+def reference_relax(D, n, x, y, c):
     """Plain full-block relaxation, the contract of relax_edge: int16 rows
-    and columns, int64 old distances, bool old reachability."""
-    Dv, Rv = D[:n, :n], R[:n, :n]
+    and columns, int64 old distances, no candidate through a no-path
+    cell."""
+    Dv = D[:n, :n]
     cand = (Dv[:, y] + c)[:, None] + Dv[x, :][None, :]
-    valid = Rv[:, y][:, None] & Rv[x, :][None, :]
-    ii, jj = np.nonzero(valid & (~Rv | (cand < Dv)))
-    old_d, old_r = Dv[ii, jj].copy(), Rv[ii, jj].copy()
+    valid = (Dv[:, y] < NO_PATH)[:, None] & (Dv[x, :] < NO_PATH)[None, :]
+    ii, jj = np.nonzero(valid & (cand < Dv))
+    old_d = Dv[ii, jj].copy()
     Dv[ii, jj] = cand[ii, jj]
-    Rv[ii, jj] = True
-    return ii.astype(np.int16), jj.astype(np.int16), old_d, old_r
+    return ii.astype(np.int16), jj.astype(np.int16), old_d
 
 
 def tightening_stream(seed, n, count):
@@ -107,26 +114,88 @@ class TestBlockSwitch:
     def test_same_closure_and_undo_log_as_full_block(self, n):
         cap = n + 7  # matrices wider than n, as the engine grows them
         for seed in range(3):
-            D1, R1 = fresh_state(cap)
-            D2, R2 = fresh_state(cap)
+            D1 = fresh_state(cap)
+            D2 = fresh_state(cap)
             logs = []
             for x, y, c in tightening_stream(seed, n, 2 * n):
-                if R1[x, y] and D1[x, y] + c < 0:
+                if D1[x, y] + c < 0:
                     continue
-                got = kernels.relax_edge(D1, R1, n, x, y, c)
-                want = reference_relax(D2, R2, n, x, y, c)
+                got = relax(D1, n, x, y, c)
+                want = reference_relax(D2, n, x, y, c)
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
                 logs.append(got)
-            assert np.array_equal(D1, D2) and np.array_equal(R1, R2)
+            assert np.array_equal(D1, D2)
             # the stream exercised unreachable cells and tightenings
-            assert not R1[:n, :n].all()
-            assert any(old_r.any() for *_, old_r in logs)
-            for ii, jj, od, orr in reversed(logs):
+            assert (D1[:n, :n] == NO_PATH).any()
+            assert any((od < NO_PATH).any() for *_, od in logs)
+            for ii, jj, od in reversed(logs):
                 D1[ii, jj] = od
-                R1[ii, jj] = orr
-            D0, R0 = fresh_state(cap)
-            assert np.array_equal(D1, D0) and np.array_equal(R1, R0)
+            assert np.array_equal(D1, fresh_state(cap))
+
+
+def python_closure(n, edges):
+    """Floyd-Warshall over Python ints, None for no path, or None for the
+    whole closure when the edges close a negative cycle."""
+    d = [[0 if i == j else None for j in range(n)] for i in range(n)]
+    for u, v, w in edges:
+        if d[u][v] is None or w < d[u][v]:
+            d[u][v] = w
+    for k in range(n):
+        dk = d[k]
+        for i in range(n):
+            dik = d[i][k]
+            if dik is None:
+                continue
+            di = d[i]
+            for j in range(n):
+                if dk[j] is not None and (di[j] is None
+                                          or dik + dk[j] < di[j]):
+                    di[j] = dik + dk[j]
+    if any(d[i][i] < 0 for i in range(n)):
+        return None
+    return d
+
+
+def extreme_stream(seed, n, count):
+    """Random edges, most of them weighted at the ends of the constant
+    range, where a wrapped sum or a sum through a no-path cell is largest."""
+    rng = random.Random(seed)
+    ends = (CONST_MIN, CONST_MIN + 1, CONST_MAX - 1, CONST_MAX)
+    out = []
+    for _ in range(count):
+        x, y = rng.sample(range(n), 2)
+        c = rng.choice(ends) if rng.random() < 0.8 else rng.randint(-9, 9)
+        out.append((x, y, c))
+    return out
+
+
+class TestOracle:
+    @pytest.mark.parametrize("n", [6, kernels.BLOCK_MIN_N - 1,
+                                   kernels.BLOCK_MIN_N + 1])
+    def test_extreme_weights_match_python_int_closure(self, n):
+        for seed in range(3):
+            D = fresh_state(n + 3)
+            edges, logs = [], []
+            for x, y, c in extreme_stream(seed, n, 3 * n):
+                if D[x, y] + c < 0:
+                    continue  # closes a negative cycle
+                edges.append((y, x, c))
+                logs.append(relax(D, n, x, y, c))
+            want = python_closure(n, edges)
+            assert want is not None
+            got = [[d if d < NO_PATH else None for d in row]
+                   for row in D[:n, :n].tolist()]
+            assert got == want
+            # the stream chained extreme weights, left no-path cells and
+            # rejected edges that closed a negative cycle
+            finite = [d for row in want for d in row if d is not None]
+            assert max(map(abs, finite)) > 3 * 2 ** 51
+            assert None in sum(want, [])
+            assert len(edges) < 3 * n
+            for ii, jj, od in reversed(logs):
+                D[ii, jj] = od
+            assert np.array_equal(D, fresh_state(n + 3))
 
 
 def load_theory(max_vertices):
@@ -143,8 +212,10 @@ def load_theory(max_vertices):
 
 
 class TestVertexLimitGuard:
-    """Raising MAX_VERTICES fails at import time where the int16 undo-log
-    indices or the int64 path sums would no longer hold, never silently."""
+    """Raising MAX_VERTICES, or moving NO_PATH, fails at import time where
+    the int16 undo-log indices, the gap between finite paths and the
+    no-path sentinel, or the int64 kernel sums would no longer hold, never
+    silently."""
 
     def test_current_limit_loads(self):
         assert load_theory(theory.MAX_VERTICES).MAX_VERTICES == 1024
@@ -153,7 +224,14 @@ class TestVertexLimitGuard:
         with pytest.raises(ImportError, match="int16 undo-log indices"):
             load_theory(np.iinfo(np.int16).max + 1)
 
-    def test_path_sums_past_int64_fail_at_import(self):
-        # (2n - 1) * 2^52 outgrows int64 from n = 1,025 on
-        with pytest.raises(ImportError, match="path sums overflow int64"):
+    def test_paths_reaching_the_sentinel_fail_at_import(self):
+        # (n - 1) * 2^52 reaches NO_PATH = 2^62 - 2^51 from n = 1,025 on
+        with pytest.raises(ImportError,
+                           match="path sums reach the no-path sentinel"):
             load_theory(1025)
+
+    def test_sentinel_sums_past_int64_fail_at_import(self, monkeypatch):
+        # 2 * NO_PATH + CONST_MAX is 2^63 - 1 today; one more overflows
+        monkeypatch.setattr(kernels, "NO_PATH", kernels.NO_PATH + 1)
+        with pytest.raises(ImportError, match="overflow int64"):
+            load_theory(theory.MAX_VERTICES)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from idlsmt.kernels import BLOCK_MIN_N
+from idlsmt.kernels import BLOCK_MIN_N, NO_PATH
 from idlsmt.sat import InternalError
 from idlsmt.theory import MAX_VERTICES, DifferenceEngine, TooManyVertices
 from idlsmt.testkit import bellman_ford_consistent, scratch_floyd_warshall
@@ -25,9 +25,20 @@ def matrices_equal(e, ref):
     if ref is None:
         return False
     D, R = ref
+    return np.array_equal(e._d[:e.n, :e.n], np.where(R, D, NO_PATH))
+
+
+def assert_closure_invariants(e):
+    """Zero diagonal, no-path cells at exactly NO_PATH, and no pair that a
+    third vertex would shorten."""
     n = e.n
-    return (np.array_equal(e._r[:n, :n], R)
-            and np.array_equal(np.where(R, e._d[:n, :n], 0), np.where(R, D, 0)))
+    d = e._d[:n, :n]
+    assert (np.diagonal(d) == 0).all()
+    finite = d < NO_PATH
+    assert (d[~finite] == NO_PATH).all()
+    for k in range(n):
+        via = finite[:, k][:, None] & finite[k, :][None, :]
+        assert not (via & (d[:, k][:, None] + d[k, :][None, :] < d)).any()
 
 
 class TestVertices:
@@ -170,17 +181,14 @@ class TestAssert:
         rng = random.Random(13)
         n = 6
         e = engine(n)
-        prev_d = e._d[:n, :n].copy()
-        prev_r = e._r[:n, :n].copy()
+        prev = e._d[:n, :n].copy()
         for lit in range(1, 40):
             x, y = rng.sample(range(n), 2)
             if e.assert_atom(x, y, rng.randint(-6, 6), lit=lit, level=1) is None:
                 d = e._d[:n, :n]
-                r = e._r[:n, :n]
-                assert (r | ~prev_r).all()  # reachability only grows
-                both = prev_r & r
-                assert (d[both] <= prev_d[both]).all()
-                prev_d, prev_r = d.copy(), r.copy()
+                # no cell grows, so reachability only grows too
+                assert (d <= prev).all()
+                prev = d.copy()
 
     def test_invariants_full_scan(self):
         rng = random.Random(14)
@@ -189,7 +197,7 @@ class TestAssert:
         for lit in range(1, 60):
             x, y = rng.sample(range(n), 2)
             e.assert_atom(x, y, rng.randint(-5, 9), lit=lit, level=1)
-            e.check_invariants()
+            assert_closure_invariants(e)
 
 
 class TestBacktrack:
@@ -246,7 +254,7 @@ class TestBacktrack:
                 if entail and rng.random() < entail:
                     # a path without a direct edge, so the bound is new
                     reach = [(i, j) for i, j
-                             in np.argwhere(e._r[:n, :n]).tolist()
+                             in np.argwhere(e._d[:n, :n] < NO_PATH).tolist()
                              if i != j and j not in e.edges[i]]
                     y, x = rng.choice(reach or [(y, x)])
                     if e.dist(y, x) is not None:
@@ -479,20 +487,19 @@ class TestModel:
     def test_model_check_catches_a_corrupted_closure(self):
         e = engine(2)
         e.assert_atom(1, 0, -3, lit=5, level=1)  # edge 0 -> 1 weight -3
-        # the closure loses the path the edge gives; an unreachable cell
-        # holds 0, which the model reads
-        e._r[0, 1] = False
-        e._d[0, 1] = 0
+        e._d[0, 1] = NO_PATH  # the closure loses the path the edge gives
         with pytest.raises(InternalError):
             e.extract_model()
 
     def test_invariant_check_raises_an_internal_error(self):
+        # the model reads the zero diagonal into every column minimum; a
+        # lost zero breaks a committed bound, which the model check finds
         e = engine(3)
         e.assert_atom(1, 0, -3, lit=5, level=1)
-        e.check_invariants()
+        e.extract_model()
         e._d[0, 0] = -1
-        with pytest.raises(InternalError, match="diagonal"):
-            e.check_invariants()
+        with pytest.raises(InternalError, match="violates a committed bound"):
+            e.extract_model()
 
     def test_random_consistent_sets_are_satisfied(self):
         rng = random.Random(19)
