@@ -2,13 +2,17 @@
 """Time the relaxation kernel's forms per matrix size.
 
 Feeds identical random edge streams through each form on fresh distance
-matrices and reports per-commit timings: the kernel's full n x n block
-and its I x J block (only the rows and columns the new edge improves).
+matrices and reports per-commit timings: the kernel's full n x n block,
+which saves a copy of the old block for undo, and its I x J block (only
+the rows and columns the new edge improves), which logs the changed cells.
 A `*` marks the form `kernels.relax_edge` runs at that size, which is
 `full` below `kernels.BLOCK_MIN_N` vertices and `block` from there on;
 the table is how that constant is chosen and re-checked.
-Each form's time is the best of `--repeats` runs, taken in turn, so a slow
-spell of the host does not land on one form only.
+The two forms run interleaved, commit by commit on matrices of their own,
+so a slow spell of the host lands on both. Raw microseconds still move
+with the host; the column to compare across runs is `block/full`, the
+ratio of the two forms' times within a run (below 1: the block form is
+faster). Each figure is the median over `--repeats` runs.
 
 Usage: python benchmarks/bench_fw_kernel.py [--sizes 16,32,64,96,128,200,400]
        [--edges 600] [--repeats 3] [--seed 0]
@@ -16,6 +20,7 @@ Usage: python benchmarks/bench_fw_kernel.py [--sizes 16,32,64,96,128,200,400]
 
 import argparse
 import random
+import statistics
 import time
 
 import numpy as np
@@ -38,16 +43,33 @@ def stream(seed, n, count):
     return out
 
 
-def drive(relax, n, edges):
-    D = fresh(n)
-    Df = D.reshape(-1)
-    t0 = time.perf_counter()
-    updates = 0
+def changed_cells(entry):
+    """Cells one call changed: the full form returns ``(old block,
+    count)``, the block form its ``(rows, cols, old)`` cell log."""
+    return entry[1] if len(entry) == 2 else len(entry[0])
+
+
+def drive(forms, n, edges):
+    """Feed ``edges`` to every form, each on a matrix of its own, and time
+    each call; the forms take turns going first. Returns the seconds per
+    form, the cells changed and the final matrices."""
+    mats = [fresh(n) for _ in forms]
+    secs = [0.0] * len(forms)
+    updates = [0] * len(forms)
+    order = list(range(len(forms)))
     for x, y, c in edges:
-        if D[x, y] + c < 0:
+        if mats[0][x, y] + c < 0:
             continue
-        updates += len(relax(D, Df, n, x, y, c)[0])
-    return time.perf_counter() - t0, updates, D
+        order.reverse()
+        for k in order:
+            D = mats[k]
+            t0 = time.perf_counter()
+            entry = forms[k](D, D.reshape(-1), n, x, y, c)
+            secs[k] += time.perf_counter() - t0
+            updates[k] += changed_cells(entry)
+    if len(set(updates)) != 1:
+        raise SystemExit("kernel forms changed different cells; kernel bug")
+    return secs, updates[0], mats
 
 
 def main():
@@ -59,28 +81,28 @@ def main():
     args = ap.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    forms = [("full", kernels._relax_full), ("block", kernels._relax_block)]
+    names = ("full", "block")
+    forms = (kernels._relax_full, kernels._relax_block)
     print(f"block form from n = {kernels.BLOCK_MIN_N}")
 
     print(f"{'n':>6} {'edges':>6} {'updates':>10} "
-          + "".join(f"{name + ' us/commit':>18}" for name, _ in forms))
+          + "".join(f"{name + ' us/commit':>18}" for name in names)
+          + f"{'block/full':>12}")
     for n in sizes:
         edges = stream(args.seed, n, args.edges)
-        best = [float("inf")] * len(forms)
-        results = [None] * len(forms)
+        runs = []
         for _ in range(args.repeats):
-            for k, (_, relax) in enumerate(forms):
-                dt, updates, D = drive(relax, n, edges)
-                best[k] = min(best[k], dt)
-                results[k] = D
-        if not all(np.array_equal(D, results[0]) for D in results[1:]):
-            raise SystemExit("kernel forms disagree; kernel bug")
+            secs, updates, mats = drive(forms, n, edges)
+            if not all(np.array_equal(D, mats[0]) for D in mats[1:]):
+                raise SystemExit("kernel forms disagree; kernel bug")
+            runs.append(secs)
         chosen = "block" if n >= kernels.BLOCK_MIN_N else "full"
         row = f"{n:>6} {len(edges):>6} {updates:>10}"
-        for (name, _), dt in zip(forms, best):
-            mark = "*" if name == chosen else " "
-            row += f"{1e6 * dt / len(edges):>17.1f}{mark}"
-        print(row)
+        for k, name in enumerate(names):
+            us = 1e6 * statistics.median(r[k] for r in runs) / len(edges)
+            row += f"{us:>17.1f}{'*' if name == chosen else ' '}"
+        ratio = statistics.median(r[1] / r[0] for r in runs)
+        print(row + f"{ratio:>12.2f}")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import kernels, normalize, sat, theory
+from . import normalize, sat, theory
 from .sat import InternalError
 from .smtlib import Command, format_int, render_symbol
 
@@ -92,19 +92,21 @@ class _TheoryBridge:
     as many as the most atoms live at once. Each atom also reads two
     closure cells: ``(y, x)`` entails it, ``(x, y)`` refutes it;
     ``readers`` lists the atoms by cell and ``watched`` marks the cells
-    that have any. After a backtrack or a new atom, ``propagate`` tests
-    every free atom at once. Otherwise it tests only the free readers of
-    the watched cells that the commits since its last call changed, read
-    off the engine's undo trail: the SAT core asserted all that call
-    returned, so no other atom can be newly implied. The SAT core calls it
-    once its last assumption is placed, so those commits may span every
-    assumption level. When more than 32 such cells changed, it runs the
-    full scan instead, which is then cheaper. Both paths return the implied
-    atoms by position, then the refuted ones. ``on_solution`` checks the
-    trail's bounds against the closure and keeps the integer model, nothing
-    else: the closure itself is not copied. Nothing here refers back to the
-    session, so a dropped session is freed at once, undo trail included,
-    without waiting for the cyclic garbage collector.
+    that have any. After a backtrack, a new atom or a commit below
+    ``kernels.BLOCK_MIN_N`` vertices (whose undo entry, the old block,
+    names no cell), ``propagate`` tests every free atom at once. Otherwise
+    it tests only the free readers of the watched cells that the commits
+    since its last call changed, read off the engine's undo trail: the SAT
+    core asserted all that the last call returned, so no other atom can be
+    newly implied. When more than 32 such cells changed, it runs the full
+    scan instead, which is then cheaper. The SAT core calls it once its
+    last assumption is placed, so those commits may span every assumption
+    level. Both paths return the implied atoms by position, then the
+    refuted ones. ``on_solution`` checks the trail's bounds against the
+    closure and keeps the integer model, nothing else: the closure itself
+    is not copied. Nothing here refers back to the session, so a dropped
+    session is freed at once, undo trail included, without waiting for the
+    cyclic garbage collector.
     """
 
     def __init__(self, solver, apsp, bounds):
@@ -184,9 +186,8 @@ class _TheoryBridge:
         return self.apsp.assert_atom(*bound, lit, level)
 
     def propagate(self):
-        full = self.scanned is None
         self.scanned, changed = self.apsp.changes_since(self.scanned)
-        if full:
+        if changed is None:
             return self._scan_all()
         if not changed:
             return []
@@ -560,8 +561,7 @@ class Session:
         out["prop_atoms_tested"] = self.bridge.atoms_tested
         out["live_clauses"] = len(self.solver.clauses)
         out["live_atoms"] = len(self.atoms)
-        out["undo_cells"] = self.apsp.undo_cells
-        out["undo_bytes"] = self.apsp.undo_cells * kernels.UNDO_CELL_BYTES
+        out["undo_cells"], out["undo_bytes"] = self.apsp.undo_size()
         return out
 
     def dimacs_text(self):

@@ -2,13 +2,14 @@
 
 One operation lives here: the relaxation run when a weighted edge
 ``y -> x`` is committed, which tightens every pair (i, j) through the new
-edge and logs the overwritten cells for undo. It is vectorized with numpy.
+edge and returns what undoes it. It is vectorized with numpy.
 
-Below `BLOCK_MIN_N` vertices the kernel computes all n x n pairs. From
+Below `BLOCK_MIN_N` vertices the kernel computes all n x n pairs and saves
+the old block, which costs less than gathering the changed cells. From
 there on it computes the I x J block: the rows i whose path to x gets
 cheaper through the new edge, times the columns j that y reaches more
-cheaply through it. No other pair can improve, so the result and the undo
-log are the same, while a commit costs O(n + |I||J|) instead of O(n^2).
+cheaply through it, and logs the changed cells. No other pair can improve,
+so the result is the same, while a commit costs O(n + |I||J|), not O(n^2).
 
 The closure is one C-contiguous int64 matrix `D`. A cell with no path
 holds the sentinel `NO_PATH`, the diagonal holds 0. A finite distance
@@ -17,10 +18,8 @@ improves a cell exactly when it is smaller; candidates through a no-path
 cell are masked out, and the largest sum the kernel forms,
 ``NO_PATH + CONST_MAX + NO_PATH``, still fits int64.
 
-The undo log names a cell by its row and column as `INDEX` (int16), which
-`theory.MAX_VERTICES` keeps in range, so a logged cell costs
-`UNDO_CELL_BYTES` = 12 bytes: two int16 indices and the int64 old
-distance.
+A logged cell costs `UNDO_CELL_BYTES` = 12 bytes: its row and column as
+`INDEX` (int16) and its old distance as int64.
 """
 
 from __future__ import annotations
@@ -28,11 +27,11 @@ from __future__ import annotations
 import numpy as np
 
 
-# Vertex count from which the kernel works on the I x J block of rows and
-# columns the new edge can improve, rather than on all n x n pairs.
-# Picking the block costs about 15 numpy calls more, which the full block
-# undercuts on small matrices: benchmarks/bench_fw_kernel.py finds the two
-# forms even at n = 40-44 and the block form ahead from 48-52 on.
+# From this vertex count on, the kernel works on the I x J block of rows
+# and columns the new edge can improve and logs the changed cells; below
+# it, on all n x n pairs with a copy of the old block, 8 * 47^2 = 17.7 KB
+# at most. The full form alone is faster up to about n = 100
+# (benchmarks/bench_fw_kernel.py), but its copy grows as n^2.
 BLOCK_MIN_N = 48
 
 # distance of a cell with no path: above every finite distance, and twice
@@ -53,10 +52,9 @@ def _relax_full(D, Df, n, x, y, c):
     better = cand < Dv
     better &= (col < NO_PATH)[:, None]
     better &= row < NO_PATH
-    old_d = Dv[better]
+    old = Dv.copy()
     np.copyto(Dv, cand, where=better)
-    ii, jj = np.nonzero(better)
-    return ii.astype(INDEX), jj.astype(INDEX), old_d
+    return old, int(np.count_nonzero(better))
 
 
 def _relax_block(D, Df, n, x, y, c):
@@ -92,12 +90,9 @@ def relax_edge(D, Df, n, x, y, c):
     Mutates ``D`` (C-contiguous, ``NO_PATH`` where there is no path) in
     place over the leading n x n block; ``Df`` is its flat view
     ``D.reshape(-1)``, which the engine keeps beside it. Returns the undo
-    log ``(rows, cols, old_dist)`` of every changed cell, in row-major
-    order: rows and columns as `INDEX` (int16) and old distances as int64,
-    12 bytes a cell (`UNDO_CELL_BYTES`). From ``BLOCK_MIN_N`` vertices
-    on, only the rows that reach x more cheaply through the new edge and
-    the columns that y reaches more cheaply through it are computed; the
-    result is the same.
+    entry: below ``BLOCK_MIN_N`` vertices ``(old, changed)``, a copy of the
+    old n x n block and the count of changed cells; from there on the cell
+    log ``(rows, cols, old_dist)`` of every changed cell, in row-major order.
     """
     relax = _relax_block if n >= BLOCK_MIN_N else _relax_full
     return relax(D, Df, n, x, y, c)

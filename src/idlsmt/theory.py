@@ -6,24 +6,22 @@ so a path u to v of weight w witnesses ``v - u <= w``, and a conjunction of
 bounds is consistent exactly when the edge graph has no negative cycle.
 
 Inserting a bound first tests for a conflict against the existing closure,
-then relaxes the pairs through the new edge: all n x n of them on small
-closures, and from `kernels.BLOCK_MIN_N` vertices on only the rows whose
-path to the edge's head gets cheaper times the columns its tail reaches
-more cheaply, the one block that can change. A bound the closure already
-entails, as every theory propagation is when it comes back asserted, is
-recorded as an edge for explanations but skips the kernel: it cannot
-shorten any pair. Every overwritten cell and replaced edge is logged per
-decision level so retraction replays to a bit-identical state. The
-closure is one int64 matrix: a pair with no path holds
-`kernels.NO_PATH`, above every finite distance, so every entailment test
-is one comparison. A logged cell is its int16 row and column and old
-int64 distance, 12 bytes (`kernels.UNDO_CELL_BYTES`). Models are read off
-the closure: a variable's value is its column minimum, the
-shortest distance from a virtual source; an atom's first decision takes
-the polarity this model satisfies. The explanation of a conflict or
-propagation is searched on demand, goal directed by the closure's
-distances to the target, so the hot loop carries no witness bookkeeping.
-The undo cells also tell theory propagation which cells changed.
+then relaxes the pairs through the new edge (`kernels.relax_edge`). A bound
+the closure already entails, as every theory propagation is when it comes
+back asserted, is recorded as an edge for explanations but skips the
+kernel: it cannot shorten any pair. Each commit's undo entry and each
+replaced edge are logged per decision level so retraction replays to a
+bit-identical state. Below `kernels.BLOCK_MIN_N` vertices the entry is the
+whole old block, which names no cell; from there on it logs the overwritten
+cells, 12 bytes each, which also tell theory propagation which cells
+changed. The closure is one int64 matrix: a pair with no path holds
+`kernels.NO_PATH`, above every finite distance, so every entailment test is
+one comparison. Models are read off the closure: a variable's value is its
+column minimum, the shortest distance from a virtual source; an atom's
+first decision takes the polarity this model satisfies. The explanation of
+a conflict or propagation is searched on demand, goal directed by the
+closure's distances to the target, so the hot loop carries no witness
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -75,10 +73,9 @@ class DifferenceEngine:
         # are the still-asserted weaker bounds needed for time-restricted
         # explanations
         self.edges = []
-        self._trail = []  # (level, edge key or None, undo cells or None)
+        self._trail = []  # (level, edge key or None, relax_edge undo or None)
         self.stamp = 0  # edges recorded, entailed ones too (edge_commits)
         self.cell_updates = 0
-        self.undo_cells = 0  # cells the trail holds, for undo_bytes
 
     # -- vertices ----------------------------------------------------------
 
@@ -122,7 +119,7 @@ class DifferenceEngine:
         Returns None on success or the list of supporting literals of a
         negative cycle (the new literal included); on conflict no state is
         touched. A bound the closure already entails is logged as an edge
-        with a new stamp, but without a kernel call and with no undo cells.
+        with a new stamp, but without a kernel call and with no undo entry.
         """
         if self._d[x, y] + c < 0:
             path = self.explain_path(x, y, int(self._d[x, y]))
@@ -138,35 +135,43 @@ class DifferenceEngine:
         else:
             hist.append((c, lit, self.stamp))
         if self._d[y, x] <= c:
-            cells = None  # entailed: D[i,y] + c + D[x,j] >= D[i,j] everywhere
+            undo = None  # entailed: D[i,y] + c + D[x,j] >= D[i,j] everywhere
         else:
-            cells = relax_edge(self._d, self._flat, self.n, x, y, c)
-            self.cell_updates += len(cells[0])
-            self.undo_cells += len(cells[0])
-        self._trail.append((level, (y, x), cells))
+            undo = relax_edge(self._d, self._flat, self.n, x, y, c)
+            self.cell_updates += undo[1] if len(undo) == 2 else len(undo[0])
+        self._trail.append((level, (y, x), undo))
         return None
 
     def changes_since(self, mark):
-        """The trail length, as the next call's mark, and the ``(rows,
-        cols)`` of the cells each commit from trail position ``mark`` on
-        changed; none for ``mark=None``. A backtrack below a mark voids it."""
+        """The trail length, as the next call's mark (a backtrack below it
+        voids it), and the ``(rows, cols)`` each commit since ``mark``
+        logged, or None for ``mark=None`` or past a whole block."""
         trail = self._trail
         if mark is None:
-            return len(trail), ()
-        return len(trail), [cells[:2] for _, _, cells in trail[mark:]
-                            if cells is not None]
+            return len(trail), None
+        undos = [undo for _, _, undo in trail[mark:] if undo is not None]
+        if any(len(undo) == 2 for undo in undos):
+            return len(trail), None
+        return len(trail), [undo[:2] for undo in undos]
+
+    def undo_size(self):
+        """The cells the trail can restore and its undo arrays' bytes."""
+        undos = [u for _, _, u in self._trail if u is not None]
+        return (sum(u[0].size for u in undos), sum(
+            a.nbytes for u in undos for a in u if type(a) is np.ndarray))
 
     def backtrack_to(self, level):
         """Undo every assertion made above ``level``, bit-exactly."""
         trail = self._trail
         while trail and trail[-1][0] > level:
-            _, key, cells = trail.pop()
-            if cells is not None:
-                ui, uj, ud = cells
+            _, key, undo = trail.pop()
+            if undo is not None and len(undo) == 3:
+                ui, uj, ud = undo
                 # a flat intp index: 2-D indexing converts each int16
                 # index array on its own, which costs more
                 self._flat[np.ravel_multi_index((ui, uj), self._d.shape)] = ud
-                self.undo_cells -= len(ui)
+            elif undo is not None:  # the old block; later commits are undone
+                self._d[:len(undo[0]), :len(undo[0])] = undo[0]
             if key is not None:
                 u, v = key
                 hist = self.edges[u][v]

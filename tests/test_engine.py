@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from idlsmt.engine import Session, SessionConfig, _TheoryBridge
-from idlsmt.kernels import BLOCK_MIN_N, NO_PATH, UNDO_CELL_BYTES
+from idlsmt.kernels import BLOCK_MIN_N, NO_PATH
 from idlsmt.normalize import CONST_MAX, CONST_MIN
 from idlsmt.smtlib import Command, ParseError, parse_script, tokenize
 from idlsmt.testkit import (
@@ -816,6 +816,27 @@ class TestPropagationOracle:
         assert bridge.apsp.n > BLOCK_MIN_N
         assert found > 100 and rescans > 5 and per_cell > 50
 
+    def test_small_closures_scan_every_free_atom_after_a_commit(
+            self, monkeypatch):
+        # below BLOCK_MIN_N each commit saves its whole block, which names
+        # no cell, so a call after one runs the full scan: it must still
+        # answer exactly what the oracle implies
+        whole = []
+        orig = DifferenceEngine.changes_since
+
+        def changes_since(apsp, mark):
+            out = orig(apsp, mark)
+            whole.append(mark is not None and out[1] is None)
+            return out
+
+        monkeypatch.setattr(DifferenceEngine, "changes_since", changes_since)
+        found, _, _, bridge = self.drive(
+            random.Random(37), 60,
+            lambda rng: [rng.sample(range(BLOCK_MIN_N - 1),
+                                    rng.randint(3, 6))])
+        assert bridge.apsp.n < BLOCK_MIN_N
+        assert sum(whole) > 100 and found > 200
+
     def test_atoms_added_across_capacity_doublings(self):
         # closure capacity 8 -> 16 -> 32 -> 128 as vertices 7, 9, 17 and
         # 70 arrive, with commits and scans in between
@@ -832,11 +853,15 @@ class TestPropagationCount:
     shows in it."""
 
     def test_commit_off_the_free_atoms_tests_nothing(self):
-        bounds = {1: (1, 0, 5), 2: (3, 2, 0), 3: (4, 3, 1), 4: (4, 2, 3)}
+        # vertices from BLOCK_MIN_N on, so commits log their changed cells
+        b = BLOCK_MIN_N
+        bounds = {1: (b + 1, 0, 5), 2: (b + 3, b + 2, 0),
+                  3: (b + 4, b + 3, 1), 4: (b + 4, b + 2, 3)}
         bridge = _TheoryBridge(types.SimpleNamespace(trail=[]),
                                DifferenceEngine(), bounds)
         for var, bound in bounds.items():
             bridge.register_atom(var, *bound)
+        assert bridge.apsp.n > BLOCK_MIN_N
         scans = []
         orig = bridge.apsp.scan_implications
         bridge.apsp.scan_implications = lambda *a: scans.append(1) or orig(*a)
@@ -847,8 +872,25 @@ class TestPropagationCount:
         assert bridge.propagate() == [] and bridge.atoms_tested == 4
         # x4 - x3 <= 1 also changes (2, 4), which entails atom 4
         assert bridge.on_assert(3, 1) is None
-        assert bridge.propagate() == [(4, (2, 4, 3, 2))]
+        assert bridge.propagate() == [(4, (b + 2, b + 4, 3, 2))]
         assert bridge.atoms_tested == 5 and len(scans) == 1
+
+    def test_small_closure_commit_scans_every_free_atom(self):
+        # the same atoms on vertices below BLOCK_MIN_N: a commit saves the
+        # whole old block, which names no cell, so each call after one
+        # tests every free atom
+        bounds = {1: (1, 0, 5), 2: (3, 2, 0), 3: (4, 3, 1), 4: (4, 2, 3)}
+        bridge = _TheoryBridge(types.SimpleNamespace(trail=[]),
+                               DifferenceEngine(), bounds)
+        for var, bound in bounds.items():
+            bridge.register_atom(var, *bound)
+        assert bridge.propagate() == [] and bridge.atoms_tested == 4
+        assert bridge.propagate() == [] and bridge.atoms_tested == 4
+        assert bridge.on_assert(2, 1) is None
+        assert bridge.propagate() == [] and bridge.atoms_tested == 7
+        assert bridge.on_assert(3, 1) is None
+        assert bridge.propagate() == [(4, (2, 4, 3, 2))]
+        assert bridge.atoms_tested == 9
 
     def test_a_fifth_of_the_full_scans(self):
         # the full scan ran at every call after a cell change, a backtrack
@@ -1339,12 +1381,51 @@ class TestStats:
         for cmd in parse_script(text):
             session.execute(cmd)
             stats = session.stats
-            assert stats["undo_bytes"] == stats["undo_cells"] * UNDO_CELL_BYTES
-            sizes.append(stats["undo_cells"])
-        assert UNDO_CELL_BYTES == 12
-        assert sizes[5] == 0 < sizes[6]  # before and after the first check
-        assert sizes[9] > sizes[6]  # the frame's check
+            # four vertices: each relaxing commit saves its 4 x 4 block
+            assert stats["undo_bytes"] == 8 * stats["undo_cells"]
+            assert stats["undo_cells"] % 16 == 0
+            sizes.append((stats["undo_cells"], stats["undo_bytes"]))
+        assert sizes[5][0] == 0 < sizes[6][0]  # around the first check
+        assert sizes[9][0] > sizes[6][0]  # the frame's check
         assert sizes[10] == sizes[6]  # the pop
+
+
+    def test_undo_bytes_are_the_trail_arrays(self):
+        # the base frame's commits save whole 4 x 4 blocks; the frame's
+        # constants take the closure past BLOCK_MIN_N, so its commits log
+        # cells. undo_bytes sums both kinds' arrays, and the pop takes
+        # both counts back to their values before the push.
+        names = [f"v{i}" for i in range(BLOCK_MIN_N)]
+        text = ("(set-logic QF_IDL)(declare-fun x () Int)"
+                "(declare-fun y () Int)(declare-fun z () Int)"
+                "(assert (<= (- x y) 3))(assert (<= (- y z) 2))"
+                "(check-sat)(push 1)"
+                + "".join(f"(declare-fun {v} () Int)" for v in names)
+                + "".join(f"(assert (<= (- {u} {v}) 1))"
+                          for u, v in zip(names, names[1:]))
+                + "(check-sat)(pop 1)")
+        session = Session()
+        seen, sizes = set(), []
+        for cmd in parse_script(text):
+            session.execute(cmd)
+            stats = session.stats
+            # a whole block is (old block, count), a cell log 3 arrays
+            entries = [undo for _, _, undo in session.apsp._trail
+                       if undo is not None]
+            seen.update(map(len, entries))
+            blocks = [u[0] for u in entries if len(u) == 2]
+            logs = [u for u in entries if len(u) == 3]
+            assert stats["undo_bytes"] == (
+                sum(b.nbytes for b in blocks)
+                + sum(a.nbytes for log in logs for a in log))
+            assert stats["undo_cells"] == (
+                sum(b.size for b in blocks) + sum(len(log[0]) for log in logs))
+            sizes.append((stats["undo_cells"], stats["undo_bytes"]))
+        assert seen == {2, 3}
+        assert session.apsp.n > BLOCK_MIN_N
+        assert sizes[6][0] > 0  # the first check
+        assert sizes[-2][1] > sizes[6][1]  # the frame's check
+        assert sizes[-1] == sizes[6]  # the pop
 
 
 def chain_script(n, c, up=True):

@@ -19,6 +19,17 @@ def relax(D, n, x, y, c):
     return kernels.relax_edge(D, D.reshape(-1), n, x, y, c)
 
 
+def undo(D, entry):
+    """Restore the cells one relax_edge call changed, as the engine's
+    backtrack does: a whole old block, or the logged cells."""
+    if len(entry) == 2:
+        old, _ = entry
+        D[:len(old), :len(old)] = old
+    else:
+        ii, jj, od = entry
+        D[ii, jj] = od
+
+
 def random_stream(seed, n, count):
     rng = random.Random(seed)
     out = []
@@ -31,17 +42,18 @@ def random_stream(seed, n, count):
 class TestNumpyKernel:
     def test_edge_itself_enters(self):
         D = fresh_state(3)
-        ii, jj, od = relax(D, 3, 1, 0, 5)
-        assert list(zip(ii.tolist(), jj.tolist())) == [(0, 1)]
+        old, changed = relax(D, 3, 1, 0, 5)
+        assert changed == 1
+        assert np.array_equal(old, fresh_state(3))
+        assert np.argwhere(D != old).tolist() == [[0, 1]]
         assert D[0, 1] == 5
-        assert od.tolist() == [NO_PATH]
 
     def test_no_path_is_absorbing(self):
         # unreachable intermediate cells contribute no candidates, although
         # NO_PATH plus the negative weight is below NO_PATH
         D = fresh_state(3)
-        ii, jj, _ = relax(D, 3, 1, 0, -7)
-        assert list(zip(ii.tolist(), jj.tolist())) == [(0, 1)]
+        _, changed = relax(D, 3, 1, 0, -7)
+        assert changed == 1
         want = fresh_state(3)
         want[0, 1] = -7
         assert np.array_equal(D, want)
@@ -49,26 +61,38 @@ class TestNumpyKernel:
     def test_tightening_updates_and_logs_previous(self):
         D = fresh_state(2)
         relax(D, 2, 1, 0, 9)
-        ii, jj, od = relax(D, 2, 1, 0, 4)
-        assert D[0, 1] == 4
-        assert od.tolist() == [9]
+        old, changed = relax(D, 2, 1, 0, 4)
+        assert D[0, 1] == 4 and changed == 1
+        assert old[0, 1] == 9
 
     def test_undo_restores_exactly(self):
         D = fresh_state(5)
         stream = random_stream(3, 5, 12)
-        before = D.copy()
-        log = []
+        states, log = [], []
         for x, y, c in stream:
             if D[x, y] + c < 0:
                 continue
+            states.append(D.copy())
             log.append(relax(D, 5, x, y, c))
-        for ii, jj, od in reversed(log):
-            D[ii, jj] = od
-        assert np.array_equal(D, before)
+        for state, entry in zip(reversed(states), reversed(log)):
+            undo(D, entry)
+            assert np.array_equal(D, state)
+        assert np.array_equal(D, fresh_state(5))
 
-    @pytest.mark.parametrize("n", [5, kernels.BLOCK_MIN_N])
+    @pytest.mark.parametrize("n", [5, kernels.BLOCK_MIN_N - 1])
+    def test_small_closure_saves_its_old_block(self, n):
+        # a copy of the leading n x n block of a wider matrix, 8 bytes a
+        # cell: 8 * 47^2 = 17,672 bytes at most
+        D = fresh_state(n + 3)
+        old, changed = relax(D, n, 1, 0, 5)
+        assert changed == 1 and old.dtype == np.int64
+        assert old.shape == (n, n) and old.flags.c_contiguous
+        assert old.base is None and old.nbytes == 8 * n * n <= 17672
+        assert np.array_equal(old, fresh_state(n))
+
+    @pytest.mark.parametrize("n", [kernels.BLOCK_MIN_N])
     def test_undo_log_cell_is_12_bytes(self, n):
-        # both the full and the block form log int16 indices
+        # the block form logs int16 indices
         D = fresh_state(n)
         log = relax(D, n, 1, 0, 5)
         assert [a.dtype for a in log] == [np.int16, np.int16, np.int64]
@@ -106,7 +130,8 @@ def tightening_stream(seed, n, count):
 class TestBlockSwitch:
     """relax_edge against the full-block reference on both sides of
     the size from which it computes only the rows and columns that
-    improve."""
+    improve: below it, the old block and the count of the cells the
+    reference logs; from there on, the reference's log itself."""
 
     @pytest.mark.parametrize("n", [kernels.BLOCK_MIN_N - 1,
                                    kernels.BLOCK_MIN_N,
@@ -116,21 +141,27 @@ class TestBlockSwitch:
         for seed in range(3):
             D1 = fresh_state(cap)
             D2 = fresh_state(cap)
-            logs = []
+            logs, wants = [], []
             for x, y, c in tightening_stream(seed, n, 2 * n):
                 if D1[x, y] + c < 0:
                     continue
+                before = D2[:n, :n].copy()
                 got = relax(D1, n, x, y, c)
                 want = reference_relax(D2, n, x, y, c)
-                for a, b in zip(got, want):
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                if n < kernels.BLOCK_MIN_N:
+                    assert np.array_equal(got[0], before)
+                    assert got[1] == len(want[0])
+                else:
+                    for a, b in zip(got, want):
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
                 logs.append(got)
+                wants.append(want)
             assert np.array_equal(D1, D2)
             # the stream exercised unreachable cells and tightenings
             assert (D1[:n, :n] == NO_PATH).any()
-            assert any((od < NO_PATH).any() for *_, od in logs)
-            for ii, jj, od in reversed(logs):
-                D1[ii, jj] = od
+            assert any((od < NO_PATH).any() for *_, od in wants)
+            for entry in reversed(logs):
+                undo(D1, entry)
             assert np.array_equal(D1, fresh_state(cap))
 
 
@@ -193,8 +224,8 @@ class TestOracle:
             assert max(map(abs, finite)) > 3 * 2 ** 51
             assert None in sum(want, [])
             assert len(edges) < 3 * n
-            for ii, jj, od in reversed(logs):
-                D[ii, jj] = od
+            for entry in reversed(logs):
+                undo(D, entry)
             assert np.array_equal(D, fresh_state(n + 3))
 
 

@@ -279,6 +279,52 @@ class TestBacktrack:
         return entailed
 
 
+    def test_undo_across_the_block_switch(self):
+        """The closure grows past BLOCK_MIN_N mid-trail, so the trail holds
+        whole-block entries from below the growth and cell logs from above
+        it; each backtrack restores the state its level was opened in, bit
+        for bit, the later vertices' rows and columns still empty."""
+        rng = random.Random(41)
+        through_both = 0
+        for _ in range(40):
+            n0 = rng.randint(3, 12)
+            e = engine(n0)
+            level = 0
+            closed = []  # (n, leading n x n block) when level k was left
+            grow_at = rng.randint(20, 40)
+            for step in range(160):
+                if step == grow_at:
+                    e.ensure_vertex(BLOCK_MIN_N + rng.randrange(8))
+                roll = rng.random()
+                if roll < 0.55:
+                    # half the bounds among the first vertices, so the cell
+                    # logs also rewrite cells the whole blocks hold
+                    pool = n0 if rng.random() < 0.5 else e.n
+                    x, y = rng.sample(range(pool), 2)
+                    e.assert_atom(x, y, rng.randint(-8, 8), lit=step + 1,
+                                  level=level)
+                elif roll < 0.8:
+                    level += 1
+                    closed.append((e.n, e._d[:e.n, :e.n].copy()))
+                elif level > 0:
+                    level = rng.randrange(level)
+                    # a whole block is (old, count), a cell log 3 arrays
+                    kinds = {len(undo) for lv, _, undo in e._trail
+                             if lv > level and undo is not None}
+                    through_both += kinds == {2, 3}
+                    e.backtrack_to(level)
+                    m, block = closed[level]
+                    want = np.full((e.n, e.n), NO_PATH, dtype=np.int64)
+                    np.fill_diagonal(want, 0)
+                    want[:m, :m] = block
+                    assert np.array_equal(e._d[:e.n, :e.n], want)
+                    del closed[level:]
+            assert e.n >= BLOCK_MIN_N
+            assert matrices_equal(
+                e, scratch_floyd_warshall(e.n, committed_edges(e)))
+        assert through_both >= 10
+
+
 class TestExplain:
     def test_two_atom_cycle_explained(self):
         # x - y <= 3 is the edge y -> x, witnessing the path y to x
