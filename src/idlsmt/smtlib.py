@@ -7,15 +7,18 @@ get-unsat-core, and exit. Terms are parsed into tagged tuples and
 sort-checked against the declaration table; ``let`` bindings are resolved
 while parsing, and every use of a bound name is the one parsed term object,
 so a term with shared bindings is a DAG. The lexer makes flat token lists
-and works out a line and column only for a command's head or an error; the
-parser keeps an explicit stack, so nesting depth is bounded by memory alone.
+and works out a line and column only for an error; the parser keeps an
+explicit stack, so nesting depth is bounded by memory alone.
 
 Two reading styles: :func:`parse_script` consumes a whole input eagerly,
 while :class:`CommandReader` hands out one balanced command at a time as
 soon as it has been read, which is what a solver driven over a pipe needs.
 One token grammar serves both: the reader counts parentheses with the pattern
 that :func:`tokenize` lexes with. Symbols and numerals are ASCII; other
-characters may appear only in strings and quoted symbols.
+characters may appear only in strings and quoted symbols. Plain text (no
+strings, quoted symbols, comments or characters outside the grammar) is
+split at blanks and parentheses instead of matched token by token; the
+regex scan stays the reference and the one source of errors and positions.
 """
 
 from __future__ import annotations
@@ -108,14 +111,22 @@ _UNCLOSED = {'"': "unterminated string literal",
              ":": "expected a keyword name after ':'"}
 
 
+# the characters of plain text: those of symbols, numerals, keywords and
+# parentheses, and the blanks; str.split() splits such a text where the
+# grammar does
+_PLAIN = re.compile("[A-Za-z0-9" + _SYMBOL_PUNCT + "():\n \t\r\f\v]*")
+
+
 class Tokens:
     """The tokens of one text as flat parallel lists, ending with ``eof``.
 
     Token ``i`` has kind ``kinds[i]`` (lparen rparen symbol keyword numeral
     string reserved eof), text ``texts[i]`` (the body of a string or quoted
-    symbol) and first character at offset ``starts[i]`` of the text. Lines
-    and columns are worked out only when asked for, by bisecting the
-    offsets of the text's newlines.
+    symbol) and first character at offset ``starts[i]`` of the text.
+    ``starts`` is None for a text lexed by splitting; the first position
+    asked for fills it by scanning the text again with the regex, which
+    gives the same tokens. Lines and columns are worked out only when
+    asked for, by bisecting the offsets of the text's newlines.
     """
 
     __slots__ = ("kinds", "texts", "starts", "_text", "_line", "_col",
@@ -141,6 +152,9 @@ class Tokens:
 
     def position(self, i):
         """``(line, col)`` of token ``i``."""
+        if self.starts is None:
+            self.starts = _scan(
+                Tokens(self._text, self._line, self._col)).starts
         return self.locate(self.starts[i])
 
 
@@ -151,9 +165,39 @@ def tokenize(text, start_line=1, start_col=1):
     out of a larger stream keep their original coordinates.
     """
     toks = Tokens(text, start_line, start_col)
+    if _PLAIN.fullmatch(text) and _split(toks):
+        return toks
+    return _scan(toks)
+
+
+def _split(toks):
+    """Lex plain text by splitting it; False, with ``toks`` untouched, when
+    a word is not one token. Each distinct word is matched once."""
+    words = toks._text.replace("(", " ( ").replace(")", " ) ").split()
+    kind_of = {"(": "lparen", ")": "rparen"}
+    for word in set(words).difference(kind_of):
+        m = _TOKEN.fullmatch(word)
+        k = m and m.lastindex
+        if k == _SYMBOL:
+            kind_of[word] = "reserved" if word in _RESERVED else "symbol"
+        elif k == _KEYWORD:
+            kind_of[word] = "keyword"
+        elif k == _NUMERAL and (word[0] != "0" or len(word) == 1):
+            kind_of[word] = "numeral"
+        else:
+            return False
+    toks.kinds = list(map(kind_of.__getitem__, words))
+    toks.kinds.append("eof")
+    words.append("")
+    toks.texts, toks.starts = words, None
+    return True
+
+
+def _scan(toks):
+    """Lex the text of ``toks`` with the token regex, match by match."""
     add_kind, add_text, add_start = (
         toks.kinds.append, toks.texts.append, toks.starts.append)
-    for m in _TOKEN.finditer(text):
+    for m in _TOKEN.finditer(toks._text):
         k = m.lastindex
         if k == _SYMBOL:
             word = m.group(k)
@@ -201,8 +245,6 @@ def tokenize(text, start_line=1, start_col=1):
 class Command(NamedTuple):
     name: str
     args: tuple
-    line: int = 0
-    col: int = 0
 
 
 class _Cursor:
@@ -516,10 +558,9 @@ def parse_command(cur, env):
     """Consume exactly one command from the cursor; None at end of input.
 
     Terms and attribute values are parsed with explicit stacks, so any
-    nesting depth parses. Lines and columns are computed for the command's
-    head and for errors only; an error raised without a position is
-    reported at the command's name, or at the symbol a declaration clashes
-    on.
+    nesting depth parses. Lines and columns are computed for errors only;
+    an error raised without a position is reported at the command's name,
+    or at the symbol a declaration clashes on.
     """
     toks = cur.toks
     kinds, texts = toks.kinds, toks.texts
@@ -589,7 +630,7 @@ def parse_command(cur, env):
         if e.line is None:
             e.line, e.col = toks.position(at)
         raise
-    return Command(name, args, *toks.position(h))
+    return Command(name, args)
 
 
 def parse_script(text, env=None):

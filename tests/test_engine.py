@@ -533,11 +533,11 @@ class TestLifetime:
         term = ("cmp", "<", ("ivar", "x"), ("int", 5))
         for _ in range(20000):
             term = ("and", (("cmp", "<", ("ivar", "x"), ("ivar", "y")), term))
-        r = session.execute(Command("assert", (term, None), 1, 1))
+        r = session.execute(Command("assert", (term, None)))
         assert not r.is_error
         assert session.check_sat() == "sat"
         session.execute(Command("assert", (("cmp", ">", ("ivar", "x"),
-                                             ("ivar", "y")), None), 1, 1))
+                                             ("ivar", "y")), None)))
         assert session.check_sat() == "unsat"
 
 

@@ -82,6 +82,8 @@ class TestTokenize:
         toks = tokenize("(a\n  b)")
         assert toks.position(toks.texts.index("a")) == (1, 2)
         assert toks.position(toks.texts.index("b")) == (2, 3)
+        # plain text is lexed by splitting, which records no offsets: the
+        # first position asked for fills them, so only now can they be read
         assert toks.starts == [0, 1, 5, 6, 7]
 
     def test_offset_positions(self):
@@ -143,9 +145,12 @@ class TestTokenize:
         assert kinds(joined) == kinds(text)
 
     def test_determinism(self):
-        text = '(set-info :x "s") (assert (< a b)) ; note'
-        a, b = tokenize(text), tokenize(text)
-        assert (a.kinds, a.texts, a.starts) == (b.kinds, b.texts, b.starts)
+        for text in ['(set-info :x "s") (assert (< a b)) ; note',
+                     "(set-info :x s)\n(assert (< a b))"]:
+            a, b = tokenize(text), tokenize(text)
+            assert (a.kinds, a.texts) == (b.kinds, b.texts)
+            assert [a.position(i) for i in range(len(a.kinds))] == [
+                b.position(i) for i in range(len(b.kinds))]
 
 
 def reference_tokenize(text, start_line=1, start_col=1):
@@ -200,13 +205,19 @@ _COMMON = ["(", ")", " ", "  ", "\n", "x", "ab", "<=", "-", "+", "let", "!",
            ":named", "12", "0", "|q r|", '"s t"', "\t"]
 _RARE = ['"', '""', '"""', "|", "||", ";", "; c (\n", "1.5", "12a", "01",
          "3.", "9_", ":", ": ", "\r", "\f", "é", "²", "٣", "|é\n|",
-         '"a\n""b"', "é\n", "\n\n", "|a\nb\n|", "x.y", "-3", "~@$%^&*"]
+         '"a\n""b"', "é\n", "\n\n", "|a\nb\n|", "x.y", "-3", "~@$%^&*",
+         # str.split() splits at these, the grammar does not
+         "\x1c", "\x85", "\xa0", "\u2028",
+         # plain characters that do not make one token
+         "007", "a:b", ":a:b"]
+# the common pieces that plain text is made of
+_PLAIN_COMMON = [p for p in _COMMON if p[0] not in '|"']
 
 
-def random_text(rng):
+def random_text(rng, common=_COMMON):
     out = []
     for _ in range(rng.randint(0, 30)):
-        pool = _RARE if rng.random() < 0.1 else _COMMON
+        pool = _RARE if rng.random() < 0.1 else common
         out.append(rng.choice(pool))
     return "".join(out)
 
@@ -236,6 +247,40 @@ class TestLexerDifferential:
             errors += isinstance(want, tuple)
         # both outcomes are well represented
         assert 600 < errors < 2400
+
+    def test_split_path_matches_the_reference(self):
+        # texts mostly of plain pieces, so that many take the split path;
+        # a rare piece makes the character check or a word refuse the text
+        rng = random.Random(11)
+        admitted = refused_char = refused_word = 0
+        for _ in range(3000):
+            text = random_text(rng, _PLAIN_COMMON)
+            line, col = rng.choice([(1, 1), (7, 12)])
+            try:
+                split = tokenize(text, line, col).starts is None
+            except LexError:
+                split = False
+            if split:
+                admitted += 1
+            elif smtlib._PLAIN.fullmatch(text):
+                refused_word += 1
+            else:
+                refused_char += 1
+            want = lexed(reference_tokenize, text, line, col)
+            assert lexed(flat_tokens, text, line, col) == want, repr(text)
+        assert admitted > 500 and refused_char > 500 and refused_word > 500
+
+    @pytest.mark.parametrize("text", [
+        "(x 007)", "(x 12ab)", "(x 1.5)", "(x : y)", "(a:b)", "(:a:b)",
+        "(x\x1cy)", "(x\x85y)", "(x\xa0y)", "(x\u2028y)", "(x ; c\n)",
+    ])
+    def test_pitfalls_take_the_regex_path(self, text):
+        try:
+            assert tokenize(text).starts is not None
+        except LexError:
+            pass
+        assert lexed(flat_tokens, text, 1, 1) == lexed(
+            reference_tokenize, text, 1, 1)
 
     def test_benchmark_corpus_matches_the_reference(self):
         for family, n in [("negative-cycle-chain", 6), ("diamond-grid", 5),
@@ -502,6 +547,31 @@ class TestParseScript:
             lines = text.count("\n") + 1
             assert 1 <= e.value.line <= lines
             assert e.value.col >= 1
+
+    @pytest.mark.parametrize("text,error,where", [
+        ("(set-logic QF_IDL)\n(declare-fun x () Int)\n(assert (< x y))",
+         UnknownSymbol, (3, 14)),
+        ("(declare-fun x () Int)\n(declare-fun p () Bool)\n"
+         "(assert (<= x p))", SortError, (3, 10)),
+        ("(declare-fun x () Int)\n  (declare-const x Bool)",
+         ParseError, (2, 18)),
+        ("(push 1)\n(check-sat)\n(pop 2)", ParseError, (3, 2)),
+        ("(declare-fun x () Int)\n(assert\n  (< x 1)\n", ParseError,
+         (4, 1)),
+    ])
+    def test_errors_in_plain_text_keep_their_positions(self, text, error,
+                                                       where):
+        # plain text is lexed by splitting; an error places itself by the
+        # offsets of a regex scan of the same text
+        assert tokenize(text).starts is None
+        with pytest.raises(error) as e:
+            parse_script(text)
+        assert (e.value.line, e.value.col) == where
+        cur, env = cursor(smtlib._scan(smtlib.Tokens(text, 1, 1))), DeclEnv()
+        with pytest.raises(error) as scanned:
+            while parse_command(cur, env) is not None:
+                pass
+        assert str(scanned.value) == str(e.value)
 
     def test_determinism(self):
         text = emit_benchmark("negative-cycle-chain", 5)[0]
