@@ -12,7 +12,10 @@ The two forms run interleaved, commit by commit on matrices of their own,
 so a slow spell of the host lands on both. Raw microseconds still move
 with the host; the column to compare across runs is `block/full`, the
 ratio of the two forms' times within a run (below 1: the block form is
-faster). Each figure is the median over `--repeats` runs.
+faster). Each figure is the median over `--repeats` runs. The `lines`
+column is the share of the commits that change a cell which change one
+row or one column only: from `kernels.BLOCK_MIN_N` on, the kernel writes
+those as that line, without the block's mask.
 
 Usage: python benchmarks/bench_fw_kernel.py [--sizes 16,32,64,96,128,200,400]
        [--edges 600] [--repeats 3] [--seed 0]
@@ -49,13 +52,23 @@ def changed_cells(entry):
     return entry[1] if len(entry) == 2 else len(entry[0])
 
 
+def is_line(entry):
+    """Whether a block-form cell log names one row or one column only."""
+    if len(entry) == 2 or not len(entry[0]):
+        return False
+    ii, jj, _ = entry
+    return ii[0] == ii[-1] or jj.min() == jj.max()
+
+
 def drive(forms, n, edges):
     """Feed ``edges`` to every form, each on a matrix of its own, and time
     each call; the forms take turns going first. Returns the seconds per
-    form, the cells changed and the final matrices."""
+    form, the cells changed, the final matrices and the share of the
+    commits that change a cell which change one line only."""
     mats = [fresh(n) for _ in forms]
     secs = [0.0] * len(forms)
     updates = [0] * len(forms)
+    changing = lines = 0
     order = list(range(len(forms)))
     for x, y, c in edges:
         if mats[0][x, y] + c < 0:
@@ -67,9 +80,11 @@ def drive(forms, n, edges):
             entry = forms[k](D, D.reshape(-1), n, x, y, c)
             secs[k] += time.perf_counter() - t0
             updates[k] += changed_cells(entry)
+            lines += is_line(entry)
+        changing += changed_cells(entry) > 0
     if len(set(updates)) != 1:
         raise SystemExit("kernel forms changed different cells; kernel bug")
-    return secs, updates[0], mats
+    return secs, updates[0], mats, lines / max(changing, 1)
 
 
 def main():
@@ -87,12 +102,12 @@ def main():
 
     print(f"{'n':>6} {'edges':>6} {'updates':>10} "
           + "".join(f"{name + ' us/commit':>18}" for name in names)
-          + f"{'block/full':>12}")
+          + f"{'block/full':>12}{'lines':>7}")
     for n in sizes:
         edges = stream(args.seed, n, args.edges)
         runs = []
         for _ in range(args.repeats):
-            secs, updates, mats = drive(forms, n, edges)
+            secs, updates, mats, lines = drive(forms, n, edges)
             if not all(np.array_equal(D, mats[0]) for D in mats[1:]):
                 raise SystemExit("kernel forms disagree; kernel bug")
             runs.append(secs)
@@ -102,7 +117,7 @@ def main():
             us = 1e6 * statistics.median(r[k] for r in runs) / len(edges)
             row += f"{us:>17.1f}{'*' if name == chosen else ' '}"
         ratio = statistics.median(r[1] / r[0] for r in runs)
-        print(row + f"{ratio:>12.2f}")
+        print(row + f"{ratio:>12.2f}{lines:>7.0%}")
 
 
 if __name__ == "__main__":

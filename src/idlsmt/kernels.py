@@ -10,6 +10,11 @@ there on it computes the I x J block: the rows i whose path to x gets
 cheaper through the new edge, times the columns j that y reaches more
 cheaply through it, and logs the changed cells. No other pair can improve,
 so the result is the same, while a commit costs O(n + |I||J|), not O(n^2).
+Most commits there improve one line: I is {y} alone, or J is {x} alone,
+since a bound the closure does not entail has D[y,x] > c and so puts y in
+I and x in J. Then every cell of that line in J (or I) improves, to
+c + D[x,j] (or D[i,y] + c), so the kernel writes the line without the
+block's mask and flat indices and logs the same cells in the same order.
 
 The closure is one C-contiguous int64 matrix `D`. A cell with no path
 holds the sentinel `NO_PATH`, the diagonal holds 0. A finite distance
@@ -30,7 +35,7 @@ import numpy as np
 # From this vertex count on, the kernel works on the I x J block of rows
 # and columns the new edge can improve and logs the changed cells; below
 # it, on all n x n pairs with a copy of the old block, 8 * 47^2 = 17.7 KB
-# at most. The full form alone is faster up to about n = 100
+# at most. The full form alone is faster up to about n = 70
 # (benchmarks/bench_fw_kernel.py), but its copy grows as n^2.
 BLOCK_MIN_N = 48
 
@@ -67,8 +72,17 @@ def _relax_block(D, Df, n, x, y, c):
     col = Dv[:, y]
     row = Dv[x, :]
     via_y = col + c
-    rows = np.flatnonzero((col < NO_PATH) & (via_y < Dv[:, x]))
-    cols = np.flatnonzero((row < NO_PATH) & (row + c < Dv[y, :]))
+    to_j = row + c
+    rows, = ((col < NO_PATH) & (via_y < Dv[:, x])).nonzero()
+    cols, = ((row < NO_PATH) & (to_j < Dv[y, :])).nonzero()
+    # one line, row y or column x: every cell of it in J (or I) improves
+    if len(rows) == 1 or len(cols) == 1:
+        line, new, at = ((Dv[y], to_j, cols) if len(rows) == 1
+                         else (Dv[:, x], via_y, rows))
+        old_d = line.take(at)
+        line[at] = new.take(at)
+        ii, jj = rows.astype(INDEX), cols.astype(INDEX)
+        return ii.repeat(len(jj)), jj.repeat(len(ii)), old_d
     # flat indices into the whole matrix: 1-D take and put cost about
     # half of 2-D fancy indexing; rows and cols ascend, so the block and
     # the undo log are in row-major order. They run to N * N, past INDEX,
@@ -93,6 +107,8 @@ def relax_edge(D, Df, n, x, y, c):
     entry: below ``BLOCK_MIN_N`` vertices ``(old, changed)``, a copy of the
     old n x n block and the count of changed cells; from there on the cell
     log ``(rows, cols, old_dist)`` of every changed cell, in row-major order.
+    The bound must not be entailed (``D[y, x] > c``), which makes a lone
+    improving row y's and a lone improving column x's (module docstring).
     """
     relax = _relax_block if n >= BLOCK_MIN_N else _relax_full
     return relax(D, Df, n, x, y, c)

@@ -1,5 +1,6 @@
 import random
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -112,6 +113,21 @@ def reference_relax(D, n, x, y, c):
     return ii.astype(np.int16), jj.astype(np.int16), old_d
 
 
+def shape(entry):
+    """The cells a cell log names: one "cell", one "row" or one "column"
+    of several, a general "block" of several rows and columns, or none."""
+    ii, jj, _ = entry
+    if not len(ii):
+        return "none"
+    one_row, one_col = (ii == ii[0]).all(), (jj == jj[0]).all()
+    if one_row and one_col:
+        return "cell"
+    return "row" if one_row else "column" if one_col else "block"
+
+
+SHAPES = ("cell", "row", "column", "block")
+
+
 def tightening_stream(seed, n, count):
     """Sparse random edges (so many cells stay unreachable), a third of
     them re-asserting an earlier edge with a smaller weight."""
@@ -131,13 +147,15 @@ class TestBlockSwitch:
     """relax_edge against the full-block reference on both sides of
     the size from which it computes only the rows and columns that
     improve: below it, the old block and the count of the cells the
-    reference logs; from there on, the reference's log itself."""
+    reference logs; from there on, the reference's log itself, whether
+    the kernel wrote one line of the closure or a general block."""
 
     @pytest.mark.parametrize("n", [kernels.BLOCK_MIN_N - 1,
                                    kernels.BLOCK_MIN_N,
                                    kernels.BLOCK_MIN_N + 1, 150])
     def test_same_closure_and_undo_log_as_full_block(self, n):
         cap = n + 7  # matrices wider than n, as the engine grows them
+        shapes = Counter()
         for seed in range(3):
             D1 = fresh_state(cap)
             D2 = fresh_state(cap)
@@ -154,6 +172,7 @@ class TestBlockSwitch:
                 else:
                     for a, b in zip(got, want):
                         assert a.dtype == b.dtype and np.array_equal(a, b)
+                    shapes[shape(got)] += 1
                 logs.append(got)
                 wants.append(want)
             assert np.array_equal(D1, D2)
@@ -163,6 +182,10 @@ class TestBlockSwitch:
             for entry in reversed(logs):
                 undo(D1, entry)
             assert np.array_equal(D1, fresh_state(cap))
+        if n >= kernels.BLOCK_MIN_N:
+            # each line form and the general block were checked, 44 times
+            # at the least (one row at n = 48)
+            assert min(shapes[k] for k in SHAPES) >= 40, shapes
 
 
 def python_closure(n, edges):
@@ -205,14 +228,23 @@ class TestOracle:
     @pytest.mark.parametrize("n", [6, kernels.BLOCK_MIN_N - 1,
                                    kernels.BLOCK_MIN_N + 1])
     def test_extreme_weights_match_python_int_closure(self, n):
+        shapes, lines_past_no_path = Counter(), Counter()
         for seed in range(3):
             D = fresh_state(n + 3)
+            D2 = D.copy()
             edges, logs = [], []
             for x, y, c in extreme_stream(seed, n, 3 * n):
                 if D[x, y] + c < 0:
                     continue  # closes a negative cycle
                 edges.append((y, x, c))
                 logs.append(relax(D, n, x, y, c))
+                if n >= kernels.BLOCK_MIN_N:
+                    ref = reference_relax(D2, n, x, y, c)
+                    for a, b in zip(logs[-1], ref):
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
+                    kind = shape(ref)
+                    shapes[kind] += 1
+                    lines_past_no_path[kind] += (ref[2] == NO_PATH).any()
             want = python_closure(n, edges)
             assert want is not None
             got = [[d if d < NO_PATH else None for d in row]
@@ -227,6 +259,13 @@ class TestOracle:
             for entry in reversed(logs):
                 undo(D, entry)
             assert np.array_equal(D, fresh_state(n + 3))
+        if n >= kernels.BLOCK_MIN_N:
+            # every form ran, 61 times at the least, and the lines at the
+            # extreme weights also wrote cells that had no path, 54 rows
+            # and 70 columns
+            assert min(shapes[k] for k in SHAPES) >= 40, shapes
+            assert min(lines_past_no_path["row"],
+                       lines_past_no_path["column"]) >= 40
 
 
 def load_theory(max_vertices):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,6 +27,16 @@ def matrices_equal(e, ref):
         return False
     D, R = ref
     return np.array_equal(e._d[:e.n, :e.n], np.where(R, D, NO_PATH))
+
+
+def line_shape(undo):
+    """"row" or "column" for a cell log of one row or one column of two
+    or more cells, the kernel's direct line writes; else None."""
+    ii, jj, _ = undo
+    if len(ii) < 2:
+        return None
+    return "row" if (ii == ii[0]).all() else (
+        "column" if (jj == jj[0]).all() else None)
 
 
 def assert_closure_invariants(e):
@@ -286,6 +297,7 @@ class TestBacktrack:
         for bit, the later vertices' rows and columns still empty."""
         rng = random.Random(41)
         through_both = 0
+        lines = Counter()
         for _ in range(40):
             n0 = rng.randint(3, 12)
             e = engine(n0)
@@ -309,9 +321,11 @@ class TestBacktrack:
                 elif level > 0:
                     level = rng.randrange(level)
                     # a whole block is (old, count), a cell log 3 arrays
-                    kinds = {len(undo) for lv, _, undo in e._trail
-                             if lv > level and undo is not None}
-                    through_both += kinds == {2, 3}
+                    undos = [undo for lv, _, undo in e._trail
+                             if lv > level and undo is not None]
+                    through_both += {len(undo) for undo in undos} == {2, 3}
+                    lines.update(line_shape(undo) for undo in undos
+                                 if len(undo) == 3)
                     e.backtrack_to(level)
                     m, block = closed[level]
                     want = np.full((e.n, e.n), NO_PATH, dtype=np.int64)
@@ -323,6 +337,35 @@ class TestBacktrack:
             assert matrices_equal(
                 e, scratch_floyd_warshall(e.n, committed_edges(e)))
         assert through_both >= 10
+        # the cell logs undone include the kernel's one-row and one-column
+        # writes
+        assert min(lines["row"], lines["column"]) >= 200, lines
+
+    def test_line_logs_undo_level_by_level(self):
+        """Above BLOCK_MIN_N many commits improve one row or one column of
+        the closure, which the kernel writes without a block mask; popping
+        one level at a time through such cell logs restores each level's
+        snapshot, edges included."""
+        rng = random.Random(43)
+        lines = Counter()
+        for _ in range(10):
+            e = engine(BLOCK_MIN_N + rng.randrange(16))
+            lit = 0
+            snapshots = []  # snapshots[k]: the state when level k was left
+            for level in range(1, 25):
+                snapshots.append(e.snapshot())
+                for _ in range(rng.randint(1, 4)):
+                    lit += 1
+                    x, y = rng.sample(range(e.n), 2)
+                    e.assert_atom(x, y, rng.randint(-8, 8), lit=lit,
+                                  level=level)
+            lines.update(line_shape(undo) for _, _, undo in e._trail
+                         if undo is not None)
+            for level in reversed(range(len(snapshots))):
+                e.backtrack_to(level)
+                assert e.snapshot() == snapshots[level]
+            assert not e._trail
+        assert min(lines["row"], lines["column"]) >= 100, lines
 
 
 class TestExplain:
