@@ -8,6 +8,9 @@ the rows and columns the new edge improves), which logs the changed cells.
 A `*` marks the form `kernels.relax_edge` runs at that size, which is
 `full` below `kernels.BLOCK_MIN_N` vertices and `block` from there on;
 the table is how that constant is chosen and re-checked.
+An edge that closes a negative cycle, or that the closure already entails
+(``D[y, x] <= c``), is skipped: the engine passes neither to the kernel.
+The `edges` column counts the calls made, which the timings divide.
 The two forms run interleaved, commit by commit on matrices of their own,
 so a slow spell of the host lands on both. Raw microseconds still move
 with the host; the column to compare across runs is `block/full`, the
@@ -62,17 +65,20 @@ def is_line(entry):
 
 def drive(forms, n, edges):
     """Feed ``edges`` to every form, each on a matrix of its own, and time
-    each call; the forms take turns going first. Returns the seconds per
-    form, the cells changed, the final matrices and the share of the
-    commits that change a cell which change one line only."""
+    each call; the forms take turns going first. An edge that closes a
+    negative cycle or that the closure already entails is skipped, as the
+    engine never passes either to the kernel. Returns the seconds per
+    form, the calls made, the cells changed, the final matrices and the
+    share of the commits that change a cell which change one line only."""
     mats = [fresh(n) for _ in forms]
     secs = [0.0] * len(forms)
     updates = [0] * len(forms)
-    changing = lines = 0
+    calls = changing = lines = 0
     order = list(range(len(forms)))
     for x, y, c in edges:
-        if mats[0][x, y] + c < 0:
+        if mats[0][x, y] + c < 0 or mats[0][y, x] <= c:
             continue
+        calls += 1
         order.reverse()
         for k in order:
             D = mats[k]
@@ -84,7 +90,7 @@ def drive(forms, n, edges):
         changing += changed_cells(entry) > 0
     if len(set(updates)) != 1:
         raise SystemExit("kernel forms changed different cells; kernel bug")
-    return secs, updates[0], mats, lines / max(changing, 1)
+    return secs, calls, updates[0], mats, lines / max(changing, 1)
 
 
 def main():
@@ -107,14 +113,14 @@ def main():
         edges = stream(args.seed, n, args.edges)
         runs = []
         for _ in range(args.repeats):
-            secs, updates, mats, lines = drive(forms, n, edges)
+            secs, calls, updates, mats, lines = drive(forms, n, edges)
             if not all(np.array_equal(D, mats[0]) for D in mats[1:]):
                 raise SystemExit("kernel forms disagree; kernel bug")
             runs.append(secs)
         chosen = "block" if n >= kernels.BLOCK_MIN_N else "full"
-        row = f"{n:>6} {len(edges):>6} {updates:>10}"
+        row = f"{n:>6} {calls:>6} {updates:>10}"
         for k, name in enumerate(names):
-            us = 1e6 * statistics.median(r[k] for r in runs) / len(edges)
+            us = 1e6 * statistics.median(r[k] for r in runs) / max(calls, 1)
             row += f"{us:>17.1f}{'*' if name == chosen else ' '}"
         ratio = statistics.median(r[1] / r[0] for r in runs)
         print(row + f"{ratio:>12.2f}{lines:>7.0%}")

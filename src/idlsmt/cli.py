@@ -11,6 +11,13 @@ Exit codes: 0 clean (sat and unsat both count), 1 usage/parse/sort errors,
 keep explicit stacks, so input nested at any depth gets an answer. Responses
 go to standard output only; statistics and diagnostics go to the error
 stream.
+
+Both modes run each command through one step: execute it, print the
+response, and after a check-sat write the dumps. ``--dump-apsp`` writes the
+distance matrix of the last sat answer, read off the engine's closure as
+that check-sat returns: an answer keeps its trail and closure, so this is
+the matrix the search held. ``--dump-dimacs`` writes the clause store as it
+stands.
 """
 
 from __future__ import annotations
@@ -54,33 +61,46 @@ def _build_parser():
     return p
 
 
-def _make_config(opts):
-    return SessionConfig(
-        produce_unsat_cores=opts.produce_unsat_cores,
-        minimize_core=opts.minimize_core,
-        time_budget_ms=opts.tlimit,
-    )
+class _Step:
+    """One session and the step both modes run each command through. It
+    keeps the last sat answer's distance matrix as text (empty before
+    any), taken only when ``--dump-apsp`` asks for it."""
 
+    def __init__(self, opts, out, flush):
+        self.opts, self.out, self.flush = opts, out, flush
+        self.session = Session(SessionConfig(
+            produce_unsat_cores=opts.produce_unsat_cores,
+            minimize_core=opts.minimize_core,
+            time_budget_ms=opts.tlimit))
+        self.sat_tsv = ""
 
-def _write_dumps(opts, session):
-    try:
-        if opts.dump_dimacs:
-            with open(opts.dump_dimacs, "w") as f:
-                f.write(session.dimacs_text())
-        if opts.dump_apsp:
-            with open(opts.dump_apsp, "w") as f:
-                f.write(session.apsp_tsv())
-    except OSError as e:
-        raise _UsageError(str(e)) from None
+    def __call__(self, cmd):
+        opts, session = self.opts, self.session
+        resp = session.execute(cmd)
+        if resp.text is not None:
+            print(resp.text, file=self.out, flush=self.flush)
+        if cmd.name == "check-sat":
+            if opts.dump_apsp and resp.text == "sat":
+                self.sat_tsv = session.apsp.dump_tsv()
+            try:
+                if opts.dump_dimacs:
+                    with open(opts.dump_dimacs, "w") as f:
+                        f.write(session.dimacs_text())
+                if opts.dump_apsp:
+                    with open(opts.dump_apsp, "w") as f:
+                        f.write(self.sat_tsv)
+            except OSError as e:
+                raise _UsageError(str(e)) from None
+        return resp
 
-
-def _print_stats(session):
-    for key, value in sorted(session.stats.items()):
-        print(f"{key}={value}", file=sys.stderr)
+    def print_stats(self):
+        if self.opts.stats:
+            for key, value in sorted(self.session.stats.items()):
+                print(f"{key}={value}", file=sys.stderr)
 
 
 def _run_interactive(opts, stream, out):
-    session = Session(_make_config(opts))
+    step = _Step(opts, out, flush=True)
     reader = CommandReader(stream)
     env = DeclEnv()
     while True:
@@ -95,20 +115,15 @@ def _run_interactive(opts, stream, out):
             continue
         if cmd is None:
             continue
-        resp = session.execute(cmd)
-        if resp.text is not None:
-            print(resp.text, file=out, flush=True)
-        if cmd.name == "check-sat":
-            _write_dumps(opts, session)
-        if session.finished:
+        step(cmd)
+        if step.session.finished:
             break
-    if opts.stats:
-        _print_stats(session)
+    step.print_stats()
     return 0
 
 
 def _run_batch(opts, text, out):
-    session = Session(_make_config(opts))
+    step = _Step(opts, out, flush=False)
     code = 0
     try:
         commands = parse_script(text)
@@ -116,19 +131,13 @@ def _run_batch(opts, text, out):
         print(error_text(str(e)), file=out)
         commands, code = [], 1
     for cmd in commands:
-        resp = session.execute(cmd)
-        if resp.text is not None:
-            print(resp.text, file=out)
-        if cmd.name == "check-sat":
-            _write_dumps(opts, session)
-        if resp.is_error:
+        if step(cmd).is_error:
             code = 1
             break
-        if session.finished:
+        if step.session.finished:
             break
     out.flush()
-    if opts.stats:
-        _print_stats(session)
+    step.print_stats()
     return code
 
 

@@ -275,10 +275,6 @@ class Session:
         self._core_records = None
         self._core_minimized = None
         self._bool_model = {}
-        # (var, bound, value) of atoms retired since the last sat answer,
-        # and the closure's vertex count at that answer
-        self._retired = []
-        self._sat_vertices = 0
 
     # -- wiring ---------------------------------------------------------------
 
@@ -396,10 +392,9 @@ class Session:
         mentions it, it is a live selector or a declared Boolean, or it is
         an atom fixed at level 0. The solver deletes every learned clause
         over a retired variable and releases the retired variables for
-        reuse, and a retired atom leaves the bridge and the table. The last sat
-        answer's values of the retired atoms are kept for ``apsp_tsv``.
-        Int constants that no atom reads any more give their vertices to
-        later new names.
+        reuse, and a retired atom leaves the bridge and the table. Int
+        constants that no atom reads any more give their vertices to later
+        new names.
         """
         solver = self.solver
         live = {abs(l) for rec in self.active_records()
@@ -410,17 +405,10 @@ class Session:
         bounds = self.atoms.bounds
         dead = [v for v in range(1, len(values)) if v not in live
                 and (levels[v] or not values[v] or v not in bounds)]
-        freed = solver.remove(clauses, dead)
-        model = self._bool_model
-        for var in freed:
-            value = model.pop(var, None)
-            bound = self.atoms.bounds.get(var)
-            if bound is None:
-                continue
-            if value is not None:
-                self._retired.append((var, bound, value))
-            self.bridge.retire_atom(var)
-            self.atoms.retire(var)
+        for var in solver.remove(clauses, dead):
+            if var in bounds:
+                self.bridge.retire_atom(var)
+                self.atoms.retire(var)
         # a vertex no atom reads has no edge left: the solver backtracked
         # below every atom it retired, and undo is bit-exact, so the
         # vertex's row and column hold no path again (its diagonal 0) for
@@ -468,8 +456,6 @@ class Session:
         self._core_minimized = None
         if res.status == "sat":
             self._bool_model = res.model
-            self._retired = []
-            self._sat_vertices = self.apsp.n
         elif res.status == "unsat":
             failed = set(res.failed)
             self._core_records = sorted(
@@ -574,25 +560,3 @@ class Session:
         for c in clauses:
             lines.append(" ".join(str(l) for l in c) + " 0")
         return "\n".join(lines) + "\n"
-
-    def apsp_tsv(self):
-        """Distance matrix of the last sat answer (empty before any).
-
-        The closure is rebuilt over that answer's vertices from its Boolean
-        model, over the atoms retired since as well and skipping atoms
-        registered since (a reused variable leaves the model when it is
-        released). Shortest-path values are unique for a given edge set, so
-        this is the matrix the search held at the answer.
-        """
-        apsp = theory.DifferenceEngine()
-        apsp.ensure_vertex(self._sat_vertices - 1)
-        model = self._bool_model
-        atoms = [(var, bound, model.get(var))
-                 for var, bound in self.atoms.bounds.items()]
-        for var, (x, y, c), value in atoms + self._retired:
-            if value is None:
-                continue
-            lit, bound = (var, (x, y, c)) if value else (-var, (y, x, -c - 1))
-            if apsp.assert_atom(*bound, lit, 0):
-                raise InternalError("the last sat model violates a bound")
-        return apsp.dump_tsv()

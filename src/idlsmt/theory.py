@@ -31,7 +31,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .kernels import INDEX, NO_PATH, relax_edge
-from .normalize import CONST_MAX, CONST_MIN
+from .normalize import CONST_MAX, CONST_MIN, ZERO_VAR
 from .sat import InternalError
 
 # The vertex limit guards the closure's arithmetic, checked here. The undo
@@ -52,8 +52,6 @@ if (MAX_VERTICES - 1) * -CONST_MIN >= NO_PATH:
                       f"reach the no-path sentinel")
 if 2 * NO_PATH + CONST_MAX > np.iinfo(np.int64).max:
     raise ImportError("sums over no-path cells overflow int64")
-
-ZERO_VAR = 0
 
 
 class TooManyVertices(Exception):

