@@ -81,45 +81,49 @@ class _Frame:
 class _TheoryBridge:
     """Adapter between the SAT core's hook seams and the shortest-path engine.
 
-    It holds only what the hooks read: the solver's trail list (not the
-    solver, which holds the bridge), the engine, the atom bounds, and the
-    live atoms as numpy columns (var, x, y, c) with a mask of those the SAT
-    core has asserted. ``on_assert`` sets a mask entry and logs ``(level,
-    position)``; ``on_backtrack`` clears the entries logged above its
-    level. The trail's levels never decrease, so neither do the log's.
-    ``retire_atom`` takes a popped atom out of both scans; its column stays
+    Its table ``lits`` is indexed by literal code ``2v + (lit < 0)``, as the
+    SAT core's watch lists are. A literal of a live atom has the row
+    ``(side, k, x, y, c, lit)``: side 1 for the negative literal, the
+    atom's column k, and the bound ``x - y <= c`` the literal asserts. Any
+    other literal (a selector, a gate, a retired atom's reused slot) reads
+    None, so ``on_assert`` is one list index. The columns keep the atoms'
+    bounds as numpy rows with a mask of those the SAT core has asserted;
+    the full scan reads their flat closure cells, ``y*N + x`` entailing and
+    ``x*N + y`` refuting, derived in one expression after new atoms (only
+    they grow the closure). ``on_assert`` sets a mask entry and logs
+    ``(level, k)``; ``on_backtrack`` clears the entries logged above its
+    level, and as the trail's levels never decrease, neither do the log's.
+    ``retire_atom`` clears a popped atom's rows; its column stays
     marked assigned until a new atom takes it, so the columns in use stay
-    as many as the most atoms live at once. Each atom also reads two
-    closure cells: ``(y, x)`` entails it, ``(x, y)`` refutes it;
-    ``readers`` lists the atoms by cell and ``watched`` marks the cells
-    that have any. After a backtrack, a new atom or a commit below
-    ``kernels.BLOCK_MIN_N`` vertices (whose undo entry, the old block,
-    names no cell), ``propagate`` tests every free atom at once. Otherwise
-    it tests only the free readers of the watched cells that the commits
-    since its last call changed, read off the engine's undo trail: the SAT
-    core asserted all that the last call returned, so no other atom can be
-    newly implied. When more than 32 such cells changed, it runs the full
-    scan instead, which is then cheaper. The SAT core calls it once its
-    last assumption is placed, so those commits may span every assumption
-    level. Both paths return the implied atoms by position, then the
-    refuted ones. ``on_solution`` checks the trail's bounds against the
-    closure and keeps the integer model, nothing else: the closure itself
-    is not copied. Nothing here refers back to the session, so a dropped
-    session is freed at once, undo trail included, without waiting for the
-    cyclic garbage collector.
+    as many as the most atoms live at once. ``readers`` lists by cell the
+    rows it entails and ``watched`` marks the cells that have any. After a
+    backtrack, a new atom or a commit below ``kernels.BLOCK_MIN_N``
+    vertices (whose undo entry, the old block, names no cell),
+    ``propagate`` tests every free atom at once. Otherwise it tests only
+    the free readers of the watched cells that the commits since its last
+    call changed, read off the engine's undo trail: the SAT core asserted
+    all that the last call returned, so no other atom can be newly implied.
+    When more than 32 such cells changed, it runs the full scan instead,
+    which is then cheaper. The SAT core calls it once its last assumption
+    is placed, so those commits may span every assumption level. Both
+    paths return the implied literals by side, then column. ``on_solution``
+    checks the trail's bounds against the closure and keeps the integer
+    model. Nothing here refers back to the session, so a dropped session is
+    freed at once, undo trail included, without waiting for the cyclic
+    garbage collector.
     """
 
-    def __init__(self, solver, apsp, bounds):
+    def __init__(self, solver, apsp):
         self.trail = solver.trail
         self.apsp = apsp
-        self.bounds = bounds
-        self.position = {}  # live atom var -> column index
-        self.columns = np.zeros((4, 16), dtype=np.int64)  # var, x, y, c
+        self.lits = [None] * 16  # literal code -> row, None for a non-atom
+        self.code_at = []  # column -> its atom's code 2v, None once retired
+        self.bounds_at = np.zeros((16, 3), dtype=np.int64)  # x, y, c by column
+        self.cells = None  # (ent, ref, c) of the columns; None: stale
         self.assigned = np.zeros(16, dtype=bool)
-        self.width = 0  # columns in use, retired ones included
         self.free_columns = []  # retired columns, taken by new atoms first
-        self.assigned_log = []  # (level, position)
-        self.readers = {}  # cell (i, j) -> [(side, position, lit, i, j, c)]
+        self.assigned_log = []  # (level, column)
+        self.readers = {}  # cell (i, j) -> the rows it entails
         self.watched = np.zeros((8, 8), dtype=bool)  # cells with readers
         self.scanned = None  # engine trail length at the last scan; None: all
         self.atoms_tested = 0
@@ -132,15 +136,19 @@ class _TheoryBridge:
             k = self.free_columns.pop()
             self.assigned[k] = False
         else:
-            k = self.width
-            self.width += 1
+            k = len(self.code_at)
+            self.code_at.append(None)
             if k == len(self.assigned):
-                self.columns = np.concatenate(
-                    (self.columns, np.zeros_like(self.columns)), axis=1)
+                self.bounds_at = np.concatenate(
+                    (self.bounds_at, np.zeros_like(self.bounds_at)))
                 self.assigned = np.concatenate(
                     (self.assigned, np.zeros_like(self.assigned)))
-        self.columns[:, k] = var, x, y, c
-        self.position[var] = k
+        self.bounds_at[k] = x, y, c
+        code = self.code_at[k] = 2 * var
+        if code >= len(self.lits):
+            self.lits += [None] * (code + 2)
+        pos = self.lits[code] = 0, k, x, y, c, var
+        neg = self.lits[code + 1] = 1, k, y, x, -c - 1, -var
         watched = self.watched
         if v >= len(watched):  # doubling, as the closure does
             watched = self.watched = np.pad(
@@ -148,42 +156,37 @@ class _TheoryBridge:
         # cell (y, x) entails the atom, cell (x, y) refutes it
         watched[y, x] = watched[x, y] = True
         readers = self.readers
-        readers.setdefault((y, x), []).append((0, k, var, y, x, c))
-        readers.setdefault((x, y), []).append((1, k, -var, x, y, -c - 1))
-        self.scanned = None
+        readers.setdefault((y, x), []).append(pos)
+        readers.setdefault((x, y), []).append(neg)
+        self.scanned = self.cells = None
 
     def retire_atom(self, var):
-        """Forget atom ``var``: no scan tests it again, and its column is
-        marked assigned until a new atom takes it."""
-        k = self.position.pop(var)
-        x, y, c = self.bounds[var]
-        for test in ((0, k, var, y, x, c), (1, k, -var, x, y, -c - 1)):
-            cell = test[3:5]
-            tests = self.readers[cell]
-            tests.remove(test)
+        """Forget atom ``var``: its rows go, no scan tests it again, and its
+        column is marked assigned until a new atom takes it."""
+        for row in self.lits[2 * var:2 * var + 2]:
+            _, k, x, y, _, _ = row
+            tests = self.readers[y, x]
+            tests.remove(row)
             if not tests:
-                del self.readers[cell]
-                self.watched[cell] = False
+                del self.readers[y, x]
+                self.watched[y, x] = False
+        self.lits[2 * var] = self.lits[2 * var + 1] = self.code_at[k] = None
         self.assigned[k] = True
         self.free_columns.append(k)
 
-    def _bound_of(self, lit):
-        """The bound ``x - y <= c`` that ``lit`` asserts, or None for a
-        literal that is not a difference atom."""
-        bound = self.bounds.get(abs(lit))
-        if bound is None or lit > 0:
-            return bound
-        x, y, c = bound
-        return y, x, -c - 1
-
     def on_assert(self, lit, level):
-        bound = self._bound_of(lit)
-        if bound is None:
+        code = 2 * lit if lit > 0 else 1 - 2 * lit
+        try:
+            row = self.lits[code]
+        except IndexError:  # made since the last atom: not one
+            self.lits += [None] * (code + 2)
             return None
-        k = self.position[abs(lit)]
+        if row is None:
+            return None
+        _, k, x, y, c, _ = row
         self.assigned[k] = True
         self.assigned_log.append((level, k))
-        return self.apsp.assert_atom(*bound, lit, level)
+        return self.apsp.assert_atom(x, y, c, lit, level)
 
     def propagate(self):
         self.scanned, changed = self.apsp.changes_since(self.scanned)
@@ -201,28 +204,29 @@ class _TheoryBridge:
         if hit.size > 32:
             return self._scan_all()
         cells = zip(ii[hit].tolist(), jj[hit].tolist())
-        # by side, then position: the order of a full scan's answer
+        # by side, then column: the order of a full scan's answer
         readers, assigned = self.readers, self.assigned
-        tests = sorted({test for cell in cells for test in readers[cell]
-                        if not assigned[test[1]]})
-        self.atoms_tested += len(tests)
+        rows = sorted({row for cell in cells for row in readers[cell]
+                       if not assigned[row[1]]})
+        self.atoms_tested += len(rows)
         holds, stamp = self.apsp.holds, self.apsp.stamp
-        return [(lit, (i, j, b, stamp)) for _, _, lit, i, j, b in tests
-                if holds(j, i, b)]
+        return [(lit, (y, x, c, stamp)) for _, _, x, y, c, lit in rows
+                if holds(x, y, c)]
 
     def _scan_all(self):
-        free = np.flatnonzero(~self.assigned[:self.width])
+        free, = (~self.assigned[:len(self.code_at)]).nonzero()
         self.atoms_tested += free.size
         if not free.size:
             return ()
-        xs, ys, cs = self.columns[1:, free]
-        pos, neg = self.apsp.scan_implications(xs, ys, cs)
-        stamp = self.apsp.stamp
-        out = [(v, (y, x, c, stamp)) for v, x, y, c
-               in zip(*self.columns[:, free[pos]].tolist())]
-        out += [(-v, (x, y, -c - 1, stamp)) for v, x, y, c
-                in zip(*self.columns[:, free[neg]].tolist())]
-        return out
+        if self.cells is None:  # atoms came, or the closure widened
+            x, y, c = self.bounds_at.T
+            N = len(self.apsp._d)
+            self.cells = np.stack((y * N + x, x * N + y, c))
+        pos, neg = self.apsp.scan_implications(*self.cells.take(free, 1))
+        lits, at, stamp = self.lits, self.code_at, self.apsp.stamp
+        rows = ([lits[at[k]] for k in free[pos].tolist()]
+                + [lits[at[k] + 1] for k in free[neg].tolist()])
+        return [(lit, (y, x, c, stamp)) for _, _, x, y, c, lit in rows]
 
     def explain(self, handle):
         src, dst, bound, stamp = handle
@@ -238,14 +242,15 @@ class _TheoryBridge:
     def phase(self, var):
         """An atom is first decided the way the closure's model satisfies
         it, which closes no negative cycle; any other variable False."""
-        bound = self.bounds.get(var)
-        return bound is not None and self.apsp.model_satisfies(*bound)
+        row = self.lits[2 * var] if 2 * var < len(self.lits) else None
+        return row is not None and self.apsp.model_satisfies(*row[2:5])
 
     def on_solution(self):
-        # eager assertion makes this a re-scan of what is already committed
+        # eager assertion makes this a re-scan of what is already committed;
+        # on_assert has seen every trail literal, so the table covers them
         for lit in self.trail:
-            bound = self._bound_of(lit)
-            if bound is not None and not self.apsp.holds(*bound):
+            row = self.lits[2 * lit if lit > 0 else 1 - 2 * lit]
+            if row is not None and not self.apsp.holds(*row[2:5]):
                 raise InternalError("asserted bound missing from the closure")
         self.model = self.apsp.extract_model()
 
@@ -258,7 +263,7 @@ class Session:
         self.solver = sat.Solver()
         self.apsp = theory.DifferenceEngine()
         self.atoms = normalize.AtomTable(self.solver.new_var)
-        self.bridge = _TheoryBridge(self.solver, self.apsp, self.atoms.bounds)
+        self.bridge = _TheoryBridge(self.solver, self.apsp)
         self.solver.theory = self.bridge
         self.atoms.on_new_atom = self.bridge.register_atom
         self.frames = [_Frame(0)]

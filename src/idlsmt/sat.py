@@ -229,6 +229,7 @@ class Solver:
 
     def propagate(self):
         """Boolean unit propagation to fixpoint; the conflict clause or None."""
+        values = self.values
         while self.qhead < len(self.trail):
             lit = self.trail[self.qhead]
             self.qhead += 1
@@ -242,13 +243,16 @@ class Solver:
                 if c[0] == -lit:
                     c[0], c[1] = c[1], c[0]
                 first = c[0]
-                if self.value(first) == 1:
+                # value() inline: most of the solver's value reads are here
+                val = values[first] if first > 0 else -values[-first]
+                if val == 1:
                     ws[j] = c
                     j += 1
                     continue
                 moved = False
                 for k in range(2, len(c)):
-                    if self.value(c[k]) != -1:
+                    q = c[k]
+                    if (values[q] if q > 0 else -values[-q]) != -1:
                         c[1], c[k] = c[k], c[1]
                         self._watch(c[1], c)
                         moved = True
@@ -257,7 +261,7 @@ class Solver:
                     continue
                 ws[j] = c
                 j += 1
-                if self.value(first) == -1:
+                if val == -1:
                     while i < nw:
                         ws[j] = ws[i]
                         j += 1

@@ -236,14 +236,14 @@ class DifferenceEngine:
 
     # -- propagation ---------------------------------------------------------
 
-    def scan_implications(self, xs, ys, cs):
-        """Vectorized entailment test for atom arrays ``x - y <= c``.
+    def scan_implications(self, ent, ref, cs):
+        """Vectorized entailment test for atom arrays ``x - y <= c`` given
+        by their flat cells ``ent = y*N + x`` and ``ref = x*N + y``.
 
         Returns boolean masks (implied-true, implied-false); an atom is
         implied false when its integer complement is entailed.
         """
-        d = self._d[: self.n, : self.n]
-        return d[ys, xs] <= cs, d[xs, ys] <= -cs - 1
+        return self._flat.take(ent) <= cs, self._flat.take(ref) < -cs
 
     # -- models ---------------------------------------------------------------
 

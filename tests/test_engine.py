@@ -587,6 +587,18 @@ def machine_script(seed, tasks):
     return "\n".join(lines)
 
 
+def table_row(bridge, lit):
+    """The bridge's table row of ``lit``, None for a literal of no live
+    atom (the table ends at the highest literal it has seen)."""
+    code = 2 * lit if lit > 0 else 1 - 2 * lit
+    return bridge.lits[code] if code < len(bridge.lits) else None
+
+
+def atom_columns(bridge):
+    """Live atom variable -> its column, read off the table."""
+    return {row[5]: row[1] for row in bridge.lits[::2] if row is not None}
+
+
 def check_kept_trail(session):
     """The trail an answer leaves is consistent with the theory: its
     levels open with the kept assumptions in order, neither log of the
@@ -600,13 +612,42 @@ def check_kept_trail(session):
     assert all(level <= top for level, _, _ in apsp._trail)
     edges = []
     for lit in solver.trail[:solver.th_head]:
-        bound = bridge._bound_of(lit)
-        if bound is not None:
-            x, y, c = bound
+        row = table_row(bridge, lit)
+        if row is not None:
+            _, _, x, y, c, _ = row
             edges.append((y, x, c))
     n = apsp.n
     D, R = scratch_floyd_warshall(n, edges)
     assert (apsp._d[:n, :n] == np.where(R, D, NO_PATH)).all()
+
+
+def widening_script(seed):
+    """Two rounds of one frame each. A round checks after every stage, and
+    each stage's atoms reach new names, so the closure's capacity doubles,
+    8 -> 16 -> 32 -> 64, between two checks. The first round's pop retires
+    its atoms and gives back its vertices, so the second round's atoms take
+    the retired columns and vertices. Each stage links its new names in a
+    chain of unit bounds, which entail atoms of the disjunctions."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(63)]
+    lines = ["(set-logic QF_IDL)"]
+    lines += [f"(declare-fun {name} () Int)" for name in names]
+    for _ in range(2):
+        lines.append("(push 1)")
+        done = 1
+        for width in (7, 15, 31, 63):
+            lines += [f"(assert (<= (- {names[i]} {names[i - 1]}) "
+                      f"{_num(rng.randint(-3, 3))}))"
+                      for i in range(done, width)]
+            done = width
+            for _ in range(4):
+                a, b, c, d = rng.sample(names[:width], 4)
+                lines.append(
+                    f"(assert (or (<= (- {a} {b}) {_num(rng.randint(-6, 6))})"
+                    f" (<= (- {c} {d}) {_num(rng.randint(-6, 6))})))")
+            lines.append("(check-sat)")
+        lines.append("(pop 1)")
+    return "\n".join(lines)
 
 
 class TestAssignmentMask:
@@ -621,11 +662,12 @@ class TestAssignmentMask:
         def free_positions():
             # a retired atom's column counts as assigned, so the free
             # columns are those of the live atoms the solver left free
-            return np.flatnonzero(~bridge.assigned[:bridge.width]).tolist()
+            width = len(bridge.code_at)
+            return np.flatnonzero(~bridge.assigned[:width]).tolist()
 
         def propagate():
             calls[0] += 1
-            want = sorted(k for var, k in bridge.position.items()
+            want = sorted(k for var, k in atom_columns(bridge).items()
                           if solver.values[var] == 0)
             assert free_positions() == want
             return orig()
@@ -633,15 +675,24 @@ class TestAssignmentMask:
         bridge.propagate = propagate
         for cmd in parse_script(text):
             session.execute(cmd)
-            # the bridge holds the live atoms, each in a column of its own
-            assert bridge.position.keys() == session.atoms.bounds.keys()
-            assert len(set(bridge.position.values())) == len(bridge.position)
+            # the bridge holds the live atoms, each in a column of its own,
+            # and both literals of each in the table with its bound
+            columns = atom_columns(bridge)
+            assert columns.keys() == session.atoms.bounds.keys()
+            assert len(set(columns.values())) == len(columns)
+            for var, (x, y, c) in session.atoms.bounds.items():
+                k = columns[var]
+                assert bridge.code_at[k] == 2 * var
+                assert table_row(bridge, var) == (0, k, x, y, c, var)
+                assert table_row(bridge, -var) == (1, k, y, x, -c - 1, -var)
+            assert sum(row is not None for row in bridge.lits) \
+                == 2 * len(columns)
             if cmd.name == "check-sat":
                 # the answer keeps its trail; the theory has seen
                 # trail[:th_head], all of it except after a conflict at
                 # level 0, and the mask marks exactly those atoms
                 seen = {abs(l) for l in solver.trail[:solver.th_head]}
-                want = sorted(k for var, k in bridge.position.items()
+                want = sorted(k for var, k in columns.items()
                               if var not in seen)
                 assert free_positions() == want
                 check_kept_trail(session)
@@ -661,6 +712,12 @@ class TestAssignmentMask:
         assert calls > 3000
         assert totals["theory_conflicts"] > 200
         assert totals["conflicts"] > 500 and totals["restarts"] > 0
+
+    def test_table_across_doublings_and_reused_columns(self):
+        # the checks of run_checked after every command, while the closure
+        # doubles between checks and popped atoms' columns are taken again
+        for seed in range(4):
+            self.run_checked(widening_script(seed))
 
 
 def entailed_literals(bounds, asserted, free, n):
@@ -705,8 +762,8 @@ class TestPropagationOracle:
     skipped scans included. A call that tests only the readers of the
     changed cells answers what a full scan of the same state answers."""
 
-    def run_checked(self, text):
-        session = Session()
+    def run_checked(self, text, session=None):
+        session = session or Session()
         bridge, solver = session.bridge, session.solver
         bounds = session.atoms.bounds
         orig = bridge.propagate
@@ -742,6 +799,30 @@ class TestPropagationOracle:
             per_cell += counts["per_cell"]
         assert calls > 3000 and found > 500 and per_cell > 200
 
+    def test_closure_doublings_and_reused_columns_between_scans(self):
+        # a scan after the closure doubled reads the atoms' cells at the
+        # new width, and one after a pop reads each reused column's new
+        # atom, never the retired one's
+        calls = found = 0
+        for seed in range(6):
+            session = Session()
+            added, widths = [], set()
+            register = session.bridge.register_atom
+
+            def counted(*args):
+                added.append(args)
+                register(*args)
+                widths.add(len(session.apsp._d))
+
+            session.atoms.on_new_atom = counted
+            counts = self.run_checked(widening_script(seed), session)
+            calls += counts["calls"]
+            found += counts["found"]
+            assert widths == {8, 16, 32, 64}
+            # the second round took the first round's columns
+            assert len(session.bridge.code_at) < len(added) / 1.5
+        assert calls > 100 and found > 50
+
     def drive(self, rng, rounds, pools):
         """The bridge alone, under hook calls in any order the SAT core's
         protocol allows, not only its propagate-before-deciding one: atoms
@@ -754,7 +835,7 @@ class TestPropagationOracle:
             vertices = pools(rng)
             bounds = {}
             bridge = _TheoryBridge(types.SimpleNamespace(trail=[]),
-                                   DifferenceEngine(), bounds)
+                                   DifferenceEngine())
             asserted = []  # (level, literal)
             level = 0
             dropped = False  # the last scan's implications were backtracked
@@ -861,7 +942,7 @@ class TestPropagationCount:
         bounds = {1: (b + 1, 0, 5), 2: (b + 3, b + 2, 0),
                   3: (b + 4, b + 3, 1), 4: (b + 4, b + 2, 3)}
         bridge = _TheoryBridge(types.SimpleNamespace(trail=[]),
-                               DifferenceEngine(), bounds)
+                               DifferenceEngine())
         for var, bound in bounds.items():
             bridge.register_atom(var, *bound)
         assert bridge.apsp.n > BLOCK_MIN_N
@@ -884,7 +965,7 @@ class TestPropagationCount:
         # tests every free atom
         bounds = {1: (1, 0, 5), 2: (3, 2, 0), 3: (4, 3, 1), 4: (4, 2, 3)}
         bridge = _TheoryBridge(types.SimpleNamespace(trail=[]),
-                               DifferenceEngine(), bounds)
+                               DifferenceEngine())
         for var, bound in bounds.items():
             bridge.register_atom(var, *bound)
         assert bridge.propagate() == [] and bridge.atoms_tested == 4
@@ -920,7 +1001,7 @@ class TestPropagationCount:
             def propagate():
                 nonlocal full
                 if due["rescan"] or due["cells"] != apsp.cell_updates:
-                    k = len(bridge.position)
+                    k = len(bridge.code_at)
                     full += k - int(bridge.assigned[:k].sum())
                     due.update(rescan=False, cells=apsp.cell_updates)
                 return orig()
@@ -1076,8 +1157,8 @@ class TestPopByDeletion:
             elif cmd.name == "pop":
                 assert not orphan_vars(session)
                 sizes.append((solver.n_vars, len(solver.clauses),
-                              len(session.atoms), len(bridge.position),
-                              bridge.width, len(bridge.readers),
+                              len(session.atoms), len(atom_columns(bridge)),
+                              len(bridge.code_at), len(bridge.readers),
                               int(bridge.watched.sum())))
         assert got == expected
         # the base frame's 16 atoms are all that is left after each pop
@@ -1088,6 +1169,43 @@ class TestPopByDeletion:
         first = sum(per_check[10:110]) / 100
         last = sum(per_check[-100:]) / 100
         assert abs(last - first) <= 0.1 * first
+
+    @pytest.mark.parametrize("formula, role", [("p", "selector"),
+                                               ("(and p q)", "gate")])
+    def test_a_retired_atom_slot_reaches_the_theory_as_nothing(
+            self, formula, role):
+        # the popped atom's variable is the lowest released slot, so the
+        # next assertion's first new variable takes it: the selector of a
+        # literal assertion, the gate of a conjunction
+        *setup, pop, push, new, check = parse_script(
+            DECLS + "(declare-fun p () Bool)(declare-fun q () Bool)"
+            "(assert (or p q))(push 1)(assert (<= (- x y) 3))(check-sat)"
+            f"(pop 1)(push 1)(assert {formula})(check-sat)")
+        session, _ = run_commands(setup)
+        bridge, apsp = session.bridge, session.apsp
+        [var] = session.atoms.bounds
+        session.execute(pop)
+        assert table_row(bridge, var) is table_row(bridge, -var) is None
+        assert bridge.phase(var) is False
+        session.execute(push)
+        session.execute(new)
+        assert var not in session.atoms.bounds
+        assert (var in session._sel2rec) == (role == "selector")
+        seen = []
+        on_assert = bridge.on_assert
+
+        def recording(lit, level):
+            before = apsp.stamp, len(apsp._trail), apsp.snapshot()
+            out = on_assert(lit, level)
+            if abs(lit) == var:
+                seen.append((out, before, (apsp.stamp, len(apsp._trail),
+                                           apsp.snapshot())))
+            return out
+
+        bridge.on_assert = recording
+        assert session.execute(check).text == "sat"
+        assert seen and all(out is None and before == after
+                            for out, before, after in seen)
 
     def test_popped_constants_give_back_their_vertices(self):
         # each frame declares a fresh constant; without vertex reuse the
@@ -1187,7 +1305,7 @@ class TestLiveness:
         assert len(session.atoms) == 1 and not session.solver.clauses
         for cmd in cmds[4:6]:
             session.execute(cmd)
-        assert len(session.atoms) == 0 and not session.bridge.position
+        assert len(session.atoms) == 0 and not any(session.bridge.lits)
         assert orphan_vars(session) == []
         got = [session.execute(cmd) for cmd in cmds[6:]]
         _, fresh = run(head + later)

@@ -493,10 +493,16 @@ class TestExplain:
         assert restricted > 50
 
 
+def scan(e, xs, ys, cs):
+    """``scan_implications`` on atoms given by vertices: each reads its
+    flat cells, (y, x) that entails it and (x, y) that refutes it."""
+    N = e._d.shape[1]
+    return e.scan_implications(ys * N + xs, xs * N + ys, cs)
+
+
 class TestImplications:
     def scan_one(self, e, x, y, c):
-        pos, neg = e.scan_implications(np.array([x]), np.array([y]),
-                                       np.array([c]))
+        pos, neg = scan(e, np.array([x]), np.array([y]), np.array([c]))
         return bool(pos[0]), bool(neg[0])
 
     def test_weakening_is_implied(self):
@@ -544,7 +550,7 @@ class TestImplications:
             xs = np.array([a[0] for a in candidates])
             ys = np.array([a[1] for a in candidates])
             cs = np.array([a[2] for a in candidates])
-            pos, neg = e.scan_implications(xs, ys, cs)
+            pos, neg = scan(e, xs, ys, cs)
             before = e.snapshot()
             for k, (x, y, c) in enumerate(candidates):
                 complement_conflicts = e.assert_atom(
