@@ -88,29 +88,26 @@ class _TheoryBridge:
     other literal (a selector, a gate, a retired atom's reused slot) reads
     None, so ``on_assert`` is one list index. The columns keep the atoms'
     bounds as numpy rows with a mask of those the SAT core has asserted;
-    the full scan reads their flat closure cells, ``y*N + x`` entailing and
+    the scan reads their flat closure cells, ``y*N + x`` entailing and
     ``x*N + y`` refuting, derived in one expression after new atoms (only
     they grow the closure). ``on_assert`` sets a mask entry and logs
     ``(level, k)``; ``on_backtrack`` clears the entries logged above its
     level, and as the trail's levels never decrease, neither do the log's.
     ``retire_atom`` clears a popped atom's rows; its column stays
     marked assigned until a new atom takes it, so the columns in use stay
-    as many as the most atoms live at once. ``readers`` lists by cell the
-    rows it entails and ``watched`` marks the cells that have any. After a
-    backtrack, a new atom or a commit below ``kernels.BLOCK_MIN_N``
-    vertices (whose undo entry, the old block, names no cell),
-    ``propagate`` tests every free atom at once. Otherwise it tests only
-    the free readers of the watched cells that the commits since its last
-    call changed, read off the engine's undo trail: the SAT core asserted
-    all that the last call returned, so no other atom can be newly implied.
-    When more than 32 such cells changed, it runs the full scan instead,
-    which is then cheaper. The SAT core calls it once its last assumption
-    is placed, so those commits may span every assumption level. Both
-    paths return the implied literals by side, then column. ``on_solution``
-    checks the trail's bounds against the closure and keeps the integer
-    model. Nothing here refers back to the session, so a dropped session is
-    freed at once, undo trail included, without waiting for the cyclic
-    garbage collector.
+    as many as the most atoms live at once. ``propagate`` tests every free
+    atom at once, with two ``take``s of the flat closure, and returns the
+    implied literals by side, then column. The SAT core calls it once its
+    last assumption is placed, and has asserted all that the last call
+    returned, so a call finds nothing new unless the closure moved since:
+    when the engine's ``cell_updates`` count is unchanged and no backtrack
+    or new atom came in between, it tests nothing. Every kernel call
+    changes at least the cell of its own edge, so the count moves with
+    every commit that relaxes; an entailed commit changes no cell.
+    ``on_solution`` checks the trail's bounds against the closure and keeps
+    the integer model. Nothing here refers back to the session, so a
+    dropped session is freed at once, undo trail included, without waiting
+    for the cyclic garbage collector.
     """
 
     def __init__(self, solver, apsp):
@@ -123,15 +120,12 @@ class _TheoryBridge:
         self.assigned = np.zeros(16, dtype=bool)
         self.free_columns = []  # retired columns, taken by new atoms first
         self.assigned_log = []  # (level, column)
-        self.readers = {}  # cell (i, j) -> the rows it entails
-        self.watched = np.zeros((8, 8), dtype=bool)  # cells with readers
-        self.scanned = None  # engine trail length at the last scan; None: all
+        self.scanned = None  # cell_updates at the last scan; None: scan due
         self.atoms_tested = 0
         self.model = {}  # integer model of the last sat answer
 
     def register_atom(self, var, x, y, c):
-        v = x if x > y else y
-        self.apsp.ensure_vertex(v)
+        self.apsp.ensure_vertex(x if x > y else y)
         if self.free_columns:
             k = self.free_columns.pop()
             self.assigned[k] = False
@@ -147,29 +141,14 @@ class _TheoryBridge:
         code = self.code_at[k] = 2 * var
         if code >= len(self.lits):
             self.lits += [None] * (code + 2)
-        pos = self.lits[code] = 0, k, x, y, c, var
-        neg = self.lits[code + 1] = 1, k, y, x, -c - 1, -var
-        watched = self.watched
-        if v >= len(watched):  # doubling, as the closure does
-            watched = self.watched = np.pad(
-                watched, (0, (1 << v.bit_length()) - len(watched)))
-        # cell (y, x) entails the atom, cell (x, y) refutes it
-        watched[y, x] = watched[x, y] = True
-        readers = self.readers
-        readers.setdefault((y, x), []).append(pos)
-        readers.setdefault((x, y), []).append(neg)
+        self.lits[code] = 0, k, x, y, c, var
+        self.lits[code + 1] = 1, k, y, x, -c - 1, -var
         self.scanned = self.cells = None
 
     def retire_atom(self, var):
         """Forget atom ``var``: its rows go, no scan tests it again, and its
         column is marked assigned until a new atom takes it."""
-        for row in self.lits[2 * var:2 * var + 2]:
-            _, k, x, y, _, _ = row
-            tests = self.readers[y, x]
-            tests.remove(row)
-            if not tests:
-                del self.readers[y, x]
-                self.watched[y, x] = False
+        k = self.lits[2 * var][1]
         self.lits[2 * var] = self.lits[2 * var + 1] = self.code_at[k] = None
         self.assigned[k] = True
         self.free_columns.append(k)
@@ -189,31 +168,9 @@ class _TheoryBridge:
         return self.apsp.assert_atom(x, y, c, lit, level)
 
     def propagate(self):
-        self.scanned, changed = self.apsp.changes_since(self.scanned)
-        if changed is None:
-            return self._scan_all()
-        if not changed:
+        if self.scanned == self.apsp.cell_updates:
             return []
-        # one lookup over the cells of every commit: each fancy index
-        # converts its int16 index arrays anew
-        ii, jj = (np.concatenate(a) for a in zip(*changed))
-        hit, = self.watched[ii, jj].nonzero()
-        # testing the readers of about 32 changed cells costs as much as
-        # the vectorized scan of every free atom (measured per call on the
-        # jobshop, diamond and incremental workloads)
-        if hit.size > 32:
-            return self._scan_all()
-        cells = zip(ii[hit].tolist(), jj[hit].tolist())
-        # by side, then column: the order of a full scan's answer
-        readers, assigned = self.readers, self.assigned
-        rows = sorted({row for cell in cells for row in readers[cell]
-                       if not assigned[row[1]]})
-        self.atoms_tested += len(rows)
-        holds, stamp = self.apsp.holds, self.apsp.stamp
-        return [(lit, (y, x, c, stamp)) for _, _, x, y, c, lit in rows
-                if holds(x, y, c)]
-
-    def _scan_all(self):
+        self.scanned = self.apsp.cell_updates
         free, = (~self.assigned[:len(self.code_at)]).nonzero()
         self.atoms_tested += free.size
         if not free.size:

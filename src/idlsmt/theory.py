@@ -12,9 +12,8 @@ back asserted, is recorded as an edge for explanations but skips the
 kernel: it cannot shorten any pair. Each commit's undo entry and each
 replaced edge are logged per decision level so retraction replays to a
 bit-identical state. Below `kernels.BLOCK_MIN_N` vertices the entry is the
-whole old block, which names no cell; from there on it logs the overwritten
-cells, 12 bytes each, which also tell theory propagation which cells
-changed. The closure is one int64 matrix: a pair with no path holds
+whole old block; from there on it logs the overwritten cells, 12 bytes
+each. The closure is one int64 matrix: a pair with no path holds
 `kernels.NO_PATH`, above every finite distance, so every entailment test is
 one comparison. Models are read off the closure: a variable's value is its
 column minimum, the shortest distance from a virtual source; an atom's
@@ -73,6 +72,9 @@ class DifferenceEngine:
         self.edges = []
         self._trail = []  # (level, edge key or None, relax_edge undo or None)
         self.stamp = 0  # edges recorded, entailed ones too (edge_commits)
+        # cells the kernel changed; each call changes at least its edge's
+        # cell (y, x), so the theory bridge reads an unmoved count as an
+        # unmoved closure
         self.cell_updates = 0
 
     # -- vertices ----------------------------------------------------------
@@ -139,18 +141,6 @@ class DifferenceEngine:
             self.cell_updates += undo[1] if len(undo) == 2 else len(undo[0])
         self._trail.append((level, (y, x), undo))
         return None
-
-    def changes_since(self, mark):
-        """The trail length, as the next call's mark (a backtrack below it
-        voids it), and the ``(rows, cols)`` each commit since ``mark``
-        logged, or None for ``mark=None`` or past a whole block."""
-        trail = self._trail
-        if mark is None:
-            return len(trail), None
-        undos = [undo for _, _, undo in trail[mark:] if undo is not None]
-        if any(len(undo) == 2 for undo in undos):
-            return len(trail), None
-        return len(trail), [undo[:2] for undo in undos]
 
     def undo_size(self):
         """The cells the trail can restore and its undo arrays' bytes."""

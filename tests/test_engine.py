@@ -252,10 +252,9 @@ class TestCheckSat:
         assert verdicts[:-1] == ["sat"] * 6
         assert len(session.atoms) == 1023
         assert rows == 1024
-        # nor does it leave a cell for propagation to read
-        bridge = session.bridge
-        assert len(bridge.readers) == bridge.watched.sum() == 2 * 1023
-        assert bridge.watched.shape == (1024, 1024)
+        # nor does it leave a table row for propagation to read
+        lits = session.bridge.lits
+        assert sum(row is not None for row in lits) == 2 * 1023
 
 
 class TestModel:
@@ -744,33 +743,20 @@ def entailed_literals(bounds, asserted, free, n):
     return out
 
 
-def full_scan_agrees(bridge, propagate):
-    """Call ``propagate``; when no full scan was due, so the call could
-    test only the readers of changed cells, scan the same state in full
-    and check that both answers agree, order included."""
-    per_cell = bridge.scanned is not None
-    got = propagate()
-    if per_cell:
-        bridge.scanned = None
-        assert list(propagate()) == list(got)
-    return got, per_cell
-
-
 class TestPropagationOracle:
     """Theory propagation is exhaustive: every ``propagate`` call returns
     exactly the free atoms that the asserted bounds entail, or refute,
-    skipped scans included. A call that tests only the readers of the
-    changed cells answers what a full scan of the same state answers."""
+    skipped scans included."""
 
     def run_checked(self, text, session=None):
         session = session or Session()
         bridge, solver = session.bridge, session.solver
         bounds = session.atoms.bounds
         orig = bridge.propagate
-        counts = {"calls": 0, "found": 0, "per_cell": 0}
+        counts = {"calls": 0, "found": 0}
 
         def propagate():
-            got, per_cell = full_scan_agrees(bridge, orig)
+            got = orig()
             lits = [lit for lit, _ in got]
             assert len(lits) == len(set(lits))
             # the theory has seen the whole trail when it is asked
@@ -780,7 +766,6 @@ class TestPropagationOracle:
                                                   session.apsp.n)
             counts["calls"] += 1
             counts["found"] += bool(lits)
-            counts["per_cell"] += per_cell and bool(lits)
             return got
 
         bridge.propagate = propagate
@@ -789,15 +774,14 @@ class TestPropagationOracle:
         return counts
 
     def test_solver_calls_match_scratch_closure(self):
-        calls = found = per_cell = 0
+        calls = found = 0
         texts = [push_pop_script(seed) for seed in range(40)]
         texts += [machine_script(seed, 6) for seed in range(3)]
         for text in texts:
             counts = self.run_checked(text)
             calls += counts["calls"]
             found += counts["found"]
-            per_cell += counts["per_cell"]
-        assert calls > 3000 and found > 500 and per_cell > 200
+        assert calls > 3000 and found > 500
 
     def test_closure_doublings_and_reused_columns_between_scans(self):
         # a scan after the closure doubled reads the atoms' cells at the
@@ -829,8 +813,12 @@ class TestPropagationOracle:
         are added between scans, several levels pass without a scan, each
         scan's implications are asserted or dropped by a backtrack, and a
         conflict is followed by a backtrack. ``pools(rng)`` gives a round's
-        vertex pools; its 80 steps draw new atoms from each in turn."""
-        found = rescans = per_cell = 0
+        vertex pools; its 80 steps draw new atoms from each in turn. Besides
+        the scans that found an implication, and those that found one again
+        after a backtrack dropped the last scan's, it counts the scans that
+        found one after commits alone, with no new atom or backtrack since
+        the last scan."""
+        found = rescans = after_commit = 0
         for _ in range(rounds):
             vertices = pools(rng)
             bounds = {}
@@ -839,8 +827,11 @@ class TestPropagationOracle:
             asserted = []  # (level, literal)
             level = 0
             dropped = False  # the last scan's implications were backtracked
+            stale = True  # an atom came or a backtrack since the last scan
 
             def backtrack(to):
+                nonlocal stale
+                stale = True
                 bridge.on_backtrack(to)
                 asserted[:] = [(lv, lit) for lv, lit in asserted if lv <= to]
                 return to
@@ -855,6 +846,7 @@ class TestPropagationOracle:
                     var = len(bounds) + 1
                     bounds[var] = (x, y, rng.randint(-4, 4))
                     bridge.register_atom(var, *bounds[var])
+                    stale = True
                 elif roll < 0.45 and level:
                     lit = rng.choice(free) * rng.choice((1, -1))
                     if bridge.on_assert(lit, level) is None:
@@ -866,15 +858,15 @@ class TestPropagationOracle:
                 elif roll < 0.7 and level:
                     level = backtrack(rng.randrange(level))
                 else:
-                    got, cell_path = full_scan_agrees(bridge, bridge.propagate)
-                    lits = {lit for lit, _ in got}
+                    lits = {lit for lit, _ in bridge.propagate()}
                     want = entailed_literals(
                         bounds, [lit for _, lit in asserted], free,
                         bridge.apsp.n)
                     assert lits == want
                     found += bool(lits)
-                    per_cell += cell_path and bool(lits)
+                    after_commit += not stale and bool(lits)
                     rescans += dropped and bool(lits)
+                    stale = False
                     dropped = bool(lits) and level > 0 and rng.random() < 0.3
                     if dropped:
                         level = backtrack(rng.randrange(level))
@@ -882,105 +874,78 @@ class TestPropagationOracle:
                     for lit in lits:
                         assert bridge.on_assert(lit, level) is None
                         asserted.append((level, lit))
-        return found, rescans, per_cell, bridge
+        return found, rescans, after_commit, bridge
 
     def test_hook_protocol_without_fixpoint(self):
-        found, rescans, per_cell, _ = self.drive(
+        found, rescans, _, _ = self.drive(
             random.Random(23), 100, lambda rng: [range(rng.randint(3, 6))])
-        assert found > 300 and rescans > 20 and per_cell > 50
+        assert found > 300 and rescans > 20
 
     def test_hook_protocol_on_the_block_kernel(self):
         # the vertices sit above BLOCK_MIN_N, so every commit that relaxes
-        # runs the block kernel and its undo cells feed the cell index
+        # runs the block kernel, which logs the changed cells
         top = BLOCK_MIN_N + 8
-        found, rescans, per_cell, bridge = self.drive(
+        found, rescans, after_commit, bridge = self.drive(
             random.Random(29), 40,
             lambda rng: [rng.sample(range(BLOCK_MIN_N, top + 4),
                                     rng.randint(3, 6))])
         assert bridge.apsp.n > BLOCK_MIN_N
-        assert found > 100 and rescans > 5 and per_cell > 50
+        assert found > 100 and rescans > 5 and after_commit > 25
 
-    def test_small_closures_scan_every_free_atom_after_a_commit(
-            self, monkeypatch):
-        # below BLOCK_MIN_N each commit saves its whole block, which names
-        # no cell, so a call after one runs the full scan: it must still
-        # answer exactly what the oracle implies
-        whole = []
-        orig = DifferenceEngine.changes_since
-
-        def changes_since(apsp, mark):
-            out = orig(apsp, mark)
-            whole.append(mark is not None and out[1] is None)
-            return out
-
-        monkeypatch.setattr(DifferenceEngine, "changes_since", changes_since)
-        found, _, _, bridge = self.drive(
+    def test_small_closures_scan_every_free_atom_after_a_commit(self):
+        # below BLOCK_MIN_N each commit saves its whole block; a call after
+        # commits alone scans every free atom and must still answer
+        # exactly what the oracle implies
+        found, _, after_commit, bridge = self.drive(
             random.Random(37), 60,
             lambda rng: [rng.sample(range(BLOCK_MIN_N - 1),
                                     rng.randint(3, 6))])
         assert bridge.apsp.n < BLOCK_MIN_N
-        assert sum(whole) > 100 and found > 200
+        assert after_commit > 50 and found > 200
 
     def test_atoms_added_across_capacity_doublings(self):
         # closure capacity 8 -> 16 -> 32 -> 128 as vertices 7, 9, 17 and
         # 70 arrive, with commits and scans in between
         pools = [range(8), [0, 3, 5, 9], [3, 5, 9, 17], [0, 9, 17, 70]]
-        found, rescans, per_cell, bridge = self.drive(
+        found, _, _, bridge = self.drive(
             random.Random(31), 80, lambda rng: pools)
-        assert bridge.apsp.n == 71 and bridge.watched.shape == (128, 128)
-        assert found > 100 and per_cell > 25
+        assert bridge.apsp.n == 71 and len(bridge.apsp._d) == 128
+        assert found > 100
 
 
 class TestPropagationCount:
-    """``prop_atoms_tested`` counts the atoms that full scans test plus the
-    tests of readers of changed cells, so a silent fallback to full scans
-    shows in it."""
+    """``prop_atoms_tested`` counts the atoms that ``propagate`` tests: every
+    free atom, unless the closure has not moved since its last call."""
 
-    def test_commit_off_the_free_atoms_tests_nothing(self):
-        # vertices from BLOCK_MIN_N on, so commits log their changed cells
-        b = BLOCK_MIN_N
+    @pytest.mark.parametrize("b", [0, BLOCK_MIN_N])
+    def test_each_commit_scans_every_free_atom(self, b):
+        # from offset BLOCK_MIN_N the commits run the block kernel, which
+        # logs its changed cells; below it they save the whole block. On
+        # both sides each call after a commit tests every free atom, and
+        # a call after no kernel commit tests nothing
         bounds = {1: (b + 1, 0, 5), 2: (b + 3, b + 2, 0),
                   3: (b + 4, b + 3, 1), 4: (b + 4, b + 2, 3)}
         bridge = _TheoryBridge(types.SimpleNamespace(trail=[]),
                                DifferenceEngine())
         for var, bound in bounds.items():
             bridge.register_atom(var, *bound)
-        assert bridge.apsp.n > BLOCK_MIN_N
-        scans = []
-        orig = bridge.apsp.scan_implications
-        bridge.apsp.scan_implications = lambda *a: scans.append(1) or orig(*a)
+        assert (bridge.apsp.n > BLOCK_MIN_N) == (b > 0)
         assert bridge.propagate() == [] and bridge.atoms_tested == 4
-        assert len(scans) == 1
+        assert bridge.propagate() == [] and bridge.atoms_tested == 4
         # x3 - x2 <= 0 changes cell (2, 3) alone, which only atom 2 reads
         assert bridge.on_assert(2, 1) is None
-        assert bridge.propagate() == [] and bridge.atoms_tested == 4
+        assert bridge.propagate() == [] and bridge.atoms_tested == 7
         # x4 - x3 <= 1 also changes (2, 4), which entails atom 4
         assert bridge.on_assert(3, 1) is None
         assert bridge.propagate() == [(4, (b + 2, b + 4, 3, 2))]
-        assert bridge.atoms_tested == 5 and len(scans) == 1
-
-    def test_small_closure_commit_scans_every_free_atom(self):
-        # the same atoms on vertices below BLOCK_MIN_N: a commit saves the
-        # whole old block, which names no cell, so each call after one
-        # tests every free atom
-        bounds = {1: (1, 0, 5), 2: (3, 2, 0), 3: (4, 3, 1), 4: (4, 2, 3)}
-        bridge = _TheoryBridge(types.SimpleNamespace(trail=[]),
-                               DifferenceEngine())
-        for var, bound in bounds.items():
-            bridge.register_atom(var, *bound)
-        assert bridge.propagate() == [] and bridge.atoms_tested == 4
-        assert bridge.propagate() == [] and bridge.atoms_tested == 4
-        assert bridge.on_assert(2, 1) is None
-        assert bridge.propagate() == [] and bridge.atoms_tested == 7
-        assert bridge.on_assert(3, 1) is None
-        assert bridge.propagate() == [(4, (2, 4, 3, 2))]
         assert bridge.atoms_tested == 9
+        # atom 4 comes back entailed: no kernel call, so nothing to test
+        assert bridge.on_assert(4, 1) is None
+        assert bridge.propagate() == [] and bridge.atoms_tested == 9
 
-    def test_a_fifth_of_the_full_scans(self):
-        # the full scan ran at every call after a cell change, a backtrack
-        # or a new atom, over all free atoms. The conflict-free families
-        # keep most calls off the full scan; machine_script's dense
-        # 7-vertex closures and frequent backtracks would not.
+    def test_every_call_after_a_change_tests_every_free_atom(self):
+        # the count is the free atoms at every call after a cell change, a
+        # backtrack or a new atom, here on diamond grids past BLOCK_MIN_N
         texts = [emit_benchmark("diamond-grid", n, seed)[0]
                  for n, seed in ((60, 0), (120, 1))]
         texts += [emit_benchmark("window-scheduling", n, seed)[0]
@@ -1011,7 +976,7 @@ class TestPropagationCount:
                 session.execute(cmd)
             assert session.last_status == "sat"
             tested += session.stats["prop_atoms_tested"]
-        assert 0 < 5 * tested <= full
+        assert tested == full > 0
 
 
 class TestFirstPhase:
@@ -1158,8 +1123,7 @@ class TestPopByDeletion:
                 assert not orphan_vars(session)
                 sizes.append((solver.n_vars, len(solver.clauses),
                               len(session.atoms), len(atom_columns(bridge)),
-                              len(bridge.code_at), len(bridge.readers),
-                              int(bridge.watched.sum())))
+                              len(bridge.code_at)))
         assert got == expected
         # the base frame's 16 atoms are all that is left after each pop
         assert sizes[5][2] == 16

@@ -1,10 +1,10 @@
 """The benchmark's trace seams keep reading the solver.
 
 ``perfbench/spans.py`` wraps the solver's layer functions from outside, by
-the names their callers look up. A renamed seam, or a full scan that no
+the names their callers look up. A renamed seam, or an atom test that no
 longer goes through ``DifferenceEngine.scan_implications`` with one entry
 per tested atom in its first argument, would leave the benchmark's
-per-layer figures at zero without failing the benchmark itself.
+per-layer figures at zero, or short, without failing the benchmark itself.
 """
 
 import sys
@@ -27,7 +27,7 @@ def test_tracer_counts_the_full_scans_of_a_tiny_frontend_pass():
             session = engine.Session()
             for cmd in smtlib.parse_script(inp.text):
                 session.execute(cmd)
-            # below BLOCK_MIN_N vertices every atom test is a full scan's
+            # whole-block commits; the next test covers the block kernel
             assert session.apsp.n < BLOCK_MIN_N
             tested += session.stats["prop_atoms_tested"]
     assert tracer.counts["engine.scan_atoms"] == tested > 0
@@ -39,3 +39,18 @@ def test_tracer_counts_the_full_scans_of_a_tiny_frontend_pass():
     assert installed
     for owner, attr, orig in installed:
         assert owner.__dict__[attr] is orig, attr
+
+
+def test_tracer_counts_every_atom_test_past_block_min_n():
+    # the incremental workload's 61 vertices put its commits on the block
+    # kernel, which logs changed cells; the atoms tested after them go
+    # through the scan seam too
+    inp = workloads.generate("incremental", 5)
+    tracer = spans.Tracer()
+    with tracer:
+        session = engine.Session()
+        for cmd in smtlib.parse_script(inp.text):
+            session.execute(cmd)
+    assert session.apsp.n >= BLOCK_MIN_N
+    tested = session.stats["prop_atoms_tested"]
+    assert tracer.counts["engine.scan_atoms"] == tested > 0
