@@ -81,23 +81,22 @@ class _Frame:
 class _TheoryBridge:
     """Adapter between the SAT core's hook seams and the shortest-path engine.
 
-    Its table ``lits`` is indexed by literal code ``2v + (lit < 0)``, as the
-    SAT core's watch lists are. A literal of a live atom has the row
-    ``(side, k, x, y, c, lit)``: side 1 for the negative literal, the
-    atom's column k, and the bound ``x - y <= c`` the literal asserts. Any
+    Its state is indexed as the SAT core's is (Een & Sorensson, SAT 2003):
+    the table ``lits`` by literal code ``2v + (lit < 0)``, as the watch
+    lists are, and the rest by variable. A literal of a live atom has the
+    row ``(x, y, c, lit)``, the bound ``x - y <= c`` that it asserts. Any
     other literal (a selector, a gate, a retired atom's reused slot) reads
-    None, so ``on_assert`` is one list index. The columns keep the atoms'
-    bounds as numpy rows with a mask of those the SAT core has asserted;
-    the scan reads their flat closure cells, ``y*N + x`` entailing and
-    ``x*N + y`` refuting, derived in one expression after new atoms (only
-    they grow the closure). ``on_assert`` sets a mask entry and logs
-    ``(level, k)``; ``on_backtrack`` clears the entries logged above its
-    level, and as the trail's levels never decrease, neither do the log's.
-    ``retire_atom`` clears a popped atom's rows; its column stays
-    marked assigned until a new atom takes it, so the columns in use stay
-    as many as the most atoms live at once. ``propagate`` tests every free
+    None, so ``on_assert`` is one list index. ``bounds_at`` keeps the
+    atoms' bounds as numpy rows, and ``level_of`` the level at which each
+    atom was asserted: ``FREE`` while it is unasserted, -1 for a variable
+    that is not an atom. ``on_assert`` writes the level, ``on_backtrack``
+    sets every level above its own back to ``FREE`` in one ``putmask``,
+    and ``retire_atom`` clears a popped atom's rows and marks its variable
+    -1. The scan reads the free atoms' flat closure cells, ``y*N + x``
+    entailing and ``x*N + y`` refuting, derived in one expression after
+    new atoms (only they grow the closure). ``propagate`` tests every free
     atom at once, with two ``take``s of the flat closure, and returns the
-    implied literals by side, then column. The SAT core calls it once its
+    implied literals by side, then variable. The SAT core calls it once its
     last assumption is placed, and has asserted all that the last call
     returned, so a call finds nothing new unless the closure moved since:
     when the engine's ``cell_updates`` count is unchanged and no backtrack
@@ -110,48 +109,41 @@ class _TheoryBridge:
     for the cyclic garbage collector.
     """
 
+    FREE = np.iinfo(np.int64).max  # the level of an unasserted atom
+
     def __init__(self, solver, apsp):
         self.trail = solver.trail
         self.apsp = apsp
         self.lits = [None] * 16  # literal code -> row, None for a non-atom
-        self.code_at = []  # column -> its atom's code 2v, None once retired
-        self.bounds_at = np.zeros((16, 3), dtype=np.int64)  # x, y, c by column
-        self.cells = None  # (ent, ref, c) of the columns; None: stale
-        self.assigned = np.zeros(16, dtype=bool)
-        self.free_columns = []  # retired columns, taken by new atoms first
-        self.assigned_log = []  # (level, column)
+        self.bounds_at = np.zeros((16, 3), dtype=np.int64)  # x, y, c by var
+        self.level_of = np.full(16, -1, dtype=np.int64)
+        self.width = 0  # one past the highest atom variable
+        self.cells = None  # (ent, ref, c) by variable; None: stale
         self.scanned = None  # cell_updates at the last scan; None: scan due
         self.atoms_tested = 0
         self.model = {}  # integer model of the last sat answer
 
     def register_atom(self, var, x, y, c):
         self.apsp.ensure_vertex(x if x > y else y)
-        if self.free_columns:
-            k = self.free_columns.pop()
-            self.assigned[k] = False
-        else:
-            k = len(self.code_at)
-            self.code_at.append(None)
-            if k == len(self.assigned):
-                self.bounds_at = np.concatenate(
-                    (self.bounds_at, np.zeros_like(self.bounds_at)))
-                self.assigned = np.concatenate(
-                    (self.assigned, np.zeros_like(self.assigned)))
-        self.bounds_at[k] = x, y, c
-        code = self.code_at[k] = 2 * var
+        while var >= len(self.level_of):
+            self.bounds_at = np.concatenate(
+                (self.bounds_at, np.zeros_like(self.bounds_at)))
+            self.level_of = np.concatenate(
+                (self.level_of, np.full_like(self.level_of, -1)))
+        self.bounds_at[var] = x, y, c
+        self.level_of[var] = self.FREE
+        self.width = max(self.width, var + 1)
+        code = 2 * var
         if code >= len(self.lits):
             self.lits += [None] * (code + 2)
-        self.lits[code] = 0, k, x, y, c, var
-        self.lits[code + 1] = 1, k, y, x, -c - 1, -var
+        self.lits[code] = x, y, c, var
+        self.lits[code + 1] = y, x, -c - 1, -var
         self.scanned = self.cells = None
 
     def retire_atom(self, var):
-        """Forget atom ``var``: its rows go, no scan tests it again, and its
-        column is marked assigned until a new atom takes it."""
-        k = self.lits[2 * var][1]
-        self.lits[2 * var] = self.lits[2 * var + 1] = self.code_at[k] = None
-        self.assigned[k] = True
-        self.free_columns.append(k)
+        """Forget atom ``var``: its rows go, and no scan tests it again."""
+        self.lits[2 * var] = self.lits[2 * var + 1] = None
+        self.level_of[var] = -1
 
     def on_assert(self, lit, level):
         code = 2 * lit if lit > 0 else 1 - 2 * lit
@@ -162,28 +154,27 @@ class _TheoryBridge:
             return None
         if row is None:
             return None
-        _, k, x, y, c, _ = row
-        self.assigned[k] = True
-        self.assigned_log.append((level, k))
+        x, y, c, _ = row
+        self.level_of[code >> 1] = level
         return self.apsp.assert_atom(x, y, c, lit, level)
 
     def propagate(self):
         if self.scanned == self.apsp.cell_updates:
             return []
         self.scanned = self.apsp.cell_updates
-        free, = (~self.assigned[:len(self.code_at)]).nonzero()
+        free, = (self.level_of[:self.width] == self.FREE).nonzero()
         self.atoms_tested += free.size
         if not free.size:
-            return ()
+            return []
         if self.cells is None:  # atoms came, or the closure widened
             x, y, c = self.bounds_at.T
             N = len(self.apsp._d)
             self.cells = np.stack((y * N + x, x * N + y, c))
         pos, neg = self.apsp.scan_implications(*self.cells.take(free, 1))
-        lits, at, stamp = self.lits, self.code_at, self.apsp.stamp
-        rows = ([lits[at[k]] for k in free[pos].tolist()]
-                + [lits[at[k] + 1] for k in free[neg].tolist()])
-        return [(lit, (y, x, c, stamp)) for _, _, x, y, c, lit in rows]
+        lits, stamp = self.lits, self.apsp.stamp
+        rows = ([lits[2 * v] for v in free[pos].tolist()]
+                + [lits[2 * v + 1] for v in free[neg].tolist()])
+        return [(lit, (y, x, c, stamp)) for x, y, c, lit in rows]
 
     def explain(self, handle):
         src, dst, bound, stamp = handle
@@ -191,23 +182,22 @@ class _TheoryBridge:
 
     def on_backtrack(self, level):
         self.scanned = None
-        log = self.assigned_log
-        while log and log[-1][0] > level:
-            self.assigned[log.pop()[1]] = False
+        levels = self.level_of[:self.width]
+        np.putmask(levels, levels > level, self.FREE)
         self.apsp.backtrack_to(level)
 
     def phase(self, var):
         """An atom is first decided the way the closure's model satisfies
         it, which closes no negative cycle; any other variable False."""
         row = self.lits[2 * var] if 2 * var < len(self.lits) else None
-        return row is not None and self.apsp.model_satisfies(*row[2:5])
+        return row is not None and self.apsp.model_satisfies(*row[:3])
 
     def on_solution(self):
         # eager assertion makes this a re-scan of what is already committed;
         # on_assert has seen every trail literal, so the table covers them
         for lit in self.trail:
             row = self.lits[2 * lit if lit > 0 else 1 - 2 * lit]
-            if row is not None and not self.apsp.holds(*row[2:5]):
+            if row is not None and not self.apsp.holds(*row[:3]):
                 raise InternalError("asserted bound missing from the closure")
         self.model = self.apsp.extract_model()
 

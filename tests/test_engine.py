@@ -19,6 +19,8 @@ from idlsmt.testkit import (
 from idlsmt.theory import DifferenceEngine
 from idlsmt.normalize import AtomTable, skeleton
 
+FREE = _TheoryBridge.FREE
+
 
 def run(text, config=None):
     return run_commands(parse_script(text), config)
@@ -593,27 +595,24 @@ def table_row(bridge, lit):
     return bridge.lits[code] if code < len(bridge.lits) else None
 
 
-def atom_columns(bridge):
-    """Live atom variable -> its column, read off the table."""
-    return {row[5]: row[1] for row in bridge.lits[::2] if row is not None}
-
-
 def check_kept_trail(session):
     """The trail an answer leaves is consistent with the theory: its
-    levels open with the kept assumptions in order, neither log of the
-    theory holds a level above the trail's, and the closure is that of
-    the bounds of the atoms the theory has seen, built from scratch."""
+    levels open with the kept assumptions in order, neither the theory's
+    atom levels nor its undo trail hold a level above the trail's, and the
+    closure is that of the bounds of the atoms the theory has seen, built
+    from scratch."""
     solver, bridge, apsp = session.solver, session.bridge, session.apsp
     top = len(solver.trail_lim)
     for level, lit in enumerate(solver.assumed[:top], 1):
         assert solver.value(lit) == 1 and solver.levels[lit] <= level
-    assert all(level <= top for level, _ in bridge.assigned_log)
+    levels = bridge.level_of[:bridge.width]
+    assert (levels[levels != FREE] <= top).all()
     assert all(level <= top for level, _, _ in apsp._trail)
     edges = []
     for lit in solver.trail[:solver.th_head]:
         row = table_row(bridge, lit)
         if row is not None:
-            _, _, x, y, c, _ = row
+            x, y, c, _ = row
             edges.append((y, x, c))
     n = apsp.n
     D, R = scratch_floyd_warshall(n, edges)
@@ -625,8 +624,8 @@ def widening_script(seed):
     each stage's atoms reach new names, so the closure's capacity doubles,
     8 -> 16 -> 32 -> 64, between two checks. The first round's pop retires
     its atoms and gives back its vertices, so the second round's atoms take
-    the retired columns and vertices. Each stage links its new names in a
-    chain of unit bounds, which entail atoms of the disjunctions."""
+    the released variable slots and vertices. Each stage links its new names
+    in a chain of unit bounds, which entail atoms of the disjunctions."""
     rng = random.Random(seed)
     names = [f"v{i}" for i in range(63)]
     lines = ["(set-logic QF_IDL)"]
@@ -650,7 +649,8 @@ def widening_script(seed):
 
 
 class TestAssignmentMask:
-    """The bridge's mask of asserted atoms against the solver's values."""
+    """The bridge's atom levels against the solver's values: ``FREE``
+    marks exactly the live atoms the solver left unassigned."""
 
     def run_checked(self, text):
         session = Session()
@@ -658,42 +658,41 @@ class TestAssignmentMask:
         orig = bridge.propagate
         calls = [0]
 
-        def free_positions():
-            # a retired atom's column counts as assigned, so the free
-            # columns are those of the live atoms the solver left free
-            width = len(bridge.code_at)
-            return np.flatnonzero(~bridge.assigned[:width]).tolist()
+        def free_vars():
+            # a retired atom's variable reads -1, never FREE, so the free
+            # variables are the live atoms the solver left unassigned
+            return np.flatnonzero(bridge.level_of == FREE).tolist()
 
         def propagate():
             calls[0] += 1
-            want = sorted(k for var, k in atom_columns(bridge).items()
+            want = sorted(var for var in session.atoms.bounds
                           if solver.values[var] == 0)
-            assert free_positions() == want
+            assert free_vars() == want
             return orig()
 
         bridge.propagate = propagate
         for cmd in parse_script(text):
             session.execute(cmd)
-            # the bridge holds the live atoms, each in a column of its own,
-            # and both literals of each in the table with its bound
-            columns = atom_columns(bridge)
-            assert columns.keys() == session.atoms.bounds.keys()
-            assert len(set(columns.values())) == len(columns)
-            for var, (x, y, c) in session.atoms.bounds.items():
-                k = columns[var]
-                assert bridge.code_at[k] == 2 * var
-                assert table_row(bridge, var) == (0, k, x, y, c, var)
-                assert table_row(bridge, -var) == (1, k, y, x, -c - 1, -var)
+            # the bridge holds the live atoms and no other variable, each
+            # one's bound in its bounds_at row and both its literals in the
+            # table
+            bounds = session.atoms.bounds
+            assert np.flatnonzero(bridge.level_of >= 0).tolist() \
+                == sorted(bounds)
+            for var, (x, y, c) in bounds.items():
+                assert bridge.bounds_at[var].tolist() == [x, y, c]
+                assert table_row(bridge, var) == (x, y, c, var)
+                assert table_row(bridge, -var) == (y, x, -c - 1, -var)
             assert sum(row is not None for row in bridge.lits) \
-                == 2 * len(columns)
+                == 2 * len(bounds)
             if cmd.name == "check-sat":
                 # the answer keeps its trail; the theory has seen
                 # trail[:th_head], all of it except after a conflict at
-                # level 0, and the mask marks exactly those atoms
+                # level 0, and holds the level of exactly those atoms
                 seen = {abs(l) for l in solver.trail[:solver.th_head]}
-                want = sorted(k for var, k in columns.items()
-                              if var not in seen)
-                assert free_positions() == want
+                assert free_vars() == sorted(set(bounds) - seen)
+                for var in seen.intersection(bounds):
+                    assert bridge.level_of[var] == solver.levels[var]
                 check_kept_trail(session)
         return session.stats, calls[0]
 
@@ -712,9 +711,44 @@ class TestAssignmentMask:
         assert totals["theory_conflicts"] > 200
         assert totals["conflicts"] > 500 and totals["restarts"] > 0
 
-    def test_table_across_doublings_and_reused_columns(self):
+    def test_an_atom_variable_past_twice_the_capacity(self):
+        # each array doubles until it holds the new atom's variable, so an
+        # atom may take a variable beyond twice their capacity
+        bridge = _TheoryBridge(types.SimpleNamespace(trail=[]),
+                               DifferenceEngine())
+        cap = len(bridge.level_of)
+        far = 2 * cap + 3
+        farther = 4 * (far + 1)
+        bridge.register_atom(1, 1, 0, 5)
+        bridge.register_atom(far, 2, 1, -1)
+        bridge.register_atom(farther, 2, 0, 4)
+        assert len(bridge.level_of) == len(bridge.bounds_at) > farther
+        assert np.flatnonzero(bridge.level_of != -1).tolist() \
+            == [1, far, farther]
+        assert bridge.bounds_at[far].tolist() == [2, 1, -1]
+        assert bridge.bounds_at[farther].tolist() == [2, 0, 4]
+        assert bridge.on_assert(1, 1) is None
+        assert bridge.on_assert(far, 2) is None
+        # x2 - x1 <= -1 and x1 - x0 <= 5 entail x2 - x0 <= 4
+        assert [lit for lit, _ in bridge.propagate()] == [farther]
+        assert bridge.level_of[[1, far, farther]].tolist() == [1, 2, FREE]
+        bridge.on_backtrack(1)
+        assert bridge.level_of[[1, far, farther]].tolist() == [1, FREE, FREE]
+        # and through a session: 40 Booleans come before the first atom
+        bools = [f"b{i}" for i in range(40)]
+        session, rs = run(
+            DECLS + "".join(f"(declare-fun {b} () Bool)" for b in bools)
+            + f"(assert (or {' '.join(bools)}))"
+            + "(assert (<= (- x y) 3))(check-sat)")
+        assert answers(rs) == ["sat"]
+        [var] = session.atoms.bounds
+        assert var > 2 * cap
+        assert session.bridge.level_of[var] == session.solver.levels[var]
+
+    def test_table_across_doublings_and_reused_variable_slots(self):
         # the checks of run_checked after every command, while the closure
-        # doubles between checks and popped atoms' columns are taken again
+        # doubles between checks and popped atoms' variable slots are taken
+        # again
         for seed in range(4):
             self.run_checked(widening_script(seed))
 
@@ -783,19 +817,22 @@ class TestPropagationOracle:
             found += counts["found"]
         assert calls > 3000 and found > 500
 
-    def test_closure_doublings_and_reused_columns_between_scans(self):
+    def test_closure_doublings_and_reused_variable_slots_between_scans(self):
         # a scan after the closure doubled reads the atoms' cells at the
-        # new width, and one after a pop reads each reused column's new
-        # atom, never the retired one's
+        # new width, and one after a pop reads each reused variable slot's
+        # new atom, never the retired one's
         calls = found = 0
         for seed in range(6):
             session = Session()
-            added, widths = [], set()
+            bound_of, widths = {}, set()
+            retaken = 0  # atoms in a slot a retired atom of another bound held
             register = session.bridge.register_atom
 
-            def counted(*args):
-                added.append(args)
-                register(*args)
+            def counted(var, *bound):
+                nonlocal retaken
+                retaken += bound_of.get(var, bound) != bound
+                bound_of[var] = bound
+                register(var, *bound)
                 widths.add(len(session.apsp._d))
 
             session.atoms.on_new_atom = counted
@@ -803,8 +840,8 @@ class TestPropagationOracle:
             calls += counts["calls"]
             found += counts["found"]
             assert widths == {8, 16, 32, 64}
-            # the second round took the first round's columns
-            assert len(session.bridge.code_at) < len(added) / 1.5
+            # the second round took first-round atoms' variable slots
+            assert retaken > 20
         assert calls > 100 and found > 50
 
     def drive(self, rng, rounds, pools):
@@ -966,8 +1003,7 @@ class TestPropagationCount:
             def propagate():
                 nonlocal full
                 if due["rescan"] or due["cells"] != apsp.cell_updates:
-                    k = len(bridge.code_at)
-                    full += k - int(bridge.assigned[:k].sum())
+                    full += int((bridge.level_of == FREE).sum())
                     due.update(rescan=False, cells=apsp.cell_updates)
                 return orig()
 
@@ -1122,11 +1158,13 @@ class TestPopByDeletion:
             elif cmd.name == "pop":
                 assert not orphan_vars(session)
                 sizes.append((solver.n_vars, len(solver.clauses),
-                              len(session.atoms), len(atom_columns(bridge)),
-                              len(bridge.code_at)))
+                              len(session.atoms),
+                              int((bridge.level_of >= 0).sum()),
+                              bridge.width, len(bridge.level_of)))
         assert got == expected
-        # the base frame's 16 atoms are all that is left after each pop
-        assert sizes[5][2] == 16
+        # the base frame's 16 atoms are all that is left after each pop,
+        # in the session's table and in the bridge alike
+        assert sizes[5][2] == sizes[5][3] == 16
         assert set(sizes[5:]) == {sizes[5]}
         stats = session.stats
         assert (stats["live_clauses"], stats["live_atoms"]) == sizes[5][1:3]
@@ -1140,16 +1178,34 @@ class TestPopByDeletion:
             self, formula, role):
         # the popped atom's variable is the lowest released slot, so the
         # next assertion's first new variable takes it: the selector of a
-        # literal assertion, the gate of a conjunction
-        *setup, pop, push, new, check = parse_script(
-            DECLS + "(declare-fun p () Bool)(declare-fun q () Bool)"
-            "(assert (or p q))(push 1)(assert (<= (- x y) 3))(check-sat)"
-            f"(pop 1)(push 1)(assert {formula})(check-sat)")
-        session, _ = run_commands(setup)
+        # literal assertion, the gate of a conjunction. A second pop
+        # releases it again, and the next frame's first atom takes it back
+        *setup, pop, push, new, check, pop2, push2, again, implying, \
+            check2 = parse_script(
+                DECLS + "(declare-fun p () Bool)(declare-fun q () Bool)"
+                "(assert (or p q))(push 1)(assert (<= (- x y) 3))(check-sat)"
+                f"(pop 1)(push 1)(assert {formula})(check-sat)"
+                "(pop 1)(push 1)(assert (or p (<= (- y x) 2)))"
+                "(assert (<= (- y x) 1))(check-sat)")
+        session = Session()
         bridge, apsp = session.bridge, session.apsp
+        scanned = []
+        scan = bridge.propagate
+
+        def checked_scan():
+            # no scan returns a literal of a variable that is not an atom
+            got = scan()
+            scanned.extend(lit for lit, _ in got)
+            assert all(abs(lit) in session.atoms.bounds for lit, _ in got)
+            return got
+
+        bridge.propagate = checked_scan
+        for cmd in setup:
+            session.execute(cmd)
         [var] = session.atoms.bounds
         session.execute(pop)
         assert table_row(bridge, var) is table_row(bridge, -var) is None
+        assert bridge.level_of[var] == -1
         assert bridge.phase(var) is False
         session.execute(push)
         session.execute(new)
@@ -1170,6 +1226,22 @@ class TestPopByDeletion:
         assert session.execute(check).text == "sat"
         assert seen and all(out is None and before == after
                             for out, before, after in seen)
+        assert bridge.level_of[var] == -1
+        session.execute(pop2)
+        assert bridge.level_of[var] == -1
+        session.execute(push2)
+        session.execute(again)
+        # an atom again, with its new bound, and not yet asserted
+        x, y = session._int_ids["x"], session._int_ids["y"]
+        assert session.atoms.bounds[var] == (y, x, 2)
+        assert table_row(bridge, var) == (y, x, 2, var)
+        assert bridge.level_of[var] == FREE
+        session.execute(implying)
+        scanned.clear()
+        assert session.execute(check2).text == "sat"
+        # y - x <= 1 entails it, and the scan says so
+        assert var in scanned
+        assert bridge.level_of[var] == session.solver.levels[var]
 
     def test_popped_constants_give_back_their_vertices(self):
         # each frame declares a fresh constant; without vertex reuse the
