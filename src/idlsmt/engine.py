@@ -1,15 +1,17 @@
 """Solver sessions: assertion stack, satisfiability checks, models, cores.
 
-Each assertion is guarded by a fresh selector variable, so checks run under
-the assumptions "all active selectors", and the failed-assumption subset of
-an unsat answer is the unsat core. Pop deletes the popped assertions'
-clauses, then keeps a variable only while a stored clause of a live
-assertion mentions it, it is a live selector or a declared Boolean, or it
-is an atom fixed at level 0, whose bound the closure keeps; a failed
-assertion applies the same rule. The SAT core reuses the slots of the other
-variables and deletes every learned clause over them, a retired atom leaves
-the theory, and an Int constant no live atom reads gives its closure vertex
-back, so a long push/check/pop session stays the size of its live ones.
+An assertion that a pop can retract or a core can name is guarded by a
+fresh selector variable, so checks run under the active selectors as
+assumptions, and the failed ones of an unsat answer are the unsat core.
+With cores off, a bottom-frame assertion's root is a unit clause instead, a
+level-0 fact. Pop deletes the popped assertions' clauses, then keeps a
+variable only while a stored clause of a live assertion mentions it, it is
+a live selector or a declared Boolean, or it is an atom fixed at level 0,
+whose bound the closure keeps; a failed assertion applies the same rule.
+The SAT core reuses the slots of the other variables and deletes every
+learned clause over them, a retired atom leaves the theory, and an Int
+constant no live atom reads gives its closure vertex back, so a long
+push/check/pop session stays the size of its live ones.
 Difference atoms flow to the shortest-path engine the moment the SAT core
 asserts them. Implied atoms flow back as theory propagations once every
 selector is assumed (a conflict among the selectors' levels is the unsat
@@ -53,6 +55,7 @@ def _error(msg):
 
 @dataclass
 class SessionConfig:
+    """``produce_unsat_cores`` is read as each assertion is made."""
     produce_unsat_cores: bool = False
     minimize_core: bool = False
     time_budget_ms: Optional[int] = None
@@ -63,7 +66,7 @@ class _Record:
     index: int
     term: tuple
     name: Optional[str]
-    selector: int
+    selector: Optional[int]  # None: a level-0 fact of the bottom frame
     # the clauses the assertion stored (guard and gates, the very list
     # objects): what a pop deletes, and what keeps variables live
     clauses: list
@@ -134,7 +137,7 @@ class _TheoryBridge:
         self.level_of[var] = self.FREE
         self.width = max(self.width, var + 1)
         code = 2 * var
-        if code >= len(self.lits):
+        if code + 1 >= len(self.lits):
             self.lits += [None] * (code + 2)
         self.lits[code] = x, y, c, var
         self.lits[code + 1] = y, x, -c - 1, -var
@@ -266,6 +269,9 @@ class Session:
 
     def _cmd_set_option(self, key, value):
         if key == ":produce-unsat-cores":
+            if self._next_index:
+                return _error(":produce-unsat-cores may only be set "
+                              "before the first assertion")
             self.cfg.produce_unsat_cores = value == "true"
         return Response()
 
@@ -294,21 +300,21 @@ class Session:
             # no stored clause holds what the failed assertion allocated
             self._delete([])
             return _error(err)
-        selector = self.solver.new_var()
+        bottom = len(self.frames) == 1 and self.frames[0].top == 0 \
+            and not self.cfg.produce_unsat_cores
+        selector = None if bottom else self.solver.new_var()
+        guard = [] if bottom else [-selector]
         stored = len(self.solver.clauses)
         for cl in clauses:
             self.solver.add_clause(cl)
-        if root is True:
-            pass
-        elif root is False:
-            self.solver.add_clause([-selector])
-        else:
-            self.solver.add_clause([-selector, root])
+        if root is not True:
+            self.solver.add_clause(guard if root is False else guard + [root])
         rec = _Record(self._next_index, term, name, selector,
                       self.solver.clauses[stored:])
         self._next_index += 1
         self.frames[-1].records.append(rec)
-        self._sel2rec[rec.selector] = rec
+        if selector is not None:
+            self._sel2rec[selector] = rec
         if name is not None:
             self._names[name] = rec
         self.last_status = None
@@ -402,7 +408,7 @@ class Session:
         return time.monotonic() + self.cfg.time_budget_ms / 1000.0
 
     def check_sat(self):
-        assumptions = [rec.selector for rec in self.active_records()]
+        assumptions = list(self._sel2rec)  # in assertion order, as frames are
         res = self.solver.solve(assumptions, self._deadline())
         self._core_records = None
         self._core_minimized = None
@@ -503,12 +509,17 @@ class Session:
         return out
 
     def dimacs_text(self):
-        """Current clause store in DIMACS, selectors and gates included.
+        """Current clause store in DIMACS, selectors and gates included, after
+        the level-0 facts no clause implies (bottom-frame roots among them)
+        as units, and the empty clause once the solver has derived false.
         The header counts up to the highest variable a clause mentions;
         released variable slots past it are left out."""
-        clauses = self.solver.clauses
+        s = self.solver
+        clauses = [[l] for l in s.trail
+                   if not s.levels[abs(l)] and s.reasons[abs(l)] is None]
+        clauses += s.clauses if s.ok else s.clauses + [[]]
         top = max((abs(l) for c in clauses for l in c), default=0)
         lines = [f"p cnf {top} {len(clauses)}"]
         for c in clauses:
-            lines.append(" ".join(str(l) for l in c) + " 0")
+            lines.append(" ".join(map(str, c + [0])))
         return "\n".join(lines) + "\n"

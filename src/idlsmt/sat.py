@@ -83,6 +83,7 @@ class SolveResult:
 
 
 _RESCALE = 1e100
+_TIMED_OUT = "timed out"  # _propagate_full's answer past the deadline
 
 
 def _luby(base, x):
@@ -274,17 +275,23 @@ class Solver:
             del ws[j:]
         return None
 
-    def _propagate_full(self):
+    def _propagate_full(self, deadline=None):
         """Boolean + theory propagation to a joint fixpoint.
 
-        Returns a conflict as a list of currently-false literals, or None.
+        Returns a conflict as a list of currently-false literals, None, or
+        ``_TIMED_OUT`` past ``deadline`` (see ``solve``).
         """
+        if deadline is not None and time.monotonic() > deadline:
+            return _TIMED_OUT
         theory = self.theory
         while True:
             c = self.propagate()
             if c is not None:
                 return list(c)
             while self.th_head < len(self.trail):
+                if deadline is not None and self.th_head & 63 == 63 \
+                        and time.monotonic() > deadline:
+                    return _TIMED_OUT
                 lit = self.trail[self.th_head]
                 self.th_head += 1
                 confl = theory.on_assert(lit, self.levels[abs(lit)])
@@ -552,8 +559,10 @@ class Solver:
 
         Returns sat with a total model, unsat with a failed-assumption
         subset, or unknown once ``time.monotonic()`` passes ``deadline``
-        (polled once per search step: before the propagation that follows
-        each assumption, decision, restart or conflict).
+        (polled before the propagation that follows each assumption,
+        decision, restart or conflict, and every 64 literals handed to the
+        theory, where level-0 facts make one long step; the next call
+        resumes that hand-off).
 
         An answer leaves the trail where the search stopped. The next call
         backtracks only to the levels of the leading assumptions it shares
@@ -576,9 +585,9 @@ class Solver:
         since_restart = 0
         restarts = 0
         while True:
-            if deadline is not None and time.monotonic() > deadline:
+            confl = self._propagate_full(deadline)
+            if confl is _TIMED_OUT:
                 return SolveResult("unknown")
-            confl = self._propagate_full()
             if confl is not None:
                 level = len(self.trail_lim)
                 if not level:

@@ -10,17 +10,17 @@ then relaxes the pairs through the new edge (`kernels.relax_edge`). A bound
 the closure already entails, as every theory propagation is when it comes
 back asserted, is recorded as an edge for explanations but skips the
 kernel: it cannot shorten any pair. Each commit's undo entry and each
-replaced edge are logged per decision level so retraction replays to a
-bit-identical state. Below `kernels.BLOCK_MIN_N` vertices the entry is the
-whole old block; from there on it logs the overwritten cells, 12 bytes
-each. The closure is one int64 matrix: a pair with no path holds
-`kernels.NO_PATH`, above every finite distance, so every entailment test is
-one comparison. Models are read off the closure: a variable's value is its
-column minimum, the shortest distance from a virtual source; an atom's
-first decision takes the polarity this model satisfies. The explanation of
-a conflict or propagation is searched on demand, goal directed by the
-closure's distances to the target, so the hot loop carries no witness
-bookkeeping.
+replaced edge are logged per decision level above 0 (nothing undoes level
+0) so retraction replays to a bit-identical state. Below
+`kernels.BLOCK_MIN_N` vertices the entry is the whole old block; from there
+on it logs the overwritten cells, 12 bytes each. The closure is one int64
+matrix: a pair with no path holds `kernels.NO_PATH`, above every finite
+distance, so every entailment test is one comparison. Models are read off
+the closure: a variable's value is its column minimum, the shortest
+distance from a virtual source; an atom's first decision takes the polarity
+this model satisfies. The explanation of a conflict or propagation is
+searched on demand, goal directed by the closure's distances to the target,
+so the hot loop carries no witness bookkeeping.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ class DifferenceEngine:
         out = self.edges[y]
         hist = out.get(x)
         if hist is not None and hist[-1][0] <= c:
-            self._trail.append((level, None, None))
+            if level:
+                self._trail.append((level, None, None))
             return None
         self.stamp += 1
         if hist is None:
@@ -139,7 +140,8 @@ class DifferenceEngine:
         else:
             undo = relax_edge(self._d, self._flat, self.n, x, y, c)
             self.cell_updates += undo[1] if len(undo) == 2 else len(undo[0])
-        self._trail.append((level, (y, x), undo))
+        if level:
+            self._trail.append((level, (y, x), undo))
         return None
 
     def undo_size(self):

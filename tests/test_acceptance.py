@@ -161,7 +161,13 @@ def test_criterion_4_core_soundness():
         if verdict != "unsat":
             continue
         checked += 1
-        session.cfg.produce_unsat_cores = True
+        # cores are asked for before the first assertion, so that every
+        # assertion has a selector the core can name
+        session, outs = run_commands(
+            commands, SessionConfig(produce_unsat_cores=True))
+        if outs[-1] != "unsat":
+            bad += 1
+            continue
         core = set(session.unsat_core_names())
         if not core:
             bad += 1

@@ -6,8 +6,8 @@ import pytest
 
 from idlsmt.cli import run
 from idlsmt.engine import Session, _TheoryBridge
-from idlsmt.smtlib import tokenize
-from idlsmt.testkit import emit_benchmark
+from idlsmt.smtlib import parse_script, tokenize
+from idlsmt.testkit import emit_benchmark, truth_table_sat
 from test_engine import DECLS, machine_script, push_pop_script
 
 SAT_TEXT = ("(set-logic QF_IDL)\n(declare-fun x () Int)\n"
@@ -221,7 +221,8 @@ class TestFlags:
         assert code == 0 and out == "sat\n"
         assert "decisions=" in err and "fw_cell_updates=" in err
         assert "max_vertices=" in err and "prop_atoms_tested=" in err
-        assert "live_clauses=1\n" in err and "live_atoms=1\n" in err
+        # the one bottom-frame assertion is a level-0 fact, not a clause
+        assert "live_clauses=0\n" in err and "live_atoms=1\n" in err
 
     def test_dump_dimacs(self, tmp_path):
         dump = tmp_path / "out.cnf"
@@ -233,7 +234,10 @@ class TestFlags:
         assert head[:2] == ["p", "cnf"]
         assert int(head[3]) == len(lines) - 1
         for cl in lines[1:]:
-            assert cl.endswith(" 0")
+            assert cl == "0" or cl.endswith(" 0")
+        # y - x <= -4 is the negation of the atom x - y <= 3, a level-0
+        # fact: its unit simplifies to the empty clause
+        assert lines[1:] == ["1 0", "0"]
 
     def test_dump_apsp(self, tmp_path):
         dump = tmp_path / "apsp.tsv"
@@ -306,6 +310,31 @@ class TestFlags:
         assert out == "unsat\nsat\n"
         assert after and not after_vars & frame_vars
         assert len(after) < len(in_frame)
+
+    def test_dimacs_holds_the_bottom_frame_units(self, tmp_path):
+        # the bottom frame's roots are level-0 facts, not stored clauses;
+        # the dump lists them as units, so it is the session's formula: it
+        # forces q, and the Booleans' other values refute it
+        text = ("(set-logic QF_IDL)(declare-fun x () Int)(declare-fun y () Int)"
+                "(declare-fun p () Bool)(declare-fun q () Bool)"
+                "(assert (<= (- x y) 3))(assert (or p q))(assert (not p))"
+                "(check-sat)")
+        cnf = tmp_path / "out.cnf"
+        code, out = cli(["--dump-dimacs", str(cnf), "-"], text=text)
+        assert (code, out) == (0, "sat\n")
+        session = Session()
+        for cmd in parse_script(text):
+            session.execute(cmd)
+        assert cnf.read_text() == session.dimacs_text()
+        lines = cnf.read_text().splitlines()
+        clauses = [[int(l) for l in c.split()[:-1]] for c in lines[1:]]
+        [atom] = session.atoms.bounds
+        p, q = session._bool_ids["p"], session._bool_ids["q"]
+        assert [atom] in clauses and [-p] in clauses
+        n = int(lines[0].split()[2])
+        assert truth_table_sat(clauses, n)
+        for lit in (p, -q, -atom):
+            assert not truth_table_sat(clauses + [[lit]], n)
 
     def test_apsp_dump_outlives_a_pop(self, tmp_path):
         # the frame's atoms are retired at the pop and their variable
@@ -488,6 +517,34 @@ class TestApspDump:
                 "(check-sat)(get-unsat-core)(check-sat)")
         flags = ["--produce-unsat-cores", "--minimize-core"]
         assert self.run_checked(tmp_path, text, flags) == []
+
+
+# 31 commands: the last atom's negative literal code is one past the end of
+# the theory bridge's literal table, which a literal made since the atom
+# before had grown to an odd length
+LAST_SLOT_TEXT = """\
+(declare-fun v0 () Int)(declare-fun v1 () Int)(declare-fun v2 () Int)(declare-fun v3 () Int)
+(declare-fun b2 () Bool)(declare-fun b3 () Bool)(declare-fun b4 () Bool)(declare-fun b6 () Bool)
+(declare-fun b9 () Bool)(declare-fun b10 () Bool)(declare-fun b11 () Bool)
+(assert (<= (- v0 v3) 4))(assert (<= (- v0 v3) 5))(assert (not b6))(assert (not b11))
+(assert (<= (- v1 v3) 3))(assert (<= (- v0 v3) 20))(assert (or b9 b11))(assert (<= (- v0 v3) 27))
+(assert (not b9))(assert (not b10))(assert (or b4 b2))(assert (not b2))(check-sat)
+(assert (<= (- v3 v1) 8))(assert (<= (- v0 v2) 24))(assert (<= (- v1 v3) 27))(assert (not b4))
+(assert (<= (- v1 v3) 22))(assert (not b3))(assert (<= (- v1 v3) 18))
+"""
+
+
+class TestLiteralTable:
+    @pytest.mark.parametrize("flags", [[], ["--incremental"]],
+                             ids=["batch", "incremental"])
+    def test_an_atom_on_the_last_slot_is_taken(self, flags, capsys):
+        code, out = cli(flags + ["-"], text=LAST_SLOT_TEXT)
+        assert (code, out) == (0, "unsat\n")
+        assert "Traceback" not in capsys.readouterr().err
+        session = Session()
+        rs = [session.execute(cmd) for cmd in parse_script(LAST_SLOT_TEXT)]
+        assert len(rs) == 31 and not any(r.is_error for r in rs)
+        assert len(session.atoms) == 10  # every bound of the script
 
 
 class TestSubprocess:

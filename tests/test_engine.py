@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from idlsmt import sat
 from idlsmt.engine import Session, SessionConfig, _TheoryBridge
 from idlsmt.kernels import BLOCK_MIN_N, NO_PATH
 from idlsmt.normalize import CONST_MAX, CONST_MIN
@@ -163,8 +164,9 @@ class TestCheckSat:
         assert session.stats["conflicts"] == 0
         assert session.stats["theory_conflicts"] == 1
         assert calls == []
+        # the assertions sit in a pushed frame, so each has a selector
         text = (DECLS + "(declare-fun z () Int)(declare-fun p () Bool)"
-                "(assert (<= (- x y) 0))(assert (<= (- y z) 0))"
+                "(push 1)(assert (<= (- x y) 0))(assert (<= (- y z) 0))"
                 "(assert (or (<= (- x z) 0) p))"
                 "(assert (or (<= (- z x) (- 1)) p))(check-sat)")
         session = watched_session()
@@ -248,8 +250,9 @@ class TestCheckSat:
                 sizes.append(solver.n_vars)
         assert {r.text for r in rs if r.is_error} == \
             {'(error "more than 1023 difference variables")'}
-        # the refusals reuse one slot
-        assert len(sizes) == 6 and set(sizes) == {2 * 1023 + 1}
+        # the 1,023 atoms are level-0 facts without selectors, and the
+        # refusals reuse one slot
+        assert len(sizes) == 6 and set(sizes) == {1023 + 1}
         verdicts = [r.text for r in rs if r.text and not r.is_error]
         assert verdicts[:-1] == ["sat"] * 6
         assert len(session.atoms) == 1023
@@ -614,6 +617,9 @@ def check_kept_trail(session):
         if row is not None:
             x, y, c, _ = row
             edges.append((y, x, c))
+    if not solver.ok:
+        # a theory conflict at level 0 leaves its refused literal seen
+        return
     n = apsp.n
     D, R = scratch_floyd_warshall(n, edges)
     assert (apsp._d[:n, :n] == np.where(R, D, NO_PATH)).all()
@@ -744,6 +750,22 @@ class TestAssignmentMask:
         [var] = session.atoms.bounds
         assert var > 2 * cap
         assert session.bridge.level_of[var] == session.solver.levels[var]
+
+    def test_an_atom_on_the_last_slot_after_an_odd_code_grew_the_table(self):
+        # a literal made since the last atom grows the table past its odd
+        # code; an atom whose negative code is the last slot still gets
+        # both rows
+        bridge = _TheoryBridge(types.SimpleNamespace(trail=[]),
+                               DifferenceEngine())
+        code = len(bridge.lits) + 1
+        assert bridge.on_assert(-(code // 2), 1) is None
+        var = (len(bridge.lits) - 1) // 2
+        assert 2 * var == len(bridge.lits) - 1  # its negative code is not
+        bridge.register_atom(var, 1, 0, 5)
+        assert bridge.lits[2 * var] == (1, 0, 5, var)
+        assert bridge.lits[2 * var + 1] == (0, 1, -6, -var)
+        assert bridge.on_assert(-var, 1) is None
+        assert bridge.level_of[var] == 1
 
     def test_table_across_doublings_and_reused_variable_slots(self):
         # the checks of run_checked after every command, while the closure
@@ -1030,7 +1052,8 @@ class TestFirstPhase:
         assert answers(rs) == ["sat"]
         var = {c: v for v, (_, _, c) in session.atoms.bounds.items()}
         solver = session.solver
-        decided = [solver.trail[k] for k in solver.trail_lim[1:]]
+        decided = [solver.trail[k]
+                   for k in solver.trail_lim[len(solver.assumed):]]
         assert decided == [var[5], -var[-1]]
 
     def test_a_first_decision_keeps_the_model_and_never_conflicts(self):
@@ -1316,7 +1339,8 @@ class TestLiveness:
 
     def test_false_assertion_cycles_stay_flat(self):
         # (assert false) fixes its selector false at level 0; the pop
-        # releases that slot and drops the fact from the level-0 trail
+        # releases that slot and drops the fact from the level-0 trail. The
+        # base assertion is a level-0 fact of its atom, with no selector
         session, _ = run(DECLS + "(assert (<= (- x y) 3))")
         solver = session.solver
         cycle = parse_script("(push 1)(assert false)(check-sat)(pop 1)")
@@ -1326,8 +1350,9 @@ class TestLiveness:
             assert orphan_vars(session) == []
             level0 = solver.trail_lim[0] if solver.trail_lim else None
             sizes.add((solver.n_vars, len(solver.trail[:level0])))
-        # the base atom and selector, and the one slot each frame reuses
-        assert sizes == {(3, 0)}
+        # the base atom on the level-0 trail, and the one slot each frame
+        # reuses
+        assert sizes == {(2, 1)}
         assert answers([session.execute(Command("check-sat", ()))]) == ["sat"]
 
     def test_an_atom_no_stored_clause_holds_is_retired(self):
@@ -1451,6 +1476,104 @@ class TestDeterminism:
         assert answers(rs1) == answers(rs2)
 
 
+class TestBottomFrame:
+    """With cores off, a bottom-frame assertion is a level-0 fact: its
+    root is a unit clause, with no selector and no assumption step. Any
+    other assertion keeps its selector."""
+
+    def test_only_bottom_frame_assertions_without_cores_lose_the_selector(self):
+        text = (DECLS + "(declare-fun p () Bool)(assert (<= (- x y) 3))"
+                "(assert (or p (< x y)))(push 1)(assert (<= (- y x) 1))"
+                "(check-sat)")
+        for cores in (False, True):
+            session, rs = run(text, SessionConfig(produce_unsat_cores=cores))
+            assert answers(rs) == ["sat"]
+            solver = session.solver
+            base, frame = session.frames
+            assert [rec.selector is None for rec in base.records] \
+                == [not cores] * 2
+            assert frame.records[0].selector is not None
+            assert sorted(session._sel2rec) == sorted(
+                rec.selector for rec in session.active_records()
+                if rec.selector is not None)
+            assert solver.assumed == list(session._sel2rec)
+            if not cores:
+                # the atom and the disjunction's root are level-0 units
+                level0 = solver.trail[:solver.trail_lim[0]]
+                atom = next(v for v, b in session.atoms.bounds.items()
+                            if b == (1, 2, 3))
+                assert atom in level0 and solver.reasons[atom] is None
+                assert len(session.active_records()[1].clauses) > 0
+
+    def test_the_cores_option_is_refused_after_the_first_assertion(self):
+        for value, cores in (("true", False), ("false", True)):
+            session = Session(SessionConfig(produce_unsat_cores=cores))
+            first = parse_script(
+                f"(set-option :produce-unsat-cores {value})")[0]
+            later = parse_script(
+                DECLS + "(push 1)(assert (< x y))(pop 1)"
+                f"(set-option :produce-unsat-cores {value})"
+                "(assert (< y x))")
+            assert not session.execute(first).is_error
+            assert session.cfg.produce_unsat_cores == (value == "true")
+            session.cfg.produce_unsat_cores = cores
+            rs = [session.execute(cmd) for cmd in later]
+            # a popped assertion counts too: the option stays as it was
+            assert rs[-2] == (
+                '(error ":produce-unsat-cores may only be set before the '
+                'first assertion")', True)
+            assert session.cfg.produce_unsat_cores == cores
+            [rec] = session.active_records()
+            assert (rec.selector is not None) == cores
+
+    def test_false_in_the_bottom_frame_answers_unsat_through_later_frames(self):
+        # no pop can remove it: every later check is unsat, frames with
+        # their own assertions come and go, and the session keeps its size
+        session, rs = run(DECLS + "(assert (<= (- x y) 3))(assert false)"
+                          "(check-sat)")
+        assert answers(rs) == ["unsat"] and not session.solver.ok
+        solver = session.solver
+        cycle = parse_script(DECLS + "(push 1)(assert (< y x))"
+                             "(assert (< x 7))(check-sat)(pop 1)(check-sat)")[3:]
+        sizes = set()
+        for _ in range(50):
+            assert answers(map(session.execute, cycle)) == ["unsat"] * 2
+            assert orphan_vars(session) == []
+            sizes.add((solver.n_vars, len(solver.trail),
+                       len(solver.clauses)))
+        assert len(sizes) == 1
+        assert session.dimacs_text().splitlines()[-1] == "0"
+        assert session.execute(Command("get-model", ())).is_error
+
+    def test_a_timed_out_hand_off_resumes_at_the_next_check(self,
+                                                            monkeypatch):
+        # every assertion is a level-0 fact, so the theory gets them all in
+        # the first propagation, which polls the deadline every 64 trail
+        # literals. A clock that ticks at each poll passes the deadline at
+        # the second poll of each call; the next call resumes where the
+        # last one stopped
+        text, _ = emit_benchmark("window-scheduling", 60)
+        session = Session()
+        for cmd in parse_script(text):
+            if cmd.name != "check-sat":
+                session.execute(cmd)
+        solver = session.solver
+        assert not solver.trail_lim and len(solver.trail) > 128
+        ticks = itertools.count()
+        monkeypatch.setattr(sat, "time",
+                            types.SimpleNamespace(monotonic=lambda: next(ticks)))
+        assert solver.solve([], deadline=0.5).status == "unknown"
+        assert solver.th_head == 63
+        assert solver.solve([], deadline=3.5).status == "unknown"
+        assert solver.th_head == 127
+        assert session.check_sat() == "sat"
+        check_kept_trail(session)
+        ints, bools = session.model_env()
+        for cmd in parse_script(text):
+            if cmd.name == "assert":
+                assert eval_term(cmd.args[0], ints, bools) is True
+
+
 class TestConfig:
     def test_exit_stops_the_session(self):
         session, rs = run(DECLS + "(exit)(check-sat)")
@@ -1477,7 +1600,9 @@ class TestStats:
                 "(declare-fun z () Int)(assert (<= (- x y) 3))"
                 "(assert (<= (- y z) 2))(check-sat)"
                 "(push 1)(assert (<= (- z x) 1))(check-sat)(pop 1)")
-        session = Session()
+        # cores on: the base frame's assertions are selectors, so their
+        # commits sit at assumption levels and keep undo entries
+        session = Session(SessionConfig(produce_unsat_cores=True))
         sizes = []
         for cmd in parse_script(text):
             session.execute(cmd)
@@ -1505,7 +1630,8 @@ class TestStats:
                 + "".join(f"(assert (<= (- {u} {v}) 1))"
                           for u, v in zip(names, names[1:]))
                 + "(check-sat)(pop 1)")
-        session = Session()
+        # cores on: the base frame's commits sit at assumption levels
+        session = Session(SessionConfig(produce_unsat_cores=True))
         seen, sizes = set(), []
         for cmd in parse_script(text):
             session.execute(cmd)

@@ -2,6 +2,7 @@
 explanations cashed in during conflict analysis, parallel-edge tightening
 histories, restarts under assumptions, and learned-clause reduction."""
 
+import itertools
 import random
 
 import pytest
@@ -31,15 +32,18 @@ def counting_session(config=None):
 class TestLazyExplanations:
     def test_explanations_fire_and_answers_stay_correct(self):
         total_explains = 0
-        for seed in range(300):
+        for seed, cores in itertools.product(range(300), (False, True)):
             # clauses of up to three atoms and trees of depth 5 leave
-            # choices after the assertions' selectors are placed, so the
-            # search meets conflicts above those levels, which learn
+            # choices after the assertions are in, so the search meets
+            # conflicts above those levels, which learn. With cores off the
+            # assertions are level-0 facts, which need no explanation; with
+            # cores on they are selectors at assumption levels, which do
             structure = ("cnf", 3, 8) if seed % 2 else ("tree", 5)
             spec = RandomInstanceSpec(vars=3, atoms=10, lo=-6, hi=6,
                                       structure=structure, seed=seed)
             commands = parse_script(random_script(spec))
-            session, counter = counting_session()
+            session, counter = counting_session(
+                SessionConfig(produce_unsat_cores=cores))
             answer = None
             for cmd in commands:
                 resp = session.execute(cmd)

@@ -234,6 +234,27 @@ class TestBacktrack:
         e.backtrack_to(0)
         assert e.dist(1, 0) == 4
 
+    @pytest.mark.parametrize("n", [4, BLOCK_MIN_N + 4])
+    def test_level_zero_commits_keep_no_undo_entry(self, n):
+        # no backtrack undoes a level-0 commit, so neither kind of undo
+        # entry is kept for one: relaxing, entailed or a repeated bound.
+        # Commits above level 0 keep theirs, and backtracking to level 0
+        # restores the state the level-0 commits left, bit for bit
+        e = engine(n)
+        e.assert_atom(1, 0, 5, lit=1, level=1)
+        e.backtrack_to(0)
+        chain = [(k + 1, k, -1) for k in range(n - 1)]
+        for lit, (x, y, c) in enumerate(chain + [(n - 1, 0, 0)] + chain, 2):
+            assert e.assert_atom(x, y, c, lit=lit, level=0) is None
+            assert e.undo_size() == (0, 0) and not e._trail
+        assert e.dist(0, n - 1) == -(n - 1)
+        base = e.snapshot()
+        e.assert_atom(0, n - 1, n, lit=99, level=1)
+        e.assert_atom(2, 0, 0, lit=100, level=2)
+        assert e.undo_size()[0] > 0
+        e.backtrack_to(0)
+        assert e.snapshot() == base and e.undo_size() == (0, 0)
+
     def test_hundred_step_fuzz_matches_scratch(self):
         rng = random.Random(15)
         # the last round is big enough for the kernel's I x J block form
@@ -271,11 +292,14 @@ class TestBacktrack:
                     if e.dist(y, x) is not None:
                         c = e.dist(y, x) + rng.randint(0, 2)
                 updates, implied = e.cell_updates, e.holds(x, y, c)
+                stamp, logged = e.stamp, len(e._trail)
                 e.assert_atom(x, y, c, lit=lit, level=level)
                 if entail and implied:
+                    # no undo; a level-0 commit has no trail entry at all
                     assert e.cell_updates == updates
-                    assert e._trail[-1][2] is None
-                    entailed += e._trail[-1][1] is not None
+                    assert [u for _, _, u in e._trail[logged:]] \
+                        == ([None] if level else [])
+                    entailed += e.stamp > stamp
             elif roll < 0.8:
                 level += 1
                 closed.append(e.snapshot())
