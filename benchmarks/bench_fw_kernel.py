@@ -19,6 +19,12 @@ faster). Each figure is the median over `--repeats` runs. The `lines`
 column is the share of the commits that change a cell which change one
 row or one column only: from `kernels.BLOCK_MIN_N` on, the kernel writes
 those as that line, without the block's mask.
+The `finite` column times the full form told that the block holds no
+no-path cell, which skips its two masks, as the engine does below
+`kernels.BLOCK_MIN_N` once its closure is finite; `finite/full` is its
+time over the masked full form's, both fed the same edges on a closure
+that starts with every pair at distance 4n, so it stays finite. Every
+timed call builds its undo entry, as a commit above level 0 does.
 
 Usage: python benchmarks/bench_fw_kernel.py [--sizes 16,32,64,96,128,200,400]
        [--edges 600] [--repeats 3] [--seed 0]
@@ -40,6 +46,12 @@ def fresh(n):
     return D
 
 
+def finite_start(n):
+    D = np.full((n, n), 4 * n, dtype=np.int64)
+    np.fill_diagonal(D, 0)
+    return D
+
+
 def stream(seed, n, count):
     rng = random.Random(seed)
     out = []
@@ -49,28 +61,43 @@ def stream(seed, n, count):
     return out
 
 
-def changed_cells(entry):
-    """Cells one call changed: the full form returns ``(old block,
-    count)``, the block form its ``(rows, cols, old)`` cell log."""
-    return entry[1] if len(entry) == 2 else len(entry[0])
+def changed_cells(result):
+    """Cells one call changed: every form returns ``(changed, undo,
+    finite)``."""
+    return result[0]
 
 
-def is_line(entry):
-    """Whether a block-form cell log names one row or one column only."""
-    if len(entry) == 2 or not len(entry[0]):
+def is_line(result):
+    """Whether a block-form cell log names one row or one column only; the
+    full form's undo entry is ``(old block, count)``."""
+    undo = result[1]
+    if len(undo) == 2 or not len(undo[0]):
         return False
-    ii, jj, _ = entry
+    ii, jj, _ = undo
     return ii[0] == ii[-1] or jj.min() == jj.max()
 
 
-def drive(forms, n, edges):
-    """Feed ``edges`` to every form, each on a matrix of its own, and time
-    each call; the forms take turns going first. An edge that closes a
-    negative cycle or that the closure already entails is skipped, as the
-    engine never passes either to the kernel. Returns the seconds per
-    form, the calls made, the cells changed, the final matrices and the
-    share of the commits that change a cell which change one line only."""
-    mats = [fresh(n) for _ in forms]
+def full(D, Df, n, x, y, c):
+    return kernels._relax_full(D, Df, n, x, y, c, False, True)
+
+
+def full_finite(D, Df, n, x, y, c):
+    return kernels._relax_full(D, Df, n, x, y, c, True, True)
+
+
+def block(D, Df, n, x, y, c):
+    return kernels._relax_block(D, Df, n, x, y, c, True)
+
+
+def drive(forms, n, edges, start=fresh):
+    """Feed ``edges`` to every form, each on a matrix of its own built by
+    ``start``, and time each call; the forms take turns going first. An
+    edge that closes a negative cycle or that the closure already entails
+    is skipped, as the engine never passes either to the kernel. Returns
+    the seconds per form, the calls made, the cells changed, the final
+    matrices and the share of the commits that change a cell which change
+    one line only."""
+    mats = [start(n) for _ in forms]
     secs = [0.0] * len(forms)
     updates = [0] * len(forms)
     calls = changing = lines = 0
@@ -103,27 +130,37 @@ def main():
     sizes = [int(s) for s in args.sizes.split(",")]
 
     names = ("full", "block")
-    forms = (kernels._relax_full, kernels._relax_block)
     print(f"block form from n = {kernels.BLOCK_MIN_N}")
 
     print(f"{'n':>6} {'edges':>6} {'updates':>10} "
           + "".join(f"{name + ' us/commit':>18}" for name in names)
-          + f"{'block/full':>12}{'lines':>7}")
+          + f"{'block/full':>12}{'lines':>7}"
+          + f"{'finite us/commit':>18}{'finite/full':>13}")
     for n in sizes:
         edges = stream(args.seed, n, args.edges)
-        runs = []
+        runs, finite_runs = [], []
         for _ in range(args.repeats):
-            secs, calls, updates, mats, lines = drive(forms, n, edges)
-            if not all(np.array_equal(D, mats[0]) for D in mats[1:]):
-                raise SystemExit("kernel forms disagree; kernel bug")
-            runs.append(secs)
+            for forms, start, out in (((full, block), fresh, runs),
+                                      ((full, full_finite), finite_start,
+                                       finite_runs)):
+                secs, calls, updates, mats, lines = drive(forms, n, edges,
+                                                          start)
+                if not all(np.array_equal(D, mats[0]) for D in mats[1:]):
+                    raise SystemExit("kernel forms disagree; kernel bug")
+                out.append((secs, calls, updates, lines))
         chosen = "block" if n >= kernels.BLOCK_MIN_N else "full"
+        _, calls, updates, lines = runs[0]
         row = f"{n:>6} {calls:>6} {updates:>10}"
         for k, name in enumerate(names):
-            us = 1e6 * statistics.median(r[k] for r in runs) / max(calls, 1)
+            us = 1e6 * statistics.median(r[0][k] for r in runs) / max(calls, 1)
             row += f"{us:>17.1f}{'*' if name == chosen else ' '}"
-        ratio = statistics.median(r[1] / r[0] for r in runs)
-        print(row + f"{ratio:>12.2f}{lines:>7.0%}")
+        ratio = statistics.median(r[0][1] / r[0][0] for r in runs)
+        finite_us = 1e6 * statistics.median(
+            r[0][1] for r in finite_runs) / max(finite_runs[0][1], 1)
+        finite_ratio = statistics.median(r[0][1] / r[0][0]
+                                         for r in finite_runs)
+        print(row + f"{ratio:>12.2f}{lines:>7.0%}"
+              + f"{finite_us:>18.1f}{finite_ratio:>13.2f}")
 
 
 if __name__ == "__main__":

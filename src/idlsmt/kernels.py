@@ -2,7 +2,7 @@
 
 One operation lives here: the relaxation run when a weighted edge
 ``y -> x`` is committed, which tightens every pair (i, j) through the new
-edge and returns what undoes it. It is vectorized with numpy.
+edge and, above level 0, returns what undoes it. It is vectorized with numpy.
 
 Below `BLOCK_MIN_N` vertices the kernel computes all n x n pairs and saves
 the old block, which costs less than gathering the changed cells. From
@@ -20,8 +20,8 @@ The closure is one C-contiguous int64 matrix `D`. A cell with no path
 holds the sentinel `NO_PATH`, the diagonal holds 0. A finite distance
 stays below `NO_PATH` (`theory.MAX_VERTICES` guards that), so a candidate
 improves a cell exactly when it is smaller; candidates through a no-path
-cell are masked out, and the largest sum the kernel forms,
-``NO_PATH + CONST_MAX + NO_PATH``, still fits int64.
+cell are masked out unless the block is known finite, and the largest sum
+the kernel forms, ``NO_PATH + CONST_MAX + NO_PATH``, still fits int64.
 
 A logged cell costs `UNDO_CELL_BYTES` = 12 bytes: its row and column as
 `INDEX` (int16) and its old distance as int64.
@@ -49,20 +49,26 @@ INDEX = np.int16
 UNDO_CELL_BYTES = 2 * np.dtype(INDEX).itemsize + 8
 
 
-def _relax_full(D, Df, n, x, y, c):
+def _relax_full(D, Df, n, x, y, c, finite, log):
     Dv = D[:n, :n]
     col = Dv[:, y]
     row = Dv[x, :]
     cand = np.add.outer(col + c, row)
     better = cand < Dv
-    better &= (col < NO_PATH)[:, None]
-    better &= row < NO_PATH
-    old = Dv.copy()
+    if not finite:
+        col_ok, row_ok = col < NO_PATH, row < NO_PATH
+        better &= col_ok[:, None]
+        better &= row_ok
+        # a finite column y and row x leave every D[i,j] finite (<= sum)
+        finite = (np.count_nonzero(col_ok) == n
+                  and np.count_nonzero(row_ok) == n)
+    changed = int(np.count_nonzero(better))
+    undo = (Dv.copy(), changed) if log else None
     np.copyto(Dv, cand, where=better)
-    return old, int(np.count_nonzero(better))
+    return changed, undo, finite
 
 
-def _relax_block(D, Df, n, x, y, c):
+def _relax_block(D, Df, n, x, y, c, log):
     # A pair (i, j) improves only if (i, x) and (y, j) improve too. Were
     # D[i,x] <= D[i,y] + c already, the closure's D[i,j] <= D[i,x] + D[x,j]
     # would bound the new path i -> y -> x -> j; the same holds through y
@@ -79,10 +85,11 @@ def _relax_block(D, Df, n, x, y, c):
     if len(rows) == 1 or len(cols) == 1:
         line, new, at = ((Dv[y], to_j, cols) if len(rows) == 1
                          else (Dv[:, x], via_y, rows))
-        old_d = line.take(at)
+        undo = (rows.astype(INDEX).repeat(len(cols)),
+                cols.astype(INDEX).repeat(len(rows)),
+                line.take(at)) if log else None
         line[at] = new.take(at)
-        ii, jj = rows.astype(INDEX), cols.astype(INDEX)
-        return ii.repeat(len(jj)), jj.repeat(len(ii)), old_d
+        return len(at), undo
     # flat indices into the whole matrix: 1-D take and put cost about
     # half of 2-D fancy indexing; rows and cols ascend, so the block and
     # the undo log are in row-major order. They run to N * N, past INDEX,
@@ -94,21 +101,26 @@ def _relax_block(D, Df, n, x, y, c):
     better = cand < old_d
     changed = flat[better]
     Df[changed] = cand[better]
+    if not log:
+        return len(changed), None
     ii, jj = np.divmod(changed, N)
-    return ii.astype(INDEX), jj.astype(INDEX), old_d[better]
+    return len(changed), (ii.astype(INDEX), jj.astype(INDEX), old_d[better])
 
 
-def relax_edge(D, Df, n, x, y, c):
+def relax_edge(D, Df, n, x, y, c, finite=False, log=True):
     """Tighten all pairs through a new edge y -> x of weight c.
 
     Mutates ``D`` (C-contiguous, ``NO_PATH`` where there is no path) in
     place over the leading n x n block; ``Df`` is its flat view
-    ``D.reshape(-1)``, which the engine keeps beside it. Returns the undo
-    entry: below ``BLOCK_MIN_N`` vertices ``(old, changed)``, a copy of the
-    old n x n block and the count of changed cells; from there on the cell
-    log ``(rows, cols, old_dist)`` of every changed cell, in row-major order.
-    The bound must not be entailed (``D[y, x] > c``), which makes a lone
-    improving row y's and a lone improving column x's (module docstring).
+    ``D.reshape(-1)``, which the engine keeps beside it. Returns
+    ``(changed, undo, finite)``: the count of changed cells; None without
+    ``log``, else the undo entry, below ``BLOCK_MIN_N`` vertices a copy of
+    the old n x n block ``(old, changed)``, from there on the changed
+    cells' log ``(rows, cols, old_dist)`` in row-major order; and whether
+    the block holds no ``NO_PATH`` cell, which, passed back as ``finite``,
+    skips the masks. The bound must not be entailed (``D[y, x] > c``),
+    which makes a lone improving row y's and a lone improving column x's.
     """
-    relax = _relax_block if n >= BLOCK_MIN_N else _relax_full
-    return relax(D, Df, n, x, y, c)
+    if n >= BLOCK_MIN_N:
+        return *_relax_block(D, Df, n, x, y, c, log), False
+    return _relax_full(D, Df, n, x, y, c, finite, log)

@@ -10,17 +10,18 @@ then relaxes the pairs through the new edge (`kernels.relax_edge`). A bound
 the closure already entails, as every theory propagation is when it comes
 back asserted, is recorded as an edge for explanations but skips the
 kernel: it cannot shorten any pair. Each commit's undo entry and each
-replaced edge are logged per decision level above 0 (nothing undoes level
-0) so retraction replays to a bit-identical state. Below
-`kernels.BLOCK_MIN_N` vertices the entry is the whole old block; from there
-on it logs the overwritten cells, 12 bytes each. The closure is one int64
-matrix: a pair with no path holds `kernels.NO_PATH`, above every finite
-distance, so every entailment test is one comparison. Models are read off
-the closure: a variable's value is its column minimum, the shortest
-distance from a virtual source; an atom's first decision takes the polarity
-this model satisfies. The explanation of a conflict or propagation is
-searched on demand, goal directed by the closure's distances to the target,
-so the hot loop carries no witness bookkeeping.
+replaced edge are logged per decision level above 0 so retraction replays
+to a bit-identical state; nothing undoes level 0, so a commit there builds
+no entry. Below `kernels.BLOCK_MIN_N` vertices the entry is the whole old
+block; from there on it logs the overwritten cells, 12 bytes each. The
+closure is one int64 matrix: a pair with no path holds `kernels.NO_PATH`,
+above every finite distance, so every entailment test is one comparison;
+while no cell holds it (one flag), the kernel skips its no-path masks.
+Models are read off the closure: a variable's value is its column minimum,
+the shortest distance from a virtual source; an atom's first decision
+takes the polarity this model satisfies. The explanation of a conflict or
+propagation is searched on demand, goal directed by the closure's
+distances to the target, so the hot loop carries no witness bookkeeping.
 """
 
 from __future__ import annotations
@@ -76,6 +77,9 @@ class DifferenceEngine:
         # cell (y, x), so the theory bridge reads an unmoved count as an
         # unmoved closure
         self.cell_updates = 0
+        # no NO_PATH in the block; only a new vertex or a restore clears it
+        self.finite = False
+        self._dumped = self._d[:0, :0], ""  # (block, text) of dump_tsv
 
     # -- vertices ----------------------------------------------------------
 
@@ -83,6 +87,7 @@ class DifferenceEngine:
         """Grow the matrix so vertex ``v`` exists (diagonal 0, rest no-path)."""
         if v < self.n:
             return
+        self.finite = False
         if v >= MAX_VERTICES:
             raise TooManyVertices(
                 f"more than {MAX_VERTICES - 1} difference variables")
@@ -138,8 +143,9 @@ class DifferenceEngine:
         if self._d[y, x] <= c:
             undo = None  # entailed: D[i,y] + c + D[x,j] >= D[i,j] everywhere
         else:
-            undo = relax_edge(self._d, self._flat, self.n, x, y, c)
-            self.cell_updates += undo[1] if len(undo) == 2 else len(undo[0])
+            changed, undo, self.finite = relax_edge(
+                self._d, self._flat, self.n, x, y, c, self.finite, level > 0)
+            self.cell_updates += changed
         if level:
             self._trail.append((level, (y, x), undo))
         return None
@@ -162,6 +168,7 @@ class DifferenceEngine:
                 self._flat[np.ravel_multi_index((ui, uj), self._d.shape)] = ud
             elif undo is not None:  # the old block; later commits are undone
                 self._d[:len(undo[0]), :len(undo[0])] = undo[0]
+                self.finite = False
             if key is not None:
                 u, v = key
                 hist = self.edges[u][v]
@@ -268,13 +275,14 @@ class DifferenceEngine:
     # -- debugging -------------------------------------------------------------
 
     def dump_tsv(self):
-        """Row-major distance matrix, tab-separated, ``inf`` for no path."""
-        rows = []
-        for i in range(self.n):
-            rows.append("\t".join(
-                str(d) if d < NO_PATH else "inf"
-                for d in self._d[i, :self.n].tolist()))
-        return "\n".join(rows) + ("\n" if rows else "")
+        """Row-major distance matrix, tab-separated, ``inf`` for no path;
+        the text is reused while the block equals the one it shows."""
+        block = self._d[:self.n, :self.n]
+        if not np.array_equal(block, self._dumped[0]):
+            self._dumped = block.copy(), "".join(
+                "\t".join(str(d) if d < NO_PATH else "inf" for d in row)
+                + "\n" for row in block.tolist())
+        return self._dumped[1]
 
     def snapshot(self):
         """Comparable copy of the visible state (for undo-exactness tests)."""

@@ -17,7 +17,11 @@ def fresh_state(n):
 
 
 def relax(D, n, x, y, c):
-    return kernels.relax_edge(D, D.reshape(-1), n, x, y, c)
+    """The undo entry of one logged relax_edge call, whose changed-cell
+    count it checks against the entry's."""
+    changed, entry, _ = kernels.relax_edge(D, D.reshape(-1), n, x, y, c)
+    assert changed == (entry[1] if len(entry) == 2 else len(entry[0]))
+    return entry
 
 
 def undo(D, entry):
@@ -187,6 +191,37 @@ class TestBlockSwitch:
             # at the least (one row at n = 48)
             assert min(shapes[k] for k in SHAPES) >= 40, shapes
 
+    @pytest.mark.parametrize("n", [kernels.BLOCK_MIN_N - 1,
+                                   kernels.BLOCK_MIN_N + 1])
+    def test_the_log_off_writes_the_same_closure(self, n):
+        # a level-0 commit builds no undo entry: the same cells change to
+        # the same bits, counted alike, and no array comes back. The
+        # finite flag each call returns goes into the next, so below
+        # BLOCK_MIN_N the unmasked form runs on both sides too.
+        kinds = Counter()
+        for seed in range(3):
+            D1, D2 = fresh_state(n + 5), fresh_state(n + 5)
+            finite = False
+            for x, y, c in tightening_stream(seed, n, 8 * n):
+                if D1[x, y] + c < 0 or D1[y, x] <= c:
+                    continue  # the engine makes no kernel call for these
+                on = kernels.relax_edge(D1, D1.reshape(-1), n, x, y, c,
+                                        finite)
+                off = kernels.relax_edge(D2, D2.reshape(-1), n, x, y, c,
+                                         finite, log=False)
+                assert D1.tobytes() == D2.tobytes()
+                assert off == (on[0], None, on[2])
+                assert not any(isinstance(v, np.ndarray) for v in off)
+                kinds["finite" if finite else "masked"] += 1
+                if n >= kernels.BLOCK_MIN_N:
+                    kinds[shape(on[1])] += 1
+                finite = on[2]
+        if n >= kernels.BLOCK_MIN_N:
+            assert min(kinds[k] for k in SHAPES) >= 100, kinds
+            assert kinds["finite"] == 0
+        else:
+            assert min(kinds["finite"], kinds["masked"]) >= 100, kinds
+
 
 def python_closure(n, edges):
     """Floyd-Warshall over Python ints, None for no path, or None for the
@@ -209,6 +244,19 @@ def python_closure(n, edges):
     if any(d[i][i] < 0 for i in range(n)):
         return None
     return d
+
+
+def engine_closure(e):
+    """The engine's closure as Python ints, None for no path."""
+    return [[d if d < NO_PATH else None for d in row]
+            for row in e._d[:e.n, :e.n].tolist()]
+
+
+def live_closure(e):
+    """The Python-int closure of the engine's live edges."""
+    return python_closure(e.n, [(u, v, hist[-1][0])
+                                for u, out in enumerate(e.edges)
+                                for v, hist in out.items()])
 
 
 def extreme_stream(seed, n, count):
@@ -267,6 +315,67 @@ class TestOracle:
             assert min(lines_past_no_path["row"],
                        lines_past_no_path["column"]) >= 40
 
+    def test_a_restored_block_brings_its_no_path_cells_back(self):
+        # a level-1 ring makes the block finite; the backtrack restores the
+        # whole block from before it, no-path cells included, so the next
+        # commit masks them. Unmasked, it would write NO_PATH - 7 into the
+        # cells whose path into vertex 2 does not exist.
+        n = 6
+        e = theory.DifferenceEngine()
+        e.ensure_vertex(n - 1)
+        base = [(1, 0, 4), (2, 1, 4)]
+        for lit, (x, y, c) in enumerate(base, 1):
+            e.assert_atom(x, y, c, lit, 0)
+        assert not e.finite
+        for lit, k in enumerate(range(n), 10):
+            e.assert_atom((k + 1) % n, k, 5, lit, 1)
+        assert e.finite
+        e.backtrack_to(0)
+        assert not e.finite and (e._d[:n, :n] == NO_PATH).any()
+        e.assert_atom(3, 2, -7, 20, 0)
+        edges = [(y, x, c) for x, y, c in base + [(3, 2, -7)]]
+        assert engine_closure(e) == python_closure(n, edges)
+
+    @pytest.mark.parametrize("n0", [8, kernels.BLOCK_MIN_N - 3])
+    def test_flag_and_log_fuzz_matches_python_int_closure(self, n0):
+        # new vertices, commits at level 0 (no undo log) and above it,
+        # and backtracks, interleaved; from n0 = 45 the closure crosses
+        # BLOCK_MIN_N. The flag never claims a block that holds NO_PATH,
+        # and the closure matches one built from the live edges after a
+        # quarter of the backtracks and at the end.
+        rng = random.Random(n0)
+        seen, past = Counter(), 0
+        for _ in range(6):
+            e = theory.DifferenceEngine()
+            e.ensure_vertex(n0 - 1)
+            for k in range(n0):  # a level-0 ring: the n0 x n0 block is finite
+                e.assert_atom((k + 1) % n0, k, 3 * n0, -k - 1, 0)
+            level = 0
+            for lit in range(1, 30 * n0):
+                roll = rng.random()
+                if roll < 0.005:
+                    e.ensure_vertex(e.n + rng.randrange(2))
+                elif roll < 0.8:
+                    x, y = rng.sample(range(e.n), 2)
+                    c = rng.randint(-2, 3 * e.n)
+                    flag, cells = e.finite, e.cell_updates
+                    if e.assert_atom(x, y, c, lit, level) is None \
+                            and e.cell_updates > cells:
+                        seen["unmasked" if flag else "masked"] += 1
+                        seen[f"level {min(level, 1)}"] += 1
+                elif roll < 0.9:
+                    level += 1
+                elif level:
+                    level = rng.randrange(level)
+                    e.backtrack_to(level)
+                    seen["backtrack"] += 1
+                    if rng.random() < 0.25:
+                        assert engine_closure(e) == live_closure(e)
+                assert not e.finite or (e._d[:e.n, :e.n] < NO_PATH).all()
+            assert engine_closure(e) == live_closure(e)
+            past += e.n >= kernels.BLOCK_MIN_N
+        assert len(seen) == 5 and min(seen.values()) >= 30, seen
+        assert past == (6 if n0 > 8 else 0)
 
 def load_theory(max_vertices):
     """Execute theory.py as a fresh module with another vertex limit."""

@@ -255,6 +255,27 @@ class TestBacktrack:
         e.backtrack_to(0)
         assert e.snapshot() == base and e.undo_size() == (0, 0)
 
+    @pytest.mark.parametrize("logged", [False, True])
+    def test_new_vertices_over_a_finite_block_clear_the_flag(self, logged):
+        # a finite 2 x 2 block at level 0 (with ``logged``, a level-1
+        # commit saves it whole) gains vertices 2 and 3; after the
+        # backtrack to 0 the flag is off, so the commit through vertex 2
+        # masks the no-path cell (3, 2). Unmasked, it would write
+        # NO_PATH - 5 into (3, 0).
+        e = engine(2)
+        e.assert_atom(1, 0, 3, lit=1, level=0)
+        e.assert_atom(0, 1, 2, lit=2, level=0)
+        assert e.finite
+        if logged:
+            e.assert_atom(1, 0, 1, lit=3, level=1)
+            assert e.finite and e.undo_size() == (4, 32)
+        e.ensure_vertex(3)
+        assert not e.finite
+        e.backtrack_to(0)
+        assert not e.finite
+        e.assert_atom(0, 2, -5, lit=4, level=0)
+        assert matrices_equal(e, scratch_floyd_warshall(4, committed_edges(e)))
+
     def test_hundred_step_fuzz_matches_scratch(self):
         rng = random.Random(15)
         # the last round is big enough for the kernel's I x J block form
@@ -650,3 +671,26 @@ class TestDump:
 
     def test_empty(self):
         assert DifferenceEngine().dump_tsv() == ""
+
+    def test_an_unchanged_closure_reuses_its_text(self):
+        # the text is kept with a copy of its block: an equal block reuses
+        # the same string, any change to it (a commit, a backtrack, a new
+        # vertex) renders anew, and each text matches the cells as read
+        def rendered(e):
+            return "".join("\t".join("inf" if e.dist(i, j) is None
+                                     else str(e.dist(i, j))
+                                     for j in range(e.n)) + "\n"
+                           for i in range(e.n))
+
+        e = engine(3)
+        e.assert_atom(1, 0, 4, lit=1, level=0)
+        first = e.dump_tsv()
+        assert first == rendered(e) and e.dump_tsv() is first
+        e.assert_atom(2, 1, -1, lit=2, level=1)
+        second = e.dump_tsv()
+        assert second == rendered(e) != first
+        e.backtrack_to(0)
+        assert e.dump_tsv() == first and e.dump_tsv() is e.dump_tsv()
+        e.ensure_vertex(3)
+        assert e.dump_tsv() == rendered(e) == first.replace(
+            "\n", "\tinf\n") + "inf\tinf\tinf\t0\n"
