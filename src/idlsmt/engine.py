@@ -3,15 +3,16 @@
 An assertion that a pop can retract or a core can name is guarded by a
 fresh selector variable, so checks run under the active selectors as
 assumptions, and the failed ones of an unsat answer are the unsat core.
-With cores off, a bottom-frame assertion's root is a unit clause instead, a
-level-0 fact. Pop deletes the popped assertions' clauses, then keeps a
-variable only while a stored clause of a live assertion mentions it, it is
-a live selector or a declared Boolean, or it is an atom fixed at level 0,
-whose bound the closure keeps; a failed assertion applies the same rule.
-The SAT core reuses the slots of the other variables and deletes every
-learned clause over them, a retired atom leaves the theory, and an Int
-constant no live atom reads gives its closure vertex back, so a long
-push/check/pop session stays the size of its live ones.
+An assertion's conjunctive top becomes root clauses, each guarded by the
+selector; with cores off, a bottom-frame assertion has no selector and its
+unit roots are level-0 facts. Pop deletes the popped assertions' clauses,
+then keeps a variable only while a stored clause of a live assertion
+mentions it, it is a live selector or a declared Boolean, or it is an atom
+fixed at level 0, whose bound the closure keeps; a failed assertion applies
+the same rule. The SAT core reuses the slots of the other variables and
+deletes every learned clause over them, a retired atom leaves the theory,
+and an Int constant no live atom reads gives its closure vertex back, so a
+long push/check/pop session stays the size of its live ones.
 Difference atoms flow to the shortest-path engine the moment the SAT core
 asserts them. Implied atoms flow back as theory propagations once every
 selector is assumed (a conflict among the selectors' levels is the unsat
@@ -67,8 +68,8 @@ class _Record:
     term: tuple
     name: Optional[str]
     selector: Optional[int]  # None: a level-0 fact of the bottom frame
-    # the clauses the assertion stored (guard and gates, the very list
-    # objects): what a pop deletes, and what keeps variables live
+    # the clauses the assertion stored (guarded roots and gates, the very
+    # list objects): what a pop deletes, and what keeps variables live
     clauses: list
 
 
@@ -290,7 +291,7 @@ class Session:
         try:
             node = normalize.skeleton(term, self._resolve_int,
                                       self._resolve_bool, self.atoms)
-            clauses, root = normalize.to_cnf(node, self.solver.new_var)
+            clauses, roots = normalize.to_cnf(node, self.solver.new_var)
             err = None
         except normalize.ConstantOverflow as e:
             err = f"constant overflow: {e}"
@@ -307,8 +308,8 @@ class Session:
         stored = len(self.solver.clauses)
         for cl in clauses:
             self.solver.add_clause(cl)
-        if root is not True:
-            self.solver.add_clause(guard if root is False else guard + [root])
+        for r in roots:
+            self.solver.add_clause(guard + r)
         rec = _Record(self._next_index, term, name, selector,
                       self.solver.clauses[stored:])
         self._next_index += 1
@@ -509,9 +510,10 @@ class Session:
         return out
 
     def dimacs_text(self):
-        """Current clause store in DIMACS, selectors and gates included, after
-        the level-0 facts no clause implies (bottom-frame roots among them)
-        as units, and the empty clause once the solver has derived false.
+        """Current clause store in DIMACS, root clauses, selectors and gates
+        included, after the level-0 facts no clause implies (bottom-frame
+        unit roots among them) as units, and the empty clause once the
+        solver has derived false.
         The header counts up to the highest variable a clause mentions;
         released variable slots past it are left out."""
         s = self.solver

@@ -6,14 +6,16 @@ unary bounds like ``x <= 5`` into ordinary atoms. Over the integers the
 negation of ``x - y <= c`` is ``y - x <= -c-1``, so every atom and its
 complement share a single SAT variable with opposite polarities.
 
-Formulas become clauses through the usual fresh-variable gate encoding;
-only constants are folded, the Boolean structure is kept as written. The
-parser returns a ``let``-bound subterm as one shared object, so a term is a
-DAG; both passes cache compound nodes by identity and handle each distinct
-subterm once, and integer subterms are reduced once each as well. Every
-pass keeps an explicit stack, so nesting depth is bounded by memory alone.
-Every gate is a two-sided equivalence, so one gate literal stands for its
-subterm wherever it occurs, under either polarity.
+A formula's conjunctive top becomes clauses directly: its conjuncts, each
+disjunction among them one clause, negations pushed through both. The
+nodes below get the usual fresh-variable gate encoding (Tseitin); only
+constants are folded, the Boolean structure is kept as written. The parser
+returns a ``let``-bound subterm as one shared object, so a term is a DAG;
+every pass keys compound nodes by identity and handles each distinct
+subterm once (the top once per polarity), and integer subterms are reduced
+once each as well. Every pass keeps an explicit stack, so nesting depth is
+bounded by memory alone. Every gate is a two-sided equivalence, so one gate
+literal stands for its subterm wherever it occurs, under either polarity.
 """
 
 from __future__ import annotations
@@ -325,6 +327,20 @@ def _neg(v):
     return (not v) if isinstance(v, bool) else -v
 
 
+def _conj(vals):
+    """Literals of the conjunction of ``vals`` with constants folded and
+    duplicates dropped; None when it folds to false."""
+    lits, seen = [], set()
+    for v in vals:
+        if v is True or v in seen:
+            continue
+        if v is False or -v in seen:
+            return None
+        seen.add(v)
+        lits.append(v)
+    return lits
+
+
 class _Encoder:
     # a class rather than nested functions: closures that call one another
     # form a reference cycle, which would keep ``new_var`` (and so the
@@ -335,17 +351,9 @@ class _Encoder:
         self._done = {}  # id -> literal of each compound skeleton node
 
     def gate_and(self, vals):
-        if any(v is False for v in vals):
+        lits = _conj(vals)
+        if lits is None:
             return False
-        lits = []
-        seen = set()
-        for v in vals:
-            if v is True or v in seen:
-                continue
-            if -v in seen:
-                return False
-            seen.add(v)
-            lits.append(v)
         if not lits:
             return True
         if len(lits) == 1:
@@ -443,12 +451,41 @@ class _Encoder:
 
 
 def to_cnf(node, new_var):
-    """Gate-encode a skeleton; returns ``(clauses, root)``.
+    """CNF of a skeleton; returns ``(clauses, roots)``.
 
-    ``root`` is a literal to assert (or True/False when the formula folded
-    to a constant). Clause count is linear in the number of distinct
-    subterms: a node shared by reference is encoded once.
+    ``roots`` are the clauses to assert (``[]`` is false), read off the
+    formula's conjunctive top: an ``and`` gives its conjuncts, an ``or`` one
+    clause, a negated ``and`` or ``or`` negates its kids, and anything else
+    (a double negation too) a unit. ``clauses`` are the gates of the nodes
+    below; constants fold. Each distinct subterm is encoded once and walked
+    once per polarity at most, so the clause count is linear in their number.
     """
+    if node[0] == "lit":  # most assertions are one atom
+        return [], [[node[1]]]
     encoder = _Encoder(new_var)
-    root = encoder.enc(node)
-    return encoder.clauses, root
+    roots, seen = [], set()
+    stack = [(node, 1)]  # a node with sign -1 stands for its negation
+    while stack:
+        u, sign = stack.pop()
+        tag = u[0]
+        if tag == "lit":
+            roots.append([sign * u[1]])
+            continue
+        if tag == "not" and sign > 0:
+            stack.append((u[1], -1))
+            continue
+        if tag == "and" or tag == "or":
+            if sign * id(u) in seen:
+                continue
+            seen.add(sign * id(u))
+            if (tag == "and") == (sign > 0):
+                stack += [(k, sign) for k in reversed(u[1])]
+                continue
+            vals = [k[1] if k[0] == "lit" else encoder.enc(k) for k in u[1]]
+        else:
+            vals = [encoder.enc(u)]
+        # the clause is the disjunction of the signed values
+        lits = _conj(vals if sign < 0 else [_neg(v) for v in vals])
+        if lits is not None:
+            roots.append([-l for l in lits])
+    return encoder.clauses, roots

@@ -311,6 +311,15 @@ class TestFlags:
         assert after and not after_vars & frame_vars
         assert len(after) < len(in_frame)
 
+    def test_a_bottom_frame_conjunction_dumps_as_two_units(self, tmp_path):
+        # its conjuncts are the roots: two level-0 facts, no gate
+        text = ("(set-logic QF_IDL)(declare-fun x () Int)(declare-fun y () Int)"
+                "(assert (and (<= (- x y) 3) (<= (- y x) 5)))(check-sat)")
+        cnf = tmp_path / "out.cnf"
+        code, out = cli(["--dump-dimacs", str(cnf), "-"], text=text)
+        assert (code, out) == (0, "sat\n")
+        assert cnf.read_text() == "p cnf 2 2\n1 0\n-2 0\n"
+
     def test_dimacs_holds_the_bottom_frame_units(self, tmp_path):
         # the bottom frame's roots are level-0 facts, not stored clauses;
         # the dump lists them as units, so it is the session's formula: it

@@ -19,6 +19,7 @@ from idlsmt.testkit import (
 )
 from idlsmt.theory import DifferenceEngine
 from idlsmt.normalize import AtomTable, skeleton
+from test_normalize import top_chain
 
 FREE = _TheoryBridge.FREE
 
@@ -298,6 +299,17 @@ class TestModel:
                     "(assert (<= (- x y) 60))(check-sat)")
         assert answers(rs) == ["unsat"]
 
+    @pytest.mark.parametrize("op, top", [("and", "g60"), ("or", "(not g60)")])
+    def test_a_shared_chain_at_the_top_answers_at_once(self, op, top):
+        # 2^60 conjuncts as a tree, x < y and y < z as a DAG
+        head = DECLS + "(declare-fun z () Int)"
+        for extra, want in (("", "sat"), ("(assert (<= z x))", "unsat")):
+            start = time.perf_counter()
+            _, rs = run(head + f"(assert {top_chain(60, op, top)})"
+                        + extra + "(check-sat)")
+            assert time.perf_counter() - start < 1
+            assert answers(rs) == [want]
+
     def test_model_text_format(self):
         text = (DECLS + "(assert (<= x (- 2)))(check-sat)(get-model)")
         _, rs = run(text)
@@ -436,6 +448,31 @@ class TestUnsatCore:
         cfg = SessionConfig(produce_unsat_cores=True)
         _, rs = run(text, cfg)
         assert answers(rs)[-1] == "(b)"
+
+    def test_a_flattened_assertion_in_a_frame_keeps_its_selector(self):
+        # (and (or a p) (not p)) is two root clauses; each carries the
+        # selector, so the core names the assertion and the pop takes both
+        cfg = SessionConfig(produce_unsat_cores=True)
+        session, rs = run(DECLS + "(declare-fun p () Bool)"
+                          "(assert (! (<= (- x y) 3) :named base))"
+                          "(check-sat)", cfg)
+        before = session.stats["live_clauses"]
+        frame = parse_script(
+            DECLS + "(declare-fun p () Bool)(push 1)(assert (! (and (or"
+            " (<= (- y x) (- 5)) p) (not p)) :named f))(check-sat)"
+            "(get-unsat-core)(pop 1)(check-sat)")[4:]
+        rs += [session.execute(cmd) for cmd in frame[:4]]
+        [rec] = session.frames[-1].records
+        a = next(v for v, b in session.atoms.bounds.items() if b[2] == 4)
+        p = session._bool_ids["p"]
+        sel = rec.selector
+        assert sorted(map(sorted, rec.clauses)) == sorted(
+            [sorted([-sel, -a, p]), sorted([-sel, -p])])
+        assert session.stats["live_clauses"] == before + 2
+        rs += [session.execute(cmd) for cmd in frame[4:]]
+        assert answers(rs) == ["sat", "unsat", "(base f)", "sat"]
+        assert session.stats["live_clauses"] == before
+        assert orphan_vars(session) == []
 
     def test_duplicate_names_rejected(self):
         text = (DECLS + "(assert (! (<= x 1) :named n))"
@@ -1195,18 +1232,22 @@ class TestPopByDeletion:
         last = sum(per_check[-100:]) / 100
         assert abs(last - first) <= 0.1 * first
 
-    @pytest.mark.parametrize("formula, role", [("p", "selector"),
-                                               ("(and p q)", "gate")])
+    @pytest.mark.parametrize("formula, role", [
+        ("p", "selector"), ("(and p q)", "selector"),
+        ("(or (and p q) r)", "gate")])
     def test_a_retired_atom_slot_reaches_the_theory_as_nothing(
             self, formula, role):
         # the popped atom's variable is the lowest released slot, so the
         # next assertion's first new variable takes it: the selector of a
-        # literal assertion, the gate of a conjunction. A second pop
-        # releases it again, and the next frame's first atom takes it back
+        # literal or a top-level conjunction, which asserts its conjuncts
+        # and needs no gate, and the gate of a conjunction under a
+        # disjunction. A second pop releases it again, and the next
+        # frame's first atom takes it back
         *setup, pop, push, new, check, pop2, push2, again, implying, \
             check2 = parse_script(
                 DECLS + "(declare-fun p () Bool)(declare-fun q () Bool)"
-                "(assert (or p q))(push 1)(assert (<= (- x y) 3))(check-sat)"
+                "(declare-fun r () Bool)(assert (or p q r))"
+                "(push 1)(assert (<= (- x y) 3))(check-sat)"
                 f"(pop 1)(push 1)(assert {formula})(check-sat)"
                 "(pop 1)(push 1)(assert (or p (<= (- y x) 2)))"
                 "(assert (<= (- y x) 1))(check-sat)")
@@ -1477,9 +1518,9 @@ class TestDeterminism:
 
 
 class TestBottomFrame:
-    """With cores off, a bottom-frame assertion is a level-0 fact: its
-    root is a unit clause, with no selector and no assumption step. Any
-    other assertion keeps its selector."""
+    """With cores off, a bottom-frame assertion has no selector and no
+    assumption step: its unit roots are level-0 facts, its other clauses
+    are stored as they are. Any other assertion keeps its selector."""
 
     def test_only_bottom_frame_assertions_without_cores_lose_the_selector(self):
         text = (DECLS + "(declare-fun p () Bool)(assert (<= (- x y) 3))"
@@ -1498,12 +1539,13 @@ class TestBottomFrame:
                 if rec.selector is not None)
             assert solver.assumed == list(session._sel2rec)
             if not cores:
-                # the atom and the disjunction's root are level-0 units
+                # the atom is a level-0 unit, the disjunction one clause
                 level0 = solver.trail[:solver.trail_lim[0]]
                 atom = next(v for v, b in session.atoms.bounds.items()
                             if b == (1, 2, 3))
                 assert atom in level0 and solver.reasons[atom] is None
-                assert len(session.active_records()[1].clauses) > 0
+                [clause] = session.active_records()[1].clauses
+                assert session._bool_ids["p"] in clause and len(clause) == 2
 
     def test_the_cores_option_is_refused_after_the_first_assertion(self):
         for value, cores in (("true", False), ("false", True)):

@@ -246,47 +246,74 @@ class TestTseitin:
     def test_single_literal_needs_no_gates(self):
         h = Harness()
         node = h.norm("(<= (- x y) 3)")
-        clauses, root = to_cnf(node, h.new_var)
-        assert clauses == [] and root == node[1]
-        # the engine asserts the root as a unit clause
-        assert [[root]] == [[node[1]]]
+        clauses, roots = to_cnf(node, h.new_var)
+        assert clauses == [] and roots == [[node[1]]]
 
-    def test_or_gate_shape(self):
+    def test_top_level_or_is_one_clause_and_no_variable(self):
         h = Harness()
         node = h.norm("(or (<= (- x y) 0) (<= (- y z) 0))")
-        clauses, root = to_cnf(node, h.new_var)
-        assert len(clauses) == 3
-        assert isinstance(root, int)
-        # unit root plus the three gate clauses encode root <-> a or b
-        a = h.norm("(<= (- x y) 0)")[1]
-        b = h.norm("(<= (- y z) 0)")[1]
         n_vars = h.n_vars
+        clauses, roots = to_cnf(node, h.new_var)
+        a, b = (k[1] for k in node[1])
+        assert clauses == [] and roots == [[a, b]] and h.n_vars == n_vars
+
+    def test_conjuncts_are_roots_in_order(self):
+        h = Harness()
+        a, b, c = (h.norm(t)[1] for t in
+                   ("(<= (- x y) 0)", "(<= (- y z) 0)", "(<= (- x z) 5)"))
+        n_vars = h.n_vars
+        node = h.norm("(and (or (<= (- x y) 0) (<= (- y z) 0)) (<= (- x z) 5))")
+        assert to_cnf(node, h.new_var) == ([], [[a, b], [c]])
+        # a negation pushes through both: De Morgan at the top
+        node = h.norm("(not (or (<= (- x y) 0) (<= (- y z) 0)))")
+        assert to_cnf(node, h.new_var) == ([], [[-a], [-b]])
+        node = h.norm("(not (and (<= (- x y) 0) (not (<= (- y z) 0))))")
+        assert to_cnf(node, h.new_var) == ([], [[-a, b]])
+        assert h.n_vars == n_vars
+
+    def test_or_gate_shape(self):
+        # an or below the top keeps its gate, a two-sided equivalence
+        h = Harness()
+        node = h.norm("(or (or (<= (- x y) 0) (<= (- y z) 0)) (<= (- x z) 5))")
+        clauses, roots = to_cnf(node, h.new_var)
+        (a, b), c = (k[1] for k in node[1][0][1]), node[1][1][1]
+        [[g, c2]] = roots
+        assert c2 == c and abs(g) == h.n_vars and len(clauses) == 3
+        # the gate clauses alone force g <-> a or b, both ways
         model_rows = set()
-        for bits in itertools.product([False, True], repeat=n_vars):
-            assign = {v: bits[v - 1] for v in range(1, n_vars + 1)}
+        for bits in itertools.product([False, True], repeat=h.n_vars):
+            assign = {v: bits[v - 1] for v in range(1, h.n_vars + 1)}
 
             def val(lit):
                 return assign[abs(lit)] == (lit > 0)
 
-            if all(any(val(l) for l in cl) for cl in clauses) and val(root):
-                model_rows.add((val(a), val(b)))
-        assert model_rows == {(True, False), (False, True), (True, True)}
+            if all(any(val(l) for l in cl) for cl in clauses):
+                model_rows.add((val(a), val(b), val(g)))
+        assert model_rows == {(p, q, p or q) for p in (False, True)
+                              for q in (False, True)}
 
     def test_constant_roots(self):
         h = Harness()
-        clauses, root = to_cnf(h.norm("(or (<= (- x x) 0) (< x 1))"), h.new_var)
-        assert clauses == [] and root is True
-        clauses, root = to_cnf(h.norm("(and (< (- x x) 0) (< x 1))"), h.new_var)
-        assert clauses == [] and root is False
+        # a true literal drops its clause, a false one drops out of it
+        clauses, roots = to_cnf(h.norm("(or (<= (- x x) 0) (< x 1))"), h.new_var)
+        assert clauses == [] and roots == []
+        node = h.norm("(or (< (- x x) 0) (< x 1))")
+        assert to_cnf(node, h.new_var) == ([], [[node[1][1][1]]])
+        # a false conjunct is the empty clause
+        node = h.norm("(and (< (- x x) 0) (< x 1))")
+        assert to_cnf(node, h.new_var) == ([], [[], [node[1][1][1]]])
+        assert to_cnf(h.norm("(not (<= (- x x) 0))"), h.new_var) == ([], [[]])
+        assert to_cnf(h.norm("(<= (- x x) 0)"), h.new_var) == ([], [])
 
     def test_tautology_and_duplicates(self):
         h = Harness()
         a = h.norm("(<= (- x y) 3)")
         na = ("not", a)
-        clauses, root = to_cnf(("or", [a, na]), h.new_var)
-        assert clauses == [] and root is True
-        clauses, root = to_cnf(("and", [a, a]), h.new_var)
-        assert clauses == [] and root == a[1]
+        assert to_cnf(("or", [a, na]), h.new_var) == ([], [])
+        assert to_cnf(("or", [a, a, na, a]), h.new_var) == ([], [])
+        assert to_cnf(("or", [a, a]), h.new_var) == ([], [[a[1]]])
+        clauses, roots = to_cnf(("and", [a, a]), h.new_var)
+        assert clauses == [] and {tuple(r) for r in roots} == {(a[1],)}
 
     def _random_tree(self, rng, vars, depth):
         if depth == 0 or rng.random() < 0.3:
@@ -307,8 +334,9 @@ class TestTseitin:
         return (op, kids)
 
     def test_projection_matches_formula_truth_table(self):
-        # satisfying assignments of CNF + root, projected onto the leaf
-        # variables, must be exactly the satisfying assignments of the tree
+        # satisfying assignments of the gate and root clauses, projected
+        # onto the leaf variables, must be exactly the satisfying
+        # assignments of the tree
         rng = random.Random(3)
         for _ in range(25):
             leaf_vars = [1, 2, 3, 4]
@@ -319,10 +347,10 @@ class TestTseitin:
                 return counter["n"]
 
             tree = self._random_tree(rng, leaf_vars, 3)
-            clauses, root = to_cnf(tree, new_var)
+            clauses, roots = to_cnf(tree, new_var)
             n = counter["n"]
             assert n <= 16, "tree too large for the enumeration check"
-            cnf = clauses + ([[root]] if not isinstance(root, bool) else [])
+            cnf = clauses + roots
             formula_rows = set()
             cnf_rows = set()
             for bits in range(1 << n):
@@ -333,24 +361,24 @@ class TestTseitin:
                     return assign[abs(lit)] == (lit > 0)
 
                 leaf_bits = tuple(assign[v] for v in leaf_vars)
-                if bits < (1 << 4):
-                    if _skeleton_truth(tree, val):
-                        formula_rows.add(leaf_bits)
-                    if root is True:
-                        cnf_rows.add(leaf_bits)
-                if not isinstance(root, bool):
-                    if all(any(val(l) for l in cl) for cl in cnf):
-                        cnf_rows.add(leaf_bits)
-            if root is False:
-                cnf_rows = set()
+                if bits < (1 << 4) and _skeleton_truth(tree, val):
+                    formula_rows.add(leaf_bits)
+                if all(any(val(l) for l in cl) for cl in cnf):
+                    cnf_rows.add(leaf_bits)
             assert cnf_rows == formula_rows
 
     def test_clause_count_linear(self):
         h = Harness()
         parts = " ".join(f"(<= (- x y) {k})" for k in range(30))
         node = h.norm(f"(and {parts})")
-        clauses, _ = to_cnf(node, h.new_var)
-        assert len(clauses) <= 31
+        clauses, roots = to_cnf(node, h.new_var)
+        assert clauses == [] and len(roots) == 30
+        node = h.norm(f"(not (and {parts}))")
+        clauses, roots = to_cnf(node, h.new_var)
+        assert clauses == [] and len(roots) == 1 and len(roots[0]) == 30
+        node = h.norm(f"(xor (< x y) (and {parts}))")
+        clauses, roots = to_cnf(node, h.new_var)
+        assert len(clauses) <= 35 and len(roots) == 1
 
     def test_equisatisfiability_via_truth_table(self):
         rng = random.Random(11)
@@ -362,35 +390,38 @@ class TestTseitin:
                 return counter["n"]
 
             tree = self._random_tree(rng, [1, 2, 3], 3)
-            clauses, root = to_cnf(tree, new_var)
-            cnf = clauses + ([[root]] if not isinstance(root, bool) else [])
+            clauses, roots = to_cnf(tree, new_var)
             formula_sat = any(
                 _skeleton_truth(tree, lambda l, a=assign: a[abs(l)] == (l > 0))
                 for assign in ({1: b1, 2: b2, 3: b3}
                                for b1 in (False, True)
                                for b2 in (False, True)
                                for b3 in (False, True)))
-            if isinstance(root, bool):
-                assert root == formula_sat or root is False
-                cnf_sat = root
-            else:
-                cnf_sat = truth_table_sat(cnf, counter["n"]) is not None
+            cnf_sat = truth_table_sat(clauses + roots, counter["n"]) is not None
             assert cnf_sat == formula_sat
 
 
 class TestSharedSubterms:
     def encode(self, text):
         h = Harness()
-        clauses, root = to_cnf(h.norm(text), h.new_var)
-        return h.n_vars, clauses, root
+        clauses, roots = to_cnf(h.norm(text), h.new_var)
+        return h.n_vars, clauses, roots
 
     def test_shared_subterm_is_one_node_and_one_gate(self):
         h = Harness()
         node = h.norm("(let ((g (or (< x 1) (< y 2)))) (and g (not g)))")
         assert node[1][1][1] is node[1][0]
-        clauses, root = to_cnf(node, h.new_var)
-        # one gate for g, so the encoder sees g and its negation
-        assert root is False and len(clauses) == 3
+        a, b = (k[1] for k in node[1][0][1])
+        n_vars = h.n_vars
+        # at the top, g is a clause and not g two units: no gate
+        assert to_cnf(node, h.new_var) == ([], [[a, b], [-a], [-b]])
+        assert h.n_vars == n_vars
+        # below the top, one gate stands for g under either polarity
+        node = h.norm("(let ((g (and (< x 1) (< y 2))))"
+                      " (and (or g (< z 0)) (or (not g) (< z 5))))")
+        clauses, roots = to_cnf(node, h.new_var)
+        g = h.n_vars
+        assert len(clauses) == 3 and [r[0] for r in roots] == [g, -g]
 
     def test_let_chain_grows_linearly(self):
         # a tree expansion doubles per level: fail fast at a small depth
@@ -401,6 +432,31 @@ class TestSharedSubterms:
         n60, clauses60, _ = self.encode(let_chain(60))
         assert n60 <= 2.2 * n30
         assert len(clauses60) <= 2.2 * len(clauses30)
+
+    @pytest.mark.parametrize("op, top", [("and", "g{}"), ("or", "(not g{})")])
+    def test_a_shared_chain_at_the_top_is_walked_once(self, op, top):
+        # g_t = (op g_{t-1} g_{t-1}): 2^t leaves as a tree, all of them
+        # conjuncts of the top, which asserts x < y and y < z. A tree walk
+        # fails at depth 12 with 2^13 roots, before it meets depth 60
+        for depth in (12, 60):
+            h = Harness()
+            lits = [[h.norm("(< x y)")[1]], [h.norm("(< y z)")[1]]]
+            node = h.norm(top_chain(depth, op, top.format(depth)))
+            start = time.perf_counter()
+            clauses, roots = to_cnf(node, h.new_var)
+            assert time.perf_counter() - start < 1
+            assert clauses == [] and h.n_vars == 2 and roots == lits
+
+
+def top_chain(depth, op, top):
+    """``top`` under ``depth`` lets, where g_t is (op g_{t-1} g_{t-1}) and
+    g0 is x < y and y < z, or its negation when ``op`` is ``or``."""
+    text = top
+    for t in range(depth, 0, -1):
+        text = f"(let ((g{t} ({op} g{t - 1} g{t - 1}))) {text})"
+    g0 = "(and (< x y) (< y z))" if op == "and" else \
+        "(or (not (< x y)) (not (< y z)))"
+    return f"(let ((g0 {g0})) {text})"
 
 
 def doubling_chain(depth, op):
