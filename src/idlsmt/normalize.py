@@ -460,17 +460,12 @@ def to_cnf(node, new_var):
     below; constants fold. Each distinct subterm is encoded once and walked
     once per polarity at most, so the clause count is linear in their number.
     """
-    if node[0] == "lit":  # most assertions are one atom
-        return [], [[node[1]]]
     encoder = _Encoder(new_var)
     roots, seen = [], set()
     stack = [(node, 1)]  # a node with sign -1 stands for its negation
     while stack:
         u, sign = stack.pop()
         tag = u[0]
-        if tag == "lit":
-            roots.append([sign * u[1]])
-            continue
         if tag == "not" and sign > 0:
             stack.append((u[1], -1))
             continue
