@@ -460,6 +460,8 @@ def to_cnf(node, new_var):
     below; constants fold. Each distinct subterm is encoded once and walked
     once per polarity at most, so the clause count is linear in their number.
     """
+    if node[0] == "lit":  # a lone atom needs no walk and no encoder
+        return [], [[node[1]]]
     encoder = _Encoder(new_var)
     roots, seen = [], set()
     stack = [(node, 1)]  # a node with sign -1 stands for its negation
