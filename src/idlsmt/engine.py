@@ -64,8 +64,6 @@ class SessionConfig:
 
 @dataclass
 class _Record:
-    index: int
-    term: tuple
     name: Optional[str]
     selector: Optional[int]  # None: a level-0 fact of the bottom frame
     # the clauses the assertion stored (guarded roots and gates, the very
@@ -181,8 +179,7 @@ class _TheoryBridge:
         return [(lit, (y, x, c, stamp)) for x, y, c, lit in rows]
 
     def explain(self, handle):
-        src, dst, bound, stamp = handle
-        return self.apsp.explain_path(src, dst, bound, stamp)
+        return self.apsp.explain_path(*handle)
 
     def on_backtrack(self, level):
         self.scanned = None
@@ -223,9 +220,9 @@ class Session:
         self.last_status = None
         self._int_ids = {}
         self._bool_ids = {}
-        self._names = {}
-        self._sel2rec = {}
-        self._next_index = 0
+        self._names = set()
+        self._sel2rec = {}  # in assertion order, as the frames are
+        self._next_index = 0  # assertions made, popped ones included
         self._next_varid = 1
         self._free_ids = []  # retired closure vertices, the lowest reused first
         self._core_records = None
@@ -310,14 +307,13 @@ class Session:
             self.solver.add_clause(cl)
         for r in roots:
             self.solver.add_clause(guard + r)
-        rec = _Record(self._next_index, term, name, selector,
-                      self.solver.clauses[stored:])
+        rec = _Record(name, selector, self.solver.clauses[stored:])
         self._next_index += 1
         self.frames[-1].records.append(rec)
         if selector is not None:
             self._sel2rec[selector] = rec
         if name is not None:
-            self._names[name] = rec
+            self._names.add(name)
         self.last_status = None
         return Response()
 
@@ -339,7 +335,7 @@ class Session:
         for rec in popped:
             del self._sel2rec[rec.selector]
             if rec.name is not None:
-                del self._names[rec.name]
+                self._names.remove(rec.name)
         self._delete([c for rec in popped for c in rec.clauses])
         self.last_status = None
         return Response()
@@ -416,10 +412,7 @@ class Session:
         if res.status == "sat":
             self._bool_model = res.model
         elif res.status == "unsat":
-            failed = set(res.failed)
-            self._core_records = sorted(
-                (self._sel2rec[s] for s in failed if s in self._sel2rec),
-                key=lambda r: r.index)
+            self._core_records = [self._sel2rec[s] for s in res.failed]
         self.last_status = res.status
         return res.status
 
@@ -488,8 +481,7 @@ class Session:
                 kept = set(res.failed)
                 cur = [t for t in trial if t in kept]
         self.last_status = "unsat"
-        recs = [self._sel2rec[s] for s in cur if s in self._sel2rec]
-        return sorted(recs, key=lambda r: r.index)
+        return [self._sel2rec[s] for s in cur]
 
     def unsat_core_names(self):
         return [rec.name for rec in self.core_records()

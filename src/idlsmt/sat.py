@@ -33,7 +33,11 @@ is only cashed in (via ``explain``) if conflict analysis needs it,
 a full assignment. There is no final check: the theory vetted each
 literal as it was asserted. ``propagate`` waits until the last assumption
 is placed, where an implication can steer the search (Nieuwenhuis,
-Oliveras & Tinelli, JACM 2006). A conflict at an assumption level is
+Oliveras & Tinelli, JACM 2006), and runs only once ``on_assert`` has seen
+the whole trail, so every literal it returns is unassigned and is
+enqueued as it comes. A literal's reason is the clause that implied it (a
+list), the theory's handle (any other object), or None. A conflict at an
+assumption level is
 final, as in MiniSat: the assumptions alone refute, so the answer is
 unsat with the assumptions that its literals rest on, with nothing
 learned. Literals are signed ints, clauses are lists of them.
@@ -79,7 +83,8 @@ class NullTheory:
 class SolveResult:
     status: str  # "sat" | "unsat" | "unknown"
     model: dict | None = None  # var -> bool, total over the live variables
-    failed: list = field(default_factory=list)  # subset of the assumptions
+    # subset of the assumptions, in their order
+    failed: list = field(default_factory=list)
 
 
 _RESCALE = 1e100
@@ -104,7 +109,9 @@ class Solver:
         self.theory = theory if theory is not None else NullTheory()
         self.values = [0]  # var-indexed: 0 unassigned, 1 true, -1 false
         self.levels = [0]
-        self.reasons = [None]  # clause (a list), ("th", handle), or None
+        # clause (a list), theory handle (any other object), or None for
+        # a decision, an assumption or a level-0 fact no clause implies
+        self.reasons = [None]
         self.phase = [None]  # saved polarity; None until first unassigned
         self.activity = [0.0]
         # (-activity, var) of every unassigned live variable, plus stale
@@ -300,21 +307,12 @@ class Solver:
                     return [-l for l in confl]
             if len(self.trail_lim) < len(self.assumed):
                 return None  # implications wait for the last assumption
-            progressed = False
-            for lit, handle in theory.propagate():
-                val = self.value(lit)
-                if val == 1:
-                    continue
-                if val == -1:
-                    ante = theory.explain(handle)
-                    self.stats["theory_conflicts"] += 1
-                    return [lit] + [-a for a in ante]
-                self._enqueue(lit, ("th", handle))
-                self.stats["theory_propagations"] += 1
-                progressed = True
-            if not progressed and self.qhead >= len(self.trail) \
-                    and self.th_head >= len(self.trail):
-                return None
+            implied = theory.propagate()
+            if not implied:
+                return None  # both heads stand at the end of the trail
+            for lit, handle in implied:
+                self._enqueue(lit, handle)
+            self.stats["theory_propagations"] += len(implied)
 
     # -- backtracking ----------------------------------------------------------
 
@@ -376,13 +374,12 @@ class Solver:
     def _reason_lits(self, p):
         """False literals feeding the implication of trail literal ``p``."""
         r = self.reasons[abs(p)]
+        if r is None:
+            raise InternalError("asked for the reason of a decision")
         if isinstance(r, list):
             self._bump_clause(r)
             return [q for q in r if q != p]
-        if isinstance(r, tuple) and r[0] == "th":
-            ante = self.theory.explain(r[1])
-            return [-a for a in ante]
-        raise InternalError("asked for the reason of a decision")
+        return [-a for a in self.theory.explain(r)]
 
     def _analyze(self, confl_lits):
         """First-UIP learning; returns (learned clause, backjump level).

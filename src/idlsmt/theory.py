@@ -71,7 +71,7 @@ class DifferenceEngine:
         # are the still-asserted weaker bounds needed for time-restricted
         # explanations
         self.edges = []
-        self._trail = []  # (level, edge key or None, relax_edge undo or None)
+        self._trail = []  # (level, edge key, relax_edge undo or None)
         self.stamp = 0  # edges recorded, entailed ones too (edge_commits)
         # cells the kernel changed; each call changes at least its edge's
         # cell (y, x), so the theory bridge reads an unmoved count as an
@@ -123,8 +123,10 @@ class DifferenceEngine:
 
         Returns None on success or the list of supporting literals of a
         negative cycle (the new literal included); on conflict no state is
-        touched. A bound the closure already entails is logged as an edge
-        with a new stamp, but without a kernel call and with no undo entry.
+        touched. A bound no tighter than its edge's live weight changes
+        nothing and leaves no trail entry. Any other bound the closure
+        already entails is logged as an edge with a new stamp, but without a
+        kernel call and with no undo arrays.
         """
         if self._d[x, y] + c < 0:
             path = self.explain_path(x, y, int(self._d[x, y]))
@@ -132,8 +134,6 @@ class DifferenceEngine:
         out = self.edges[y]
         hist = out.get(x)
         if hist is not None and hist[-1][0] <= c:
-            if level:
-                self._trail.append((level, None, None))
             return None
         self.stamp += 1
         if hist is None:
@@ -169,12 +169,11 @@ class DifferenceEngine:
             elif undo is not None:  # the old block; later commits are undone
                 self._d[:len(undo[0]), :len(undo[0])] = undo[0]
                 self.finite = False
-            if key is not None:
-                u, v = key
-                hist = self.edges[u][v]
-                hist.pop()
-                if not hist:
-                    del self.edges[u][v]
+            u, v = key
+            hist = self.edges[u][v]
+            hist.pop()
+            if not hist:
+                del self.edges[u][v]
 
     # -- explanations --------------------------------------------------------
 

@@ -285,18 +285,22 @@ class TestBacktrack:
         # a pass that also asserts bounds the closure already entails
         rng = random.Random(16)
         for n in (6, BLOCK_MIN_N + 12):
-            assert self.fuzz_round(rng, n, entail=0.4) >= 10
+            kinds = self.fuzz_round(rng, n, entail=0.4)
+            assert kinds["edge"] >= 10
+            assert kinds["no tighter"] and kinds["level 0"]
 
     @staticmethod
     def fuzz_round(rng, n, entail=0.0):
         """100 random steps, then the closure against a scratch one. With
         ``entail``, that share of the assertions picks a bound the closure
-        entails; those must change no cell and undo exactly. Returns how
-        many were logged as edges."""
+        entails; those must change no cell and undo exactly, and each one
+        logged as an edge is asserted again no tighter, which must change
+        nothing. Returns how many were logged as edges ("edge"), how many
+        came at level 0, and how many repeats were made ("no tighter")."""
         e = engine(n)
         level = 0
         lit = 0
-        entailed = 0
+        kinds = Counter()
         closed = []  # closed[k]: the state when level k was left
         for _ in range(100):
             roll = rng.random()
@@ -316,11 +320,19 @@ class TestBacktrack:
                 stamp, logged = e.stamp, len(e._trail)
                 e.assert_atom(x, y, c, lit=lit, level=level)
                 if entail and implied:
-                    # no undo; a level-0 commit has no trail entry at all
+                    # no undo arrays; an entry for the edge above level 0
                     assert e.cell_updates == updates
-                    assert [u for _, _, u in e._trail[logged:]] \
-                        == ([None] if level else [])
-                    entailed += e.stamp > stamp
+                    recorded = e.stamp > stamp
+                    assert e._trail[logged:] == (
+                        [(level, (y, x), None)] if recorded and level else [])
+                    kinds["edge"] += recorded
+                    kinds["level 0"] += not level
+                    if recorded:
+                        # the same edge no tighter: no stamp, no entry
+                        before = e.snapshot(), e.stamp, e._trail[:]
+                        e.assert_atom(x, y, c + lit % 3, lit=-lit, level=level)
+                        assert (e.snapshot(), e.stamp, e._trail) == before
+                        kinds["no tighter"] += 1
             elif roll < 0.8:
                 level += 1
                 closed.append(e.snapshot())
@@ -332,7 +344,7 @@ class TestBacktrack:
                 del closed[level:]
         ref = scratch_floyd_warshall(n, committed_edges(e))
         assert matrices_equal(e, ref)
-        return entailed
+        return kinds
 
 
     def test_undo_across_the_block_switch(self):
