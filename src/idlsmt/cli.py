@@ -64,7 +64,9 @@ def _build_parser():
 class _Step:
     """One session and the step both modes run each command through. It
     keeps the last sat answer's distance matrix as text (empty before
-    any), taken only when ``--dump-apsp`` asks for it."""
+    any), taken only when ``--dump-apsp`` asks for it, and writes the file
+    again only for a text other than the one it wrote last: the engine
+    hands back the same text while its closure is unchanged."""
 
     def __init__(self, opts, out, flush):
         self.opts, self.out, self.flush = opts, out, flush
@@ -73,6 +75,7 @@ class _Step:
             minimize_core=opts.minimize_core,
             time_budget_ms=opts.tlimit))
         self.sat_tsv = ""
+        self.written = None  # the text last written to --dump-apsp
 
     def __call__(self, cmd):
         opts, session = self.opts, self.session
@@ -86,9 +89,10 @@ class _Step:
                 if opts.dump_dimacs:
                     with open(opts.dump_dimacs, "w") as f:
                         f.write(session.dimacs_text())
-                if opts.dump_apsp:
+                if opts.dump_apsp and self.sat_tsv is not self.written:
                     with open(opts.dump_apsp, "w") as f:
                         f.write(self.sat_tsv)
+                    self.written = self.sat_tsv
             except OSError as e:
                 raise _UsageError(str(e)) from None
         return resp

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from idlsmt import cli as cli_module
 from idlsmt.cli import run
 from idlsmt.engine import Session, _TheoryBridge
 from idlsmt.smtlib import parse_script, tokenize
@@ -475,7 +476,6 @@ class TestApspDump:
                 assert tsv.read_text() == want
             resp = execute(session, cmd)
             if cmd.name == "check-sat":
-                tsv.unlink(missing_ok=True)  # each check writes it anew
                 if resp.text == "sat":
                     want = held[-1]
                     dumps.append(want)
@@ -518,6 +518,31 @@ class TestApspDump:
         [dump] = self.run_checked(tmp_path, text)
         # only x - y <= 3, the edge y -> x of weight 3, over 0, x and y
         assert dump == "0\tinf\tinf\ninf\t0\tinf\ninf\t3\t0\n"
+
+    @pytest.mark.parametrize("mode", [[], ["--incremental"]],
+                             ids=["batch", "incremental"])
+    def test_an_unchanged_dump_is_not_written_again(self, tmp_path, mode):
+        # the first check writes the empty dump and the first sat answer
+        # its closure; unsat checks and sat checks over the same closure
+        # open nothing
+        text = (DECLS + "(push 1)(assert (< x y))(assert (< y x))"
+                "(check-sat)(check-sat)(pop 1)(assert (<= (- x y) 3))"
+                "(check-sat)(check-sat)(push 1)(assert (< y (- x 5)))"
+                "(check-sat)(pop 1)(check-sat)")
+        tsv = tmp_path / "out.tsv"
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli_module, "open", counting_open, raising=False)
+            code, out = cli(["--dump-apsp", str(tsv), *mode, "-"], text=text)
+        assert (code, out.split()) == (0, ["unsat", "unsat", "sat", "sat",
+                                           "unsat", "sat"])
+        assert opened == [str(tsv)] * 2
+        assert tsv.read_text() == "0\tinf\tinf\ninf\t0\tinf\ninf\t3\t0\n"
 
     def test_minimize_trial_leaves_no_dump(self, tmp_path):
         # the trial without a1 answers sat; no check-sat ever did

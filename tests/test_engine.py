@@ -449,6 +449,26 @@ class TestUnsatCore:
         _, rs = run(text, cfg)
         assert answers(rs)[-1] == "(b)"
 
+    def test_the_core_lists_names_in_assertion_order(self):
+        # z, then b and a a frame up: the pop frees the slots of the
+        # tautology's two atoms, which are in no stored clause, and b's
+        # selector takes one below z's; the core keeps assertion order,
+        # neither alphabetical nor by selector
+        text = (DECLS + "(declare-fun w () Int)"
+                "(assert (or (<= w 5) (not (<= w 5)) (<= y 7) (not (<= y 7))))"
+                "(assert (! (<= (- x y) 3) :named z))"
+                "(push 1)(assert (! (<= (- x w) 9) :named j))(pop 1)"
+                "(push 1)(assert (! (<= (- y w) 0) :named b))"
+                "(assert (! (<= (- w x) (- 4)) :named a))"
+                "(check-sat)(get-unsat-core)")
+        for minimize in (False, True):
+            cfg = SessionConfig(produce_unsat_cores=True,
+                                minimize_core=minimize)
+            session, rs = run(text, cfg)
+            assert answers(rs) == ["unsat", "(z b a)"]
+            z, b, a = (rec.selector for rec in session.core_records())
+            assert b < z < a
+
     def test_a_flattened_assertion_in_a_frame_keeps_its_selector(self):
         # (and (or a p) (not p)) is two root clauses; each carries the
         # selector, so the core names the assertion and the pop takes both
@@ -711,7 +731,10 @@ class TestAssignmentMask:
             want = sorted(var for var in session.atoms.bounds
                           if solver.values[var] == 0)
             assert free_vars() == want
-            return orig()
+            got = orig()
+            # the solver enqueues each one as it comes: none is assigned
+            assert all(solver.values[abs(lit)] == 0 for lit, _ in got)
+            return got
 
         bridge.propagate = propagate
         for cmd in parse_script(text):

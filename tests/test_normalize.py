@@ -97,6 +97,15 @@ class TestRewrites:
         bounds = {h.bound_of(k[1]) for k in disj[1]}
         assert bounds == {(x, y, -1), (y, x, -1)}
 
+    def test_distinct_over_a_constant_difference(self):
+        h = Harness()
+        # x and x + 1 always differ, so that pair adds no disjunction
+        assert h.norm("(distinct x (+ x 1))") == ("const", True)
+        node = h.norm("(distinct x (+ x 1) y)")
+        x, y = h.int_ids["x"], h.int_ids["y"]
+        assert [{h.bound_of(k[1]) for k in disj[1]} for disj in node[1]] \
+            == [{(x, y, -1), (y, x, -1)}, {(x, y, -2), (y, x, 0)}]
+
     def test_constant_on_either_side(self):
         h = Harness()
         node = h.norm("(<= (+ x 3) y)")
@@ -299,6 +308,14 @@ class TestTseitin:
         assert clauses == [] and roots == []
         node = h.norm("(or (< (- x x) 0) (< x 1))")
         assert to_cnf(node, h.new_var) == ([], [[node[1][1][1]]])
+
+    def test_an_all_true_conjunction_below_the_top_is_true(self):
+        # the and folds to true with no gate, so the or needs no clause
+        h = Harness()
+        node = h.norm("(or (< x 1) (and true (<= (- x x) 0)))")
+        n_vars = h.n_vars
+        assert to_cnf(node, h.new_var) == ([], [])
+        assert h.n_vars == n_vars
         # a false conjunct is the empty clause
         node = h.norm("(and (< (- x x) 0) (< x 1))")
         assert to_cnf(node, h.new_var) == ([], [[], [node[1][1][1]]])
@@ -466,6 +483,54 @@ def doubling_chain(depth, op):
         f"(let ((a{i} ({op} a{i - 1} a{i - 1}))) " for i in range(1, depth + 1)))
 
 
+def random_int_dag(rng, size):
+    """A comparison over ``size`` let-bound sums and differences of Int
+    x, y, z, small numerals and earlier bindings, each binding picked
+    freely, so one may be used twice; returns its text and the text of its
+    tree expansion."""
+    names, tree, binds = [], {}, []
+
+    def pick():
+        r = rng.random()
+        if names and r < 0.6:
+            name = rng.choice(names)
+            return name, tree[name]
+        leaf = rng.choice("xyz") if r < 0.85 else str(rng.randint(0, 5))
+        return leaf, leaf
+
+    for i in range(size):
+        op = rng.choice("+-")
+        (a, ta), (b, tb) = pick(), pick()
+        binds.append(f"(let ((b{i} ({op} {a} {b}))) ")
+        tree[f"b{i}"] = f"({op} {ta} {tb})"
+        names.append(f"b{i}")
+    (lhs, tl), (rhs, tr) = pick(), pick()
+    op = rng.choice(["<=", "<", "="])
+    return ("".join(binds) + f"({op} {lhs} {rhs})" + ")" * size,
+            f"({op} {tl} {tr})")
+
+
+def normalized(text):
+    """The skeleton of ``text`` with each atom as its bound over names, or
+    ``"non-difference"``."""
+    h = Harness()
+    try:
+        node = h.norm(text)
+    except NonDifferenceTerm:
+        return "non-difference"
+    names = h.varid_names()
+
+    def named(nd):
+        if nd[0] == "lit":
+            x, y, c = h.bound_of(nd[1])
+            return names[x], names[y], c
+        if nd[0] == "const":
+            return nd
+        return nd[0], tuple(named(k) for k in nd[1])
+
+    return named(node)
+
+
 class TestDeepIntegerTerms:
     def test_wide_flat_sum(self):
         # the parser left-folds the operands into a 2,000-deep add chain
@@ -482,6 +547,23 @@ class TestDeepIntegerTerms:
         node = h.norm(text)
         assert time.perf_counter() - start < 5
         assert h.bound_of(node[1]) == (h.int_ids["x"], h.int_ids["y"], 0)
+
+    def test_a_shared_node_met_again_before_its_children_is_reduced(self):
+        # the second a comes before b is reduced, so both are reduced then
+        h = Harness()
+        node = h.norm("(let ((b (+ x 1))) (let ((a (+ b 2))) "
+                      "(<= (+ (- a a) x) y)))")
+        assert h.bound_of(node[1]) == (h.int_ids["x"], h.int_ids["y"], 0)
+
+    def test_let_shared_integer_dags_match_their_tree_expansion(self):
+        differences = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            dag, tree = random_int_dag(rng, rng.randint(2, 7))
+            got = normalized(dag)
+            assert got == normalized(tree), f"seed {seed}: {dag}"
+            differences += got != "non-difference"
+        assert 0 < differences < 200
 
     def test_messages_show_a_bounded_prefix(self):
         h = Harness()

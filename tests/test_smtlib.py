@@ -5,13 +5,16 @@ import time
 import pytest
 
 from idlsmt.smtlib import (
-    CommandReader, DeclEnv, LexError, ParseError, SmtError, SortError,
+    Command, CommandReader, DeclEnv, LexError, ParseError, SmtError, SortError,
     UnknownSymbol, UnsupportedCommand, cursor, parse_command, parse_script,
     parse_term, render_symbol, render_term, tokenize,
 )
 from idlsmt import smtlib
 from idlsmt.engine import Session
 from idlsmt.testkit import emit_benchmark, eval_term
+
+# an Int x and a Bool p, on the first two lines
+_DECLS = "(declare-fun x () Int)\n(declare-fun p () Bool)\n"
 
 
 def kinds(text):
@@ -548,30 +551,65 @@ class TestParseScript:
             assert 1 <= e.value.line <= lines
             assert e.value.col >= 1
 
-    @pytest.mark.parametrize("text,error,where", [
+    @pytest.mark.parametrize("text,error,where,message", [
         ("(set-logic QF_IDL)\n(declare-fun x () Int)\n(assert (< x y))",
-         UnknownSymbol, (3, 14)),
+         UnknownSymbol, (3, 14), "undeclared symbol 'y'"),
         ("(declare-fun x () Int)\n(declare-fun p () Bool)\n"
-         "(assert (<= x p))", SortError, (3, 10)),
+         "(assert (<= x p))", SortError, (3, 10),
+         "'<=' expects integer operands"),
         ("(declare-fun x () Int)\n  (declare-const x Bool)",
-         ParseError, (2, 18)),
-        ("(push 1)\n(check-sat)\n(pop 2)", ParseError, (3, 2)),
+         ParseError, (2, 18), "symbol 'x' is already declared"),
+        ("(push 1)\n(check-sat)\n(pop 2)", ParseError, (3, 2),
+         "pop below the bottom of the assertion stack"),
         ("(declare-fun x () Int)\n(assert\n  (< x 1)\n", ParseError,
-         (4, 1)),
-    ])
+         (4, 1), "expected ')', found 'eof'"),
+    ] + [(_DECLS + body, error, where, message)
+         for body, error, where, message in [
+        ("(assert (ite p p))", ParseError, (3, 10),
+         "'ite' takes exactly three operands"),
+        ("(assert (ite x p p))", SortError, (3, 10),
+         "'ite' condition must be Boolean"),
+        ("(assert (not p p))", ParseError, (3, 10),
+         "'not' takes exactly one operand"),
+        ("(assert (<= x))", ParseError, (3, 10),
+         "'<=' needs at least 2 operand(s)"),
+        ("(assert (f x))", UnknownSymbol, (3, 10), "unknown operator 'f'"),
+        ("(assert (x 1))", ParseError, (3, 10), "'x' is not a function"),
+        ("(assert (1 x))", ParseError, (3, 10), "expected an operator"),
+        ("(assert (forall ((y Int)) p))", ParseError, (3, 10),
+         "'forall' terms are not supported"),
+        ("(assert (and p p", ParseError, (3, 10),
+         "unterminated 'and' application"),
+        ("x (check-sat)", ParseError, (3, 1),
+         "expected '(' to start a command, found 'x'"),
+        ("(42)", ParseError, (3, 2), "expected a command name"),
+        ("(set-info :notes (a b", ParseError, (3, 18),
+         "unterminated attribute value"),
+        # the value is missing: the end of the text is no value
+        ("(set-info :notes", ParseError, (3, 17),
+         "malformed attribute value"),
+    ]])
     def test_errors_in_plain_text_keep_their_positions(self, text, error,
-                                                       where):
+                                                       where, message):
         # plain text is lexed by splitting; an error places itself by the
         # offsets of a regex scan of the same text
         assert tokenize(text).starts is None
         with pytest.raises(error) as e:
             parse_script(text)
         assert (e.value.line, e.value.col) == where
+        assert e.value.message == message
         cur, env = cursor(smtlib._scan(smtlib.Tokens(text, 1, 1))), DeclEnv()
         with pytest.raises(error) as scanned:
             while parse_command(cur, env) is not None:
                 pass
         assert str(scanned.value) == str(e.value)
+
+    def test_an_assertion_name_after_another_attribute(self):
+        # the other attribute's value, a list here, is parsed and dropped
+        cmds = parse_script(_DECLS + "(assert (! p :foo (bar 1) :named n))"
+                            "(assert (! p :named m :foo bar))")
+        assert cmds[2:] == [Command("assert", (("bvar", "p"), "n")),
+                            Command("assert", (("bvar", "p"), "m"))]
 
     def test_determinism(self):
         text = emit_benchmark("negative-cycle-chain", 5)[0]

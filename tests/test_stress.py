@@ -1,9 +1,15 @@
 """Deeper randomized runs aimed at the rarely-taken paths: lazy
 explanations cashed in during conflict analysis, parallel-edge tightening
-histories, restarts under assumptions, and learned-clause reduction."""
+histories, restarts under assumptions, and learned-clause reduction.
+
+A longer run of learned-clause reduction seeds, as a command:
+
+    PYTHONPATH=src:tests python tests/test_stress.py FIRST LAST
+"""
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -150,27 +156,51 @@ class TestSearchMachinery:
         assert len(set(ints.values())) == 6
 
     def test_learned_clause_reduction_keeps_verdicts(self):
-        rng = random.Random(4)
-        for _ in range(25):
-            n = rng.randint(6, 10)
-            clauses = []
-            for _ in range(rng.randint(20, 45)):
-                k = rng.randint(2, 3)
-                clauses.append([rng.choice([1, -1]) * rng.randint(1, n)
-                                for _ in range(k)])
-            s = Solver()
-            for _ in range(n):
-                s.new_var()
-            s.learned_limit = 5  # force reduction to run
-            ok = all(s.add_clause(list(cl)) for cl in clauses)
-            res = s.solve() if ok else None
-            expected = truth_table_sat(clauses, n)
-            if not ok or res.status == "unsat":
-                assert expected is None
-            else:
-                assert expected is not None
-                for cl in clauses:
-                    assert any(res.model[abs(l)] == (l > 0) for l in cl)
+        reductions = dropped = 0
+        for seed in range(25):
+            runs, gone = check_reduction(seed)
+            reductions += runs
+            dropped += gone
+        # the store was halved, and lost clauses, on this corpus
+        assert reductions > 0 and dropped > 0
+
+
+def check_reduction(seed):
+    """Solve a random 3-SAT instance of 12 to 16 variables, about 4.3
+    clauses each, near the satisfiability threshold, with the learned
+    clause limit at 5, so the store is halved as it fills. The verdict
+    must match the truth table, and a model satisfy every clause. Returns
+    how many reductions ran and how many clauses they dropped."""
+    rng = random.Random(seed)
+    n = rng.randint(12, 16)
+    clauses = [[rng.choice((1, -1)) * v
+                for v in rng.sample(range(1, n + 1), 3)]
+               for _ in range(round(4.3 * n))]
+    s = Solver()
+    for _ in range(n):
+        s.new_var()
+    s.learned_limit = 5
+    counts = [0, 0]
+    orig = s._reduce_learned
+
+    def reduce_learned():
+        before = len(s.clauses)
+        orig()
+        counts[0] += 1
+        counts[1] += before - len(s.clauses)
+
+    s._reduce_learned = reduce_learned
+    ok = all(s.add_clause(list(cl)) for cl in clauses)
+    res = s.solve() if ok else None
+    expected = truth_table_sat(clauses, n)
+    if not ok or res.status == "unsat":
+        assert expected is None, f"seed {seed}"
+    else:
+        assert expected is not None, f"seed {seed}"
+        for cl in clauses:
+            assert any(res.model[abs(l)] == (l > 0) for l in cl), \
+                f"seed {seed}"
+    return tuple(counts)
 
 
 class TestStreamingReflow:
@@ -275,3 +305,10 @@ class TestLongSessions:
                 _, scratch = run_commands(parse_script(scratch_text))
                 assert got == scratch[0], f"step {step}"
         assert checks > 20
+
+
+if __name__ == "__main__":
+    first, last = map(int, sys.argv[1:3])
+    runs = sum(check_reduction(seed)[0] for seed in range(first, last))
+    print(f"seeds {first} to {last - 1}: every verdict checked, "
+          f"{runs} reductions")
