@@ -27,20 +27,20 @@ literals whose reasons it deletes.
 
 A theory plugs in through six seams: every literal appended to the trail
 is forwarded to ``on_assert``, backjumps call ``on_backtrack``, implied
-literals arrive from ``propagate`` with an opaque explanation handle that
-is only cashed in (via ``explain``) if conflict analysis needs it,
+literals arrive from ``propagate`` with an opaque explanation handle
+that is only cashed in (via ``explain``) if conflict analysis needs it,
 ``phase`` names a first decision's polarity, and ``on_solution`` runs on
 a full assignment. There is no final check: the theory vetted each
-literal as it was asserted. ``propagate`` waits until the last assumption
-is placed, where an implication can steer the search (Nieuwenhuis,
-Oliveras & Tinelli, JACM 2006), and runs only once ``on_assert`` has seen
-the whole trail, so every literal it returns is unassigned and is
-enqueued as it comes. A literal's reason is the clause that implied it (a
-list), the theory's handle (any other object), or None. A conflict at an
-assumption level is
-final, as in MiniSat: the assumptions alone refute, so the answer is
-unsat with the assumptions that its literals rest on, with nothing
-learned. Literals are signed ints, clauses are lists of them.
+literal as it was asserted. ``propagate`` waits until the last
+assumption is placed, where an implication can steer the search
+(Nieuwenhuis, Oliveras & Tinelli, JACM 2006), and runs only once
+``on_assert`` has seen the whole trail, so every literal it returns is
+unassigned and is enqueued as it comes. A literal's reason is the clause
+that implied it (a list), the theory's handle (any other object), or
+None. A conflict at an assumption level is final, as in MiniSat: the
+assumptions alone refute, so the answer is unsat with the assumptions
+that its literals rest on, with nothing learned. Literals are signed
+ints, clauses are lists of them.
 """
 
 from __future__ import annotations
@@ -83,8 +83,7 @@ class NullTheory:
 class SolveResult:
     status: str  # "sat" | "unsat" | "unknown"
     model: dict | None = None  # var -> bool, total over the live variables
-    # subset of the assumptions, in their order
-    failed: list = field(default_factory=list)
+    failed: list = field(default_factory=list)  # assumptions, in order
 
 
 _RESCALE = 1e100
@@ -109,9 +108,7 @@ class Solver:
         self.theory = theory if theory is not None else NullTheory()
         self.values = [0]  # var-indexed: 0 unassigned, 1 true, -1 false
         self.levels = [0]
-        # clause (a list), theory handle (any other object), or None for
-        # a decision, an assumption or a level-0 fact no clause implies
-        self.reasons = [None]
+        self.reasons = [None]  # clause (a list), theory handle, or None
         self.phase = [None]  # saved polarity; None until first unassigned
         self.activity = [0.0]
         # (-activity, var) of every unassigned live variable, plus stale
