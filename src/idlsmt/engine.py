@@ -222,7 +222,7 @@ class Session:
         self._bool_ids = {}
         self._names = set()
         self._sel2rec = {}  # in assertion order, as the frames are
-        self._next_index = 0  # assertions made, popped ones included
+        self._asserted = 0  # assertions made, popped ones included
         self._next_varid = 1
         self._free_ids = []  # retired closure vertices, the lowest reused first
         self._core_records = None
@@ -267,7 +267,7 @@ class Session:
 
     def _cmd_set_option(self, key, value):
         if key == ":produce-unsat-cores":
-            if self._next_index:
+            if self._asserted:
                 return _error(":produce-unsat-cores may only be set "
                               "before the first assertion")
             self.cfg.produce_unsat_cores = value == "true"
@@ -308,7 +308,7 @@ class Session:
         for r in roots:
             self.solver.add_clause(guard + r)
         rec = _Record(name, selector, self.solver.clauses[stored:])
-        self._next_index += 1
+        self._asserted += 1
         self.frames[-1].records.append(rec)
         if selector is not None:
             self._sel2rec[selector] = rec
