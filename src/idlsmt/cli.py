@@ -117,8 +117,6 @@ def _run_interactive(opts, stream, out):
         except SmtError as e:
             print(error_text(str(e)), file=out, flush=True)
             continue
-        if cmd is None:
-            continue
         step(cmd)
         if step.session.finished:
             break
@@ -176,7 +174,3 @@ def run(argv=None, stdin=None, stdout=None):
 
 def main():
     sys.exit(run())
-
-
-if __name__ == "__main__":
-    main()

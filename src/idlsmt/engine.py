@@ -252,10 +252,7 @@ class Session:
     # -- command dispatch -------------------------------------------------------
 
     def execute(self, cmd: Command) -> Response:
-        handler = getattr(self, "_cmd_" + cmd.name.replace("-", "_"), None)
-        if handler is None:
-            return _error(f"unsupported command: {cmd.name}")
-        return handler(*cmd.args)
+        return getattr(self, "_cmd_" + cmd.name.replace("-", "_"))(*cmd.args)
 
     def _cmd_set_logic(self, name):
         if self.logic is not None:

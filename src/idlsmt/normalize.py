@@ -20,6 +20,7 @@ literal stands for its subterm wherever it occurs, under either polarity.
 
 from __future__ import annotations
 
+from .sat import InternalError
 from .smtlib import render_term
 
 ZERO_VAR = 0
@@ -69,7 +70,8 @@ class AtomTable:
     def literal(self, x, y, c):
         """SAT literal asserting ``x - y <= c``; x and y must differ."""
         if x == y:
-            raise ValueError("self-difference atoms must be folded before interning")
+            raise InternalError(
+                "self-difference atoms must be folded before interning")
         if x < y:
             key, sign = (x, y, c), 1
         else:
@@ -120,7 +122,7 @@ def _operands(u, s):
         return [(u[2], s), (u[1], s)]
     if tag == "sub":
         return [(u[2], -s), (u[1], s)]
-    raise NonDifferenceTerm(f"non-linear subterm in {render_term(u, _SHOWN)}")
+    raise InternalError(f"unknown integer term tag {tag!r}")
 
 
 def _sum(todo, memo):
@@ -268,7 +270,7 @@ class _Normalizer:
             return ("const", t[1])
         if tag == "distinct":
             return self._distinct(t[1], t)
-        raise NonDifferenceTerm(f"unexpected term {render_term(t, _SHOWN)}")
+        raise InternalError(f"unknown term tag {tag!r}")
 
     def walk(self, t):
         """Skeleton of ``t``, walked depth first and left to right from an
@@ -441,7 +443,7 @@ class _Encoder:
                 elif tag == "xor":
                     lit = self.gate_xor(*got)
                 else:
-                    raise ValueError(f"unknown skeleton tag {tag!r}")
+                    raise InternalError(f"unknown skeleton tag {tag!r}")
                 done[id(u)] = lit
                 stack.pop()
                 stack[-1][2].append(lit)

@@ -27,6 +27,8 @@ import re
 from bisect import bisect_left
 from typing import NamedTuple
 
+from .sat import InternalError
+
 
 class SmtError(Exception):
     """Front-end error carrying a source position."""
@@ -781,7 +783,7 @@ def render_term(t, limit=None):
                 elif tag in _HEADS:
                     head, kids = _HEADS[tag], x[1:]
                 else:
-                    raise ValueError(f"unknown term tag {tag!r}")
+                    raise InternalError(f"unknown term tag {tag!r}")
                 todo.append(")")
                 for kid in reversed(kids):
                     todo += (kid, " ")

@@ -454,9 +454,7 @@ def random_incremental_script(seed, vars=4, checks=4, lo=-6, hi=6):
     stack = [[]]
     prefixes = []
     emitted = 0
-    guard = 0
-    while emitted < checks and guard < 200:
-        guard += 1
+    while emitted < checks:
         roll = rng.random()
         if roll < 0.45:
             x, y = rng.sample(names, 2)
@@ -473,10 +471,6 @@ def random_incremental_script(seed, vars=4, checks=4, lo=-6, hi=6):
             lines.append("(check-sat)")
             prefixes.append([b for frame in stack for b in frame])
             emitted += 1
-    while emitted < checks:
-        lines.append("(check-sat)")
-        prefixes.append([b for frame in stack for b in frame])
-        emitted += 1
     return "\n".join(lines) + "\n", prefixes
 
 

@@ -1,4 +1,5 @@
 import io
+import runpy
 import subprocess
 import sys
 
@@ -109,6 +110,12 @@ class TestIncremental:
         assert tokens.kinds == ["lparen", "symbol", "string", "rparen", "eof"]
         assert tokens.texts[2] == """2:12: undeclared symbol 'a"b'"""
 
+    @pytest.mark.parametrize("flags", [[], ["--incremental"]],
+                             ids=["batch", "incremental"])
+    def test_exit_stops_reading(self, flags):
+        text = "(set-logic QF_IDL)(exit)(check-sat)\n"
+        assert cli(flags + ["-"], text=text) == (0, "")
+
     def test_parse_error_reported_inline(self):
         text = "(assert (< q 1))\n(set-logic QF_IDL)\n(check-sat)\n"
         code, out = cli(["--incremental", "-"], text=text)
@@ -120,13 +127,16 @@ class TestIncremental:
 
 # Symbols and numerals are ASCII, so each of these is an (error ...) answer
 # with its position, never a traceback. The odd run of quotes opens a string
-# that runs to the end of the input.
+# that runs to the end of the input, as does a string or quoted symbol
+# opened between commands.
 LEX_ERRORS = {
     "(push ²)": "6:7: illegal character '²'",
     "(assert (< x ²))": "6:14: illegal character '²'",
     "(declare-fun café () Int)": "6:17: illegal character 'é'",
     "(push ٣)": "6:7: illegal character '٣'",
     '(set-info :x """)': "6:14: unterminated string literal",
+    '"abc': "6:1: unterminated string literal",
+    "|abc": "6:1: unterminated quoted symbol",
 }
 
 
@@ -142,7 +152,7 @@ class TestLexErrors:
         text = SAT_TEXT + bad + "\n(check-sat)\n"
         code, out = cli(["--incremental", "-"], text=text)
         assert code == 0
-        rest = [] if '"' in bad else ["sat"]
+        rest = [] if "unterminated" in LEX_ERRORS[bad] else ["sat"]
         assert out.splitlines() == ["sat", f'(error "{LEX_ERRORS[bad]}")'] + rest
         assert "Traceback" not in capsys.readouterr().err
 
@@ -582,6 +592,14 @@ class TestLiteralTable:
 
 
 class TestSubprocess:
+    def test_module_main_in_process(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["idlsmt", "-"])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(SAT_TEXT))
+        with pytest.raises(SystemExit) as e:
+            runpy.run_module("idlsmt", run_name="__main__")
+        assert e.value.code == 0
+        assert capsys.readouterr().out == "sat\n"
+
     def test_module_invocation(self, tmp_path):
         path = write(tmp_path, "s.smt2", SAT_TEXT)
         proc = subprocess.run([sys.executable, "-m", "idlsmt", path],

@@ -9,6 +9,7 @@ from idlsmt.normalize import (
     CONST_MAX, CONST_MIN, AtomTable, ConstantOverflow, NonDifferenceTerm,
     ZERO_VAR, skeleton, to_cnf,
 )
+from idlsmt.sat import InternalError
 from idlsmt.smtlib import DeclEnv, cursor, parse_term, tokenize
 from idlsmt.testkit import eval_term, let_chain, truth_table_sat
 
@@ -52,6 +53,29 @@ class Harness:
         inv = {v: k for k, v in self.int_ids.items()}
         inv[ZERO_VAR] = "<zero>"
         return inv
+
+
+class TestInvariantGuards:
+    """Shapes the parser never builds reach the guards, which raise the
+    internal-fault type, not an input error."""
+
+    def test_self_difference_atom(self):
+        with pytest.raises(InternalError, match="self-difference"):
+            Harness().atoms.literal(1, 1, 0)
+
+    @pytest.mark.parametrize("term, match", [
+        (("cmp", "<=", ("mul", ("ivar", "x"), ("int", 2)), ("int", 3)),
+         "unknown integer term tag 'mul'"),
+        (("mystery",), "unknown term tag 'mystery'"),
+    ], ids=["integer", "boolean"])
+    def test_unknown_term_tag(self, term, match):
+        h = Harness()
+        with pytest.raises(InternalError, match=match):
+            skeleton(term, h.resolve_int, h.resolve_bool, h.atoms)
+
+    def test_unknown_skeleton_tag(self):
+        with pytest.raises(InternalError, match="unknown skeleton tag"):
+            to_cnf(("implies", ("lit", 1), ("lit", 2)), Harness().new_var)
 
 
 class TestRewrites:

@@ -571,6 +571,25 @@ class TestBranchingHeap:
         assert rescaled > 20 if var_inc > 1 else not rescaled
 
 
+class TestClauseActivity:
+    def test_rescale_keeps_the_order(self):
+        s = fresh(6)
+        learned = [[1, 2, 3], [-1, 4, 5], [2, -4, 6], [-3, -5, -6]]
+        for k, c in enumerate(learned):
+            s._store_learned(c)
+            for _ in range(k):
+                s._bump_clause(c)
+        assert [s.cla_activity[id(c)] for c in learned] == [1, 2, 3, 4]
+        # the second bump passes the limit, so every activity and the
+        # increment shrink by one factor first; the bumped clause still leads
+        s.cla_inc = 0.6 * sat._RESCALE
+        s._bump_clause(learned[1])
+        s._bump_clause(learned[1])
+        act = [s.cla_activity[id(c)] for c in learned]
+        assert sorted(range(4), key=act.__getitem__) == [0, 2, 3, 1]
+        assert max(act) < 2 and s.cla_inc < 1
+
+
 class TestKeptTrail:
     """An answer keeps its trail. A clause over two free literals keeps
     it too, and removal backtracks only below the variables it releases
@@ -656,6 +675,21 @@ class TestKeptTrail:
         check_trail(s)
         res = s.solve([1, 2])
         assert res.status == "sat" and 7 not in res.model
+
+    def test_remove_clears_the_reason_of_a_level_0_fact(self):
+        # [-2] implies 1 at level 0 through [1, 2]; deleting that clause
+        # leaves 1 a fact without a reason, which nothing reads
+        s = fresh(2)
+        s.add_clause([1, 2])
+        reason = s.clauses[-1]
+        s.add_clause([-2])
+        assert s.trail == [-2, 1] and s.reasons[1] is reason
+        assert s.remove([reason], []) == []
+        assert s.reasons[1] is None and s.value(1) == 1
+        check_trail(s)
+        assert s.solve([]).model == {1: True, 2: False}
+        res = s.solve([-1])
+        assert res.status == "unsat" and res.failed == [-1]
 
     def test_reused_selector_slot_matches_no_kept_level(self):
         s = fresh(3)

@@ -11,6 +11,7 @@ from idlsmt.smtlib import (
 )
 from idlsmt import smtlib
 from idlsmt.engine import Session
+from idlsmt.sat import InternalError
 from idlsmt.testkit import emit_benchmark, eval_term
 
 # an Int x and a Bool p, on the first two lines
@@ -363,8 +364,13 @@ class TestParseCommand:
 
     def test_duplicate_declaration(self):
         env = _int_env("x")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as e:
             parse_command(cursor(tokenize("(declare-const x Int)")), env)
+        assert str(e.value) == "1:16: symbol 'x' is already declared"
+        # raised outside the parser, the error has no position to show
+        with pytest.raises(ParseError) as e:
+            env.declare("x", "Bool")
+        assert str(e.value) == "symbol 'x' is already declared"
 
     def test_negative_literal_hint(self):
         env = _int_env("x")
@@ -421,10 +427,15 @@ class TestTerms:
 
     def test_render_roundtrip(self):
         env = _int_env("x", "y")
-        text = "(or (<= (- x y) (- 3)) (not (< x 2)))"
-        term, _ = parse_term(cursor(tokenize(text)), env)
-        again, _ = parse_term(cursor(tokenize(render_term(term))), env)
-        assert term == again
+        for text in ["(or (<= (- x y) (- 3)) (not (< x 2)))",
+                     "(and true (not false))"]:
+            term, _ = parse_term(cursor(tokenize(text)), env)
+            again, _ = parse_term(cursor(tokenize(render_term(term))), env)
+            assert term == again
+
+    def test_render_refuses_an_unknown_tag(self):
+        with pytest.raises(InternalError, match="unknown term tag 'mul'"):
+            render_term(("mul", ("int", 2), ("ivar", "x")))
 
     def test_render_symbol_reads_back(self):
         for name in ["x", "a.b", "+", "1x", "let", "café", "a b", "a\nb",

@@ -10,7 +10,8 @@ from idlsmt.smtlib import parse_script
 from idlsmt.testkit import (
     AtomBudgetExceeded, RandomInstanceSpec, bellman_ford_consistent,
     emit_benchmark, enumerate_verdict, eval_term, random_incremental_script,
-    random_script, scratch_floyd_warshall, write_benchmark_suite,
+    naive_unit_fixpoint, random_script, scratch_floyd_warshall,
+    truth_table_sat, write_benchmark_suite,
 )
 
 
@@ -24,6 +25,12 @@ class TestScratchClosure:
 
     def test_negative_cycle(self):
         assert scratch_floyd_warshall(2, [(1, 0, 3), (0, 1, -4)]) is None
+
+    def test_self_loops(self):
+        # a negative self-loop is a cycle on its own; any other adds nothing
+        assert scratch_floyd_warshall(2, [(1, 1, -1)]) is None
+        D, R = scratch_floyd_warshall(2, [(1, 1, 2), (0, 1, 3)])
+        assert D[1, 1] == 0 and D[0, 1] == 3 and not R[1, 0]
 
     def test_parallel_edges_keep_minimum(self):
         D, R = scratch_floyd_warshall(2, [(0, 1, 9), (0, 1, 2)])
@@ -55,6 +62,15 @@ class TestBellmanFord:
     def test_zero_variable_pinned(self):
         m = bellman_ford_consistent([(1, 0, -5)])
         assert m[0] == 0 and m[1] <= -5
+
+
+class TestBooleanOracles:
+    def test_clashing_initial_literals_conflict(self):
+        assert naive_unit_fixpoint([[1, 2]], [2, -2]) == "conflict"
+
+    def test_truth_table_is_capped(self):
+        with pytest.raises(ValueError, match="capped at 20"):
+            truth_table_sat([[1]], 21)
 
 
 class TestEnumerate:
@@ -138,6 +154,10 @@ class TestEnumerate:
         assert enumerate_verdict(sk[:1], meta) == "sat"
         assert enumerate_verdict(sk, meta) == "unsat"
 
+    def test_unknown_skeleton_tag_is_refused(self):
+        with pytest.raises(ValueError, match="unknown skeleton tag"):
+            enumerate_verdict([("implies", ("lit", 1), ("lit", 2))], {})
+
     def test_free_booleans_enumerated(self):
         text = ("(declare-fun p () Bool)(declare-fun x () Int)"
                 "(assert (xor p (<= x 0)))(assert (not p))")
@@ -190,6 +210,10 @@ class TestGenerators:
                 for cmd in cmds:
                     resp = s.execute(cmd)
                     assert not resp.is_error
+
+    def test_unknown_structure_is_refused(self):
+        with pytest.raises(ValueError, match="unknown structure"):
+            random_script(RandomInstanceSpec(structure=("mystery",)))
 
     def test_incremental_scripts_track_prefixes(self):
         text, prefixes = random_incremental_script(3, checks=4)

@@ -64,6 +64,8 @@ class TestVertices:
         for i in range(3):
             for j in range(3):
                 assert e.dist(i, j) == (0 if i == j else None)
+        # a vertex not yet made has no path to or from any
+        assert e.dist(0, 3) is None and e.dist(3, 0) is None
 
     def test_growth_preserves_state(self):
         e = engine(2)
